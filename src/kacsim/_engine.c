@@ -7,7 +7,9 @@
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d).  clock = {t, t_next} and ctr = {cursor, proj_ctr} are updated in
- * place.  A pair index outside [0, n) stops the loop with status -1.
+ * place.  A pair index outside [0, n) stops the loop with status -1, a
+ * projection that annihilates its Gaussian with status -2; either stop
+ * leaves the event's pair unchanged.
  */
 
 #include <math.h>
@@ -65,61 +67,47 @@ static void ortho_axis(const double *n, double *out, int64_t d)
         out[k] *= inv;
 }
 
-/* Unit vector along g projected orthogonal to the orthonormal pair (n, m).
- * A g within a relative REORTHO_RATIO of span(n, m) is projected twice (see
- * geometry.complement_unit).  Falls back to a coordinate axis if the
- * projection annihilates g (a probability-zero event kept for robustness). */
-static void complement_unit(const double *g, const double *n, const double *m,
-                            double *out, int64_t d)
+/* Remove from x its components along n and, unless m is NULL, along m
+ * (both coefficients from the same x); returns |x|^2 afterwards. */
+static double project_out(double *x, const double *n, const double *m,
+                          int64_t d)
 {
-    double a = 0.0, b = 0.0, g2 = 0.0;
+    double a = 0.0, b = 0.0;
     for (int64_t k = 0; k < d; k++) {
-        a += g[k] * n[k];
-        b += g[k] * m[k];
-        g2 += g[k] * g[k];
+        a += x[k] * n[k];
+        if (m)
+            b += x[k] * m[k];
     }
     double s = 0.0;
     for (int64_t k = 0; k < d; k++) {
-        out[k] = g[k] - a * n[k] - b * m[k];
-        s += out[k] * out[k];
+        x[k] -= a * n[k];
+        if (m)
+            x[k] -= b * m[k];
+        s += x[k] * x[k];
     }
-    if (s < REORTHO_RATIO * g2) {
-        a = 0.0;
-        b = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            a += out[k] * n[k];
-            b += out[k] * m[k];
-        }
-        s = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            out[k] = out[k] - a * n[k] - b * m[k];
-            s += out[k] * out[k];
-        }
-    }
-    if (s > 1e-24) {
-        double inv = 1.0 / sqrt(s);
-        for (int64_t k = 0; k < d; k++)
-            out[k] *= inv;
-        return;
-    }
-    for (int64_t j = 0; j < d; j++) {
-        a = n[j];
-        b = m[j];
-        s = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            double w = -a * n[k] - b * m[k];
-            if (k == j)
-                w += 1.0;
-            out[k] = w;
-            s += w * w;
-        }
-        if (s > 0.25) {
-            double inv = 1.0 / sqrt(s);
-            for (int64_t k = 0; k < d; k++)
-                out[k] *= inv;
-            return;
-        }
-    }
+    return s;
+}
+
+/* Unit vector along g projected orthogonal to n and m (orthonormal; m may
+ * be NULL), the rule of geometry.complement_unit: a g within a relative
+ * REORTHO_RATIO of the span is projected twice.  Returns -1, with out not
+ * normalized, when the projection keeps |w| <= 1e-12. */
+static int complement_unit(const double *g, const double *n, const double *m,
+                           double *out, int64_t d)
+{
+    double g2 = 0.0;
+    for (int64_t k = 0; k < d; k++)
+        g2 += g[k] * g[k];
+    memcpy(out, g, (size_t)d * sizeof(double));
+    double s = project_out(out, n, m, d);
+    if (s < REORTHO_RATIO * g2)
+        s = project_out(out, n, m, d);
+    if (!(s > 1e-24))
+        return -1;
+    double inv = 1.0 / sqrt(s);
+    for (int64_t k = 0; k < d; k++)
+        out[k] *= inv;
+    return 0;
 }
 
 /* Scale x (length d) to unit length. */
@@ -193,7 +181,10 @@ int kac_advance_kac(double *v, int64_t n, int64_t d, double *clock,
         double *vi = v + i * d, *vj = v + j * d;
         double r = unit_of_diff(vi, vj, n_hat, d);
         ortho_axis(n_hat, m_hat, d);
-        complement_unit(gl + cursor * d, n_hat, m_hat, l_hat, d);
+        if (complement_unit(gl + cursor * d, n_hat, m_hat, l_hat, d)) {
+            status = -2;
+            break;
+        }
         double cphi = cphis[cursor];
         double sphi = sin_from_cos(cphi);
         double ct = cos(thetas[cursor]);
@@ -303,21 +294,9 @@ int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
             /* no continuously transported frame exists; complete the plane
              * with an independent random direction orthogonal to nu */
             antipodal = 1;
-            const double *g = gs + cursor * d;
-            double a = 0.0;
-            for (int64_t k = 0; k < d; k++)
-                a += g[k] * nu[k];
-            double s = 0.0;
-            for (int64_t k = 0; k < d; k++) {
-                mu[k] = g[k] - a * nu[k];
-                s += mu[k] * mu[k];
-            }
-            if (s > 1e-24) {
-                double inv = 1.0 / sqrt(s);
-                for (int64_t k = 0; k < d; k++)
-                    mu[k] *= inv;
-            } else {
-                ortho_axis(nu, mu, d);
+            if (complement_unit(gs + cursor * d, nu, NULL, mu, d)) {
+                status = -2;
+                break;
             }
             for (int64_t k = 0; k < d; k++)
                 mv[k] = -mu[k];
@@ -339,7 +318,10 @@ int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
             for (int64_t k = 0; k < d; k++)
                 mv[k] *= inv;
         }
-        complement_unit(gl + cursor * d, nu, mu, l_hat, d);
+        if (complement_unit(gl + cursor * d, nu, mu, l_hat, d)) {
+            status = -2;
+            break;
+        }
         double cphi = cphis[cursor];
         double sphi = sin_from_cos(cphi);
         double ct = cos(thetas[cursor]);

@@ -34,7 +34,11 @@ momentum errors against the pair RMS speed, so the check is scale free.
 
 Status codes returned by the advance functions: 0 = reached t_stop,
 1 = random batch exhausted, 2 = event budget reached.  A pair index
-outside [0, n) raises IndexError.
+outside [0, n) raises IndexError (C status -1).  A Gaussian that keeps
+|w| <= 1e-12 after projection orthogonal to the frame (``g_l`` in
+span(n, m), or an antipodal ``g_sigma`` along n_u) raises
+geometry.GeometryError (C status -2), as geometry.complement_unit does.
+Both errors name the batch slot and leave its pair unchanged.
 """
 
 from __future__ import annotations
@@ -51,10 +55,9 @@ from pathlib import Path
 
 import numpy as np
 
-PARALLEL_EPS = 1e-13
-ANTIPODAL_EPS = 1e-9
+from .geometry import GeometryError
 
-# kept for callers that predate the C engine; numba is no longer used
+# numba is no longer used; perfbench/run.py still reads this flag
 HAVE_NUMBA = False
 
 _SOURCE = Path(__file__).with_name("_engine.c")
@@ -162,8 +165,11 @@ def _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians):
 
 
 def _finish(clock, ctr, status):
-    if status < 0:
+    if status == -1:
         raise IndexError(f"pair index out of range at batch slot {ctr[0]}")
+    if status == -2:
+        raise GeometryError("complement projection annihilated the sample "
+                            f"at batch slot {ctr[0]}")
     return float(clock[0]), float(clock[1]), int(ctr[0]), int(ctr[1]), status
 
 
@@ -174,25 +180,9 @@ def advance_kac(v, t, t_next, t_stop, rate, max_events,
 
     Returns (t, t_next, cursor, proj_ctr, status).
     """
-    _state("v", v, 2)
-    _state("acc", acc, 1)
-    n, d = v.shape
-    if _LIB is None:
-        return _python_advance_kac(v, t, t_next, t_stop, rate, max_events,
-                                   thetas, cphis, exps, pi, pj, gl,
-                                   cursor, proj_ctr, proj_every, acc)
-    nb = np.shape(thetas)[0]
-    batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, gl)
-    if acc.shape[0] < 2:
-        raise ValueError("single-copy accumulator needs 2 slots")
-    clock = np.array([t, t_next], dtype=np.float64)
-    ctr = np.array([cursor, proj_ctr], dtype=np.int64)
-    work = np.empty(5 * d)
-    status = _LIB.kac_advance_kac(
-        v.ctypes.data, n, d, clock.ctypes.data, t_stop, rate, max_events,
-        *(a.ctypes.data for a in batch), nb, ctr.ctypes.data, proj_every,
-        acc.ctypes.data, work.ctypes.data)
-    return _finish(clock, ctr, status)
+    return _advance((v,), t, t_next, t_stop, rate, max_events,
+                    thetas, cphis, exps, pi, pj, (gl,),
+                    cursor, proj_ctr, proj_every, acc)
 
 
 def advance_coupled(u, v, t, t_next, t_stop, rate, max_events,
@@ -200,37 +190,51 @@ def advance_coupled(u, v, t, t_next, t_stop, rate, max_events,
                     cursor, proj_ctr, proj_every, acc):
     """Process events on two copies driven by the same randomness.
 
-    Branch rules mirror geometry.transport_frames: generic frames from the
-    shared plane, a deterministic common axis for coincident directions, and
-    a random plane completion (from ``gs``) for antipodal ones.  Coincident
-    directions give both copies the identical outgoing direction, and all
-    outgoing directions are renormalized before the update, so pair
-    conservation holds to rounding in every branch.
+    The frames follow the rule of geometry.transport_frames: generic frames
+    from the shared plane, a deterministic common axis for coincident
+    directions, and a plane completed with ``gs`` for antipodal ones.
+    Coincident directions give both copies the identical outgoing
+    direction, and all outgoing directions are renormalized before the
+    update, so pair conservation holds to rounding in every branch.
 
     Returns (t, t_next, cursor, proj_ctr, status).
     """
-    _state("u", u, 2)
-    _state("v", v, 2)
+    return _advance((u, v), t, t_next, t_stop, rate, max_events,
+                    thetas, cphis, exps, pi, pj, (gl, gs),
+                    cursor, proj_ctr, proj_every, acc)
+
+
+def _advance(states, t, t_next, t_stop, rate, max_events,
+             thetas, cphis, exps, pi, pj, gaussians,
+             cursor, proj_ctr, proj_every, acc):
+    """Check the arrays and run the C loop (or the fallback) for one or two
+    copies; the C functions differ only in those two argument groups."""
+    coupled = len(states) == 2
+    for name, x in zip(("u", "v") if coupled else ("v",), states):
+        _state(name, x, 2)
     _state("acc", acc, 1)
-    if u.shape != v.shape:
-        raise ValueError(f"copies differ in shape: {u.shape} vs {v.shape}")
-    n, d = u.shape
+    if coupled and states[0].shape != states[1].shape:
+        raise ValueError(f"copies differ in shape: {states[0].shape} vs "
+                         f"{states[1].shape}")
+    n, d = states[0].shape
     if _LIB is None:
-        return _python_advance_coupled(u, v, t, t_next, t_stop, rate,
-                                       max_events, thetas, cphis, exps, pi,
-                                       pj, gl, gs, cursor, proj_ctr,
-                                       proj_every, acc)
+        return _python_advance(states, t, t_next, t_stop, rate, max_events,
+                               thetas, cphis, exps, pi, pj, gaussians,
+                               cursor, proj_ctr, proj_every, acc)
     nb = np.shape(thetas)[0]
-    batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, gl, gs)
-    if acc.shape[0] < 8:
+    batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians)
+    if coupled and acc.shape[0] < 8:
         raise ValueError("coupled accumulator needs 8 slots")
+    if acc.shape[0] < 2:
+        raise ValueError("single-copy accumulator needs 2 slots")
     clock = np.array([t, t_next], dtype=np.float64)
     ctr = np.array([cursor, proj_ctr], dtype=np.int64)
-    work = np.empty(9 * d)
-    status = _LIB.kac_advance_coupled(
-        u.ctypes.data, v.ctypes.data, n, d, clock.ctypes.data, t_stop, rate,
-        max_events, *(a.ctypes.data for a in batch), nb, ctr.ctypes.data,
-        proj_every, acc.ctypes.data, work.ctypes.data)
+    work = np.empty((9 if coupled else 5) * d)
+    loop = _LIB.kac_advance_coupled if coupled else _LIB.kac_advance_kac
+    status = loop(
+        *(x.ctypes.data for x in states), n, d, clock.ctypes.data, t_stop,
+        rate, max_events, *(a.ctypes.data for a in batch), nb,
+        ctr.ctypes.data, proj_every, acc.ctypes.data, work.ctypes.data)
     return _finish(clock, ctr, status)
 
 
@@ -252,64 +256,50 @@ def _draws(cursor, i, j, thetas, cphis, exps, *gaussians):
              float(cphis[cursor])) + tuple(g[cursor] for g in gaussians))
 
 
-def _python_advance_kac(v, t, t_next, t_stop, rate, max_events,
-                        thetas, cphis, exps, pi, pj, gl,
-                        cursor, proj_ctr, proj_every, acc):
-    from .system import project_to_constraint_sphere, step_kac
+def _python_advance(states, t, t_next, t_stop, rate, max_events,
+                    thetas, cphis, exps, pi, pj, gaussians,
+                    cursor, proj_ctr, proj_every, acc):
+    from .system import project_to_constraint_sphere, step_coupled, step_kac
 
+    coupled = len(states) == 2
+    count = 4 if coupled else 1     # acc slot of the event count
     while True:
         if t_next > t_stop:
             return t_stop, t_next, cursor, proj_ctr, 0
-        if acc[1] >= max_events:
+        if acc[count] >= max_events:
             return t, t_next, cursor, proj_ctr, 2
         if cursor >= len(thetas):
             return t, t_next, cursor, proj_ctr, 1
         t = t_next
         i, j = int(pi[cursor]), int(pj[cursor])
-        before = v[[i, j]]
-        t_next, _ = step_kac(v, None, t=t, rate=rate, draws=_draws(
-            cursor, i, j, thetas, cphis, exps, gl))
-        acc[0] = max(acc[0], _pair_error(before, v[[i, j]]))
-        acc[1] += 1.0
-        proj_ctr += 1
-        if proj_ctr >= proj_every:
-            project_to_constraint_sphere(v)
-            proj_ctr = 0
-        cursor += 1
-
-
-def _python_advance_coupled(u, v, t, t_next, t_stop, rate, max_events,
-                            thetas, cphis, exps, pi, pj, gl, gs,
-                            cursor, proj_ctr, proj_every, acc):
-    from .system import project_to_constraint_sphere, step_coupled
-
-    while True:
-        if t_next > t_stop:
-            return t_stop, t_next, cursor, proj_ctr, 0
-        if acc[4] >= max_events:
-            return t, t_next, cursor, proj_ctr, 2
-        if cursor >= len(thetas):
-            return t, t_next, cursor, proj_ctr, 1
-        t = t_next
-        i, j = int(pi[cursor]), int(pj[cursor])
-        before_u, before_v = u[[i, j]], v[[i, j]]
-        t_next, _, delta, resid = step_coupled(
-            u, v, None, t=t, rate=rate,
-            draws=_draws(cursor, i, j, thetas, cphis, exps, gl, gs))
-        acc[2] = max(acc[2], _pair_error(before_u, u[[i, j]]),
-                     _pair_error(before_v, v[[i, j]]))
-        if resid is None:
-            acc[3] += 1.0
-            acc[5] = max(acc[5], delta)
+        before = [x[[i, j]] for x in states]
+        draws = _draws(cursor, i, j, thetas, cphis, exps, *gaussians)
+        try:
+            if coupled:
+                t_next, _, delta, resid = step_coupled(
+                    *states, None, t=t, rate=rate, draws=draws)
+            else:
+                t_next, _ = step_kac(*states, None, t=t, rate=rate,
+                                     draws=draws)
+        except GeometryError as exc:
+            raise GeometryError(f"{exc} at batch slot {cursor}") from exc
+        err = max(_pair_error(b, x[[i, j]]) for b, x in zip(before, states))
+        if not coupled:
+            acc[0] = max(acc[0], err)
         else:
-            if abs(resid) > acc[0]:
-                acc[0], acc[6] = abs(resid), t
-            if delta > acc[1]:
-                acc[1], acc[7] = delta, t
-        acc[4] += 1.0
+            acc[2] = max(acc[2], err)
+            if resid is None:
+                acc[3] += 1.0
+                acc[5] = max(acc[5], delta)
+            else:
+                if abs(resid) > acc[0]:
+                    acc[0], acc[6] = abs(resid), t
+                if delta > acc[1]:
+                    acc[1], acc[7] = delta, t
+        acc[count] += 1.0
         proj_ctr += 1
         if proj_ctr >= proj_every:
-            project_to_constraint_sphere(u)
-            project_to_constraint_sphere(v)
+            for x in states:
+                project_to_constraint_sphere(x)
             proj_ctr = 0
         cursor += 1

@@ -36,7 +36,6 @@ __all__ = [
     "transport_frames",
     "parallel_transport_map",
     "coupled_post_directions",
-    "coupled_post_directions_batch",
 ]
 
 # Unit vectors are accepted when their norm is within this of 1.
@@ -140,7 +139,8 @@ def complement_unit(gauss, basis):
 
     ``basis`` is an iterable of mutually orthonormal vectors.  For a standard
     Gaussian input the result is uniform on the unit sphere of the orthogonal
-    complement.
+    complement.  Raises GeometryError when the projection is shorter than
+    1e-12; the C event loops stop there too.
     """
     g = np.asarray(gauss, dtype=np.float64)
     w = g.copy()
@@ -321,46 +321,3 @@ def coupled_post_directions(n_u, n_v, theta, rng):
     out_v = out_v / _norm(out_v)
     return out_u, out_v
 
-
-def coupled_post_directions_batch(n_u, n_v, theta, rng):
-    """Vectorized coupled direction sampler for stacked inputs ``(..., d)``.
-
-    Antipodal pairs are resolved with independent random plane completions;
-    pairs inside the parallel cutoff receive identical outputs, matching the
-    scalar routine.
-    """
-    n_u = np.asarray(n_u, dtype=np.float64)
-    n_v = np.asarray(n_v, dtype=np.float64)
-    d = n_u.shape[-1]
-    c = np.clip(np.sum(n_u * n_v, axis=-1), -1.0, 1.0)
-
-    w_u = n_v - c[..., None] * n_u
-    w_v = n_u - c[..., None] * n_v
-    generic = (1.0 - c >= PARALLEL_EPS) & (1.0 + c >= ANTIPODAL_EPS)
-    safe = np.where(generic[..., None], w_u, np.ones_like(w_u))
-    m_u = safe / _norm(safe)[..., None]
-    safe = np.where(generic[..., None], w_v, np.ones_like(w_v))
-    m_v = -safe / _norm(safe)[..., None]
-
-    parallel = 1.0 - c < PARALLEL_EPS
-    if np.any(parallel):
-        m_par = orthonormal_to(n_u)
-        m_u = np.where(parallel[..., None], m_par, m_u)
-        m_v = np.where(parallel[..., None], m_par, m_v)
-    antip = 1.0 + c < ANTIPODAL_EPS
-    if np.any(antip):
-        sig = rng.standard_normal(n_u.shape)
-        m_sig = complement_unit(sig, (n_u,))
-        m_u = np.where(antip[..., None], m_sig, m_u)
-        m_v = np.where(antip[..., None], -m_sig, m_v)
-
-    l = complement_unit(rng.standard_normal(n_u.shape), (n_u, m_u))
-    cphi = sample_azimuth_cos(d, rng, size=n_u.shape[:-1] or None)
-    phi = np.arccos(np.clip(cphi, -1.0, 1.0))
-    out_u = build_direction(n_u, m_u, l, theta, phi)
-    out_v = build_direction(n_v, m_v, l, theta, phi)
-    out_u = out_u / _norm(out_u)[..., None]
-    out_v = out_v / _norm(out_v)[..., None]
-    if np.any(parallel):
-        out_v = np.where(parallel[..., None], out_u, out_v)
-    return out_u, out_v

@@ -7,12 +7,13 @@ to zero mean and unit mean energy:
 
 Events pick an ordered pair uniformly, wait an exponential time with total
 rate (n - 1) b0 / 2, and apply the elastic collision map with a deflection
-angle drawn from the angular kernel.  Two drivers are provided: a plain one
-and a coupled one that advances two copies with shared randomness through
-transported frames.  Both consume pre-drawn random batches through the
-C event loops in :mod:`kacsim._engine`; ``step_kac``/``step_coupled`` are
-single-event python references used to cross-check the C loops (and run
-in their place, with a warning, where the C loops cannot be built).
+angle drawn from the angular kernel.  ``simulate_kac`` runs one copy and
+``simulate_coupled`` two copies under shared randomness through transported
+frames; both hand their copies to one driver loop, which feeds pre-drawn
+random batches to the C event loops in :mod:`kacsim._engine`.
+``step_kac``/``step_coupled`` are single-event python references used to
+cross-check the C loops (and run in their place, with a warning, where the
+C loops cannot be built).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _engine
-from .geometry import complement_unit, orthonormal_to, sample_azimuth_cos
+from .geometry import (ANTIPODAL_EPS, PARALLEL_EPS, complement_unit,
+                       orthonormal_to, sample_azimuth_cos, transport_frames)
 
 __all__ = [
     "DegenerateInput",
@@ -331,24 +333,9 @@ def step_coupled(u, v, kernel, rng=None, t=0.0, rate=None, draws=None):
     elif r_v == 0.0 and r_u > 0.0:
         n_v = n_u.copy()
     c_raw = float(n_u @ n_v)
-    c = min(1.0, max(-1.0, c_raw))
-    antipodal = False
-    parallel = False
-    if 1.0 - c < _engine.PARALLEL_EPS:
-        parallel = True
-        m_u = orthonormal_to(n_u)
-        m_v = m_u
-    elif 1.0 + c < _engine.ANTIPODAL_EPS:
-        antipodal = True
-        w_sig = g_sigma - (g_sigma @ n_u) * n_u
-        nrm = float(np.sqrt(w_sig @ w_sig))
-        m_u = w_sig / nrm if nrm > 1e-12 else orthonormal_to(n_u)
-        m_v = -m_u
-    else:
-        w_u = n_v - c * n_u
-        m_u = w_u / np.sqrt(w_u @ w_u)
-        w_v = n_u - c * n_v
-        m_v = -w_v / np.sqrt(w_v @ w_v)
+    m_u, m_v, c = transport_frames(n_u, n_v, g_sigma)
+    parallel = 1.0 - c < PARALLEL_EPS
+    antipodal = 1.0 + c < ANTIPODAL_EPS
     l_hat = complement_unit(g_l, (n_u, m_u))
     np_u = _direction(n_u, m_u, l_hat, theta, cphi)
     np_u *= 1.0 / np.sqrt(np_u @ np_u)
@@ -415,6 +402,61 @@ def _sample_grid(horizon, sample_dt, sample_times):
     return times
 
 
+def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
+              max_events, observables, reproject_every, chunk_size):
+    """Advance one copy or two coupled copies in place, sampling on a grid.
+
+    The engine loop follows from the number of copies; observables are
+    called with the copies as positional arguments.  Returns (times,
+    columns, acc) with the accumulator laid out as in :mod:`kacsim._engine`.
+    """
+    coupled = len(states) == 2
+    n, d = states[0].shape
+    if horizon is None and max_events is None:
+        raise ValueError("need horizon or max_events")
+    rate = event_rate(kernel, n)
+    budget = np.inf if max_events is None else float(max_events)
+    grid = _sample_grid(horizon, sample_dt, sample_times)
+    # looked up per call, so a replaced engine attribute takes effect
+    advance = _engine.advance_coupled if coupled else _engine.advance_kac
+
+    t = 0.0
+    t_next = t + float(rng.standard_exponential()) / rate
+    acc = np.zeros(8 if coupled else 2)
+    cursor, proj_ctr = 0, 0
+    batch = None
+    out_t, cols = [], {k: [] for k in observables}
+
+    def record(at):
+        out_t.append(at)
+        for name, fn in observables.items():
+            cols[name].append(fn(*states))
+
+    targets = list(grid) if grid.size else [np.inf]
+    stopped = False
+    for target in targets:
+        while True:
+            if batch is None:
+                batch = draw_event_batch(kernel, n, d, rng, chunk_size, coupled)
+                cursor = 0
+            exps, ii, jj, thetas, cphis, gl, gs = batch
+            t, t_next, cursor, proj_ctr, status = advance(
+                *states, t, t_next, float(target), rate, budget,
+                thetas, cphis, exps, ii, jj, *((gl, gs) if coupled else (gl,)),
+                cursor, proj_ctr, reproject_every, acc)
+            if status == 1:
+                batch = None
+                continue
+            break
+        record(t)
+        if status == 2:
+            stopped = True
+            break
+    if not stopped and not grid.size:
+        record(t)
+    return np.array(out_t), {k: np.array(c) for k, c in cols.items()}, acc
+
+
 def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
                  sample_times=None, max_events=None, observables=None,
                  reproject_every=DEFAULT_REPROJECT_EVERY,
@@ -429,55 +471,15 @@ def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
     """
     v = np.array(v, dtype=np.float64)
     check_configuration(v)
-    n, d = v.shape
-    if horizon is None and max_events is None:
-        raise ValueError("need horizon or max_events")
     if observables is None:
         observables = {"m2": lambda x: float(np.mean(np.sum(x * x, axis=1))),
                        "m4": lambda x: float(np.mean(np.sum(x * x, axis=1) ** 2))}
-    rate = event_rate(kernel, n)
-    budget = np.inf if max_events is None else float(max_events)
-    grid = _sample_grid(horizon, sample_dt, sample_times)
-
-    t = 0.0
-    t_next = t + float(rng.standard_exponential()) / rate
-    acc = np.zeros(2)
-    cursor, proj_ctr = 0, 0
-    batch = None
-    out_t, cols = [], {k: [] for k in observables}
-
-    def record(at):
-        out_t.append(at)
-        for name, fn in observables.items():
-            cols[name].append(fn(v))
-
-    targets = list(grid) if grid.size else [np.inf]
-    stopped = False
-    for target in targets:
-        while True:
-            if batch is None:
-                batch = draw_event_batch(kernel, n, d, rng, chunk_size, False)
-                cursor = 0
-            exps, ii, jj, thetas, cphis, gl, _ = batch
-            t, t_next, cursor, proj_ctr, status = _engine.advance_kac(
-                v, t, t_next, float(target), rate, budget,
-                thetas, cphis, exps, ii, jj, gl,
-                cursor, proj_ctr, reproject_every, acc)
-            if status == 1:
-                batch = None
-                continue
-            break
-        record(t)
-        if status == 2:
-            stopped = True
-            break
-    if not stopped and not grid.size:
-        record(t)
-
+    times, columns, acc = _simulate(
+        (v,), kernel, rng, horizon, sample_dt, sample_times, max_events,
+        observables, reproject_every, chunk_size)
     checks = {"n_events": int(acc[1]), "max_conservation_error": float(acc[0])}
-    return TrajectoryRecord(times=np.array(out_t),
-                            columns={k: np.array(c) for k, c in cols.items()},
-                            checks=checks, final=v)
+    return TrajectoryRecord(times=times, columns=columns, checks=checks,
+                            final=v)
 
 
 def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
@@ -503,9 +505,6 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
         raise ValueError(f"copies differ in shape: {u.shape} vs {v.shape}")
     check_configuration(u)
     check_configuration(v)
-    n, d = u.shape
-    if horizon is None and max_events is None:
-        raise ValueError("need horizon or max_events")
     if observables is None:
         observables = {
             "mean_sq_distance": lambda a, b: float(np.mean(np.sum((a - b) ** 2, axis=1))),
@@ -513,45 +512,9 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
             "m2": lambda a, b: float(np.mean(np.sum(b * b, axis=1))),
             "m4": lambda a, b: float(np.mean(np.sum(b * b, axis=1) ** 2)),
         }
-    rate = event_rate(kernel, n)
-    budget = np.inf if max_events is None else float(max_events)
-    grid = _sample_grid(horizon, sample_dt, sample_times)
-
-    t = 0.0
-    t_next = t + float(rng.standard_exponential()) / rate
-    acc = np.zeros(8)
-    cursor, proj_ctr = 0, 0
-    batch = None
-    out_t, cols = [], {k: [] for k in observables}
-
-    def record(at):
-        out_t.append(at)
-        for name, fn in observables.items():
-            cols[name].append(fn(u, v))
-
-    targets = list(grid) if grid.size else [np.inf]
-    stopped = False
-    for target in targets:
-        while True:
-            if batch is None:
-                batch = draw_event_batch(kernel, n, d, rng, chunk_size, True)
-                cursor = 0
-            exps, ii, jj, thetas, cphis, gl, gs = batch
-            t, t_next, cursor, proj_ctr, status = _engine.advance_coupled(
-                u, v, t, t_next, float(target), rate, budget,
-                thetas, cphis, exps, ii, jj, gl, gs,
-                cursor, proj_ctr, reproject_every, acc)
-            if status == 1:
-                batch = None
-                continue
-            break
-        record(t)
-        if status == 2:
-            stopped = True
-            break
-    if not stopped and not grid.size:
-        record(t)
-
+    times, columns, acc = _simulate(
+        (u, v), kernel, rng, horizon, sample_dt, sample_times, max_events,
+        observables, reproject_every, chunk_size)
     checks = {
         "n_events": int(acc[4]),
         "max_residual": float(acc[0]),
@@ -562,9 +525,8 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
         "worst_residual_time": float(acc[6]),
         "worst_delta_time": float(acc[7]),
     }
-    return TrajectoryRecord(times=np.array(out_t),
-                            columns={k: np.array(c) for k, c in cols.items()},
-                            checks=checks, final=(u, v))
+    return TrajectoryRecord(times=times, columns=columns, checks=checks,
+                            final=(u, v))
 
 
 def coupled_run_issues(record, residual_tol=RESIDUAL_TOL,

@@ -6,6 +6,8 @@ one-event batch and compared with ``system.step_coupled``; the python
 fallback is forced and compared with the C loops on short runs.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,57 @@ def test_c_rejects_out_of_range_pair_index():
             proj_every=10 ** 9, acc=acc,
             **_one_event_batch(0, 4, 1.0, 0.0, rng.standard_normal(3),
                                rng.standard_normal(3)))
+    assert acc[4] == 0.0
+
+
+def test_c_thresholds_equal_geometry_constants():
+    defines = dict(re.findall(r"^#define (\w+) (\S+)$",
+                              _engine._SOURCE.read_text(), re.MULTILINE))
+    for name in ("PARALLEL_EPS", "ANTIPODAL_EPS", "REORTHO_RATIO"):
+        assert float(defines[name]) == getattr(geometry, name)
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """Run a test on the C loops and on the forced python fallback."""
+    if request.param == "c" and _engine.BACKEND != "c":
+        pytest.skip("the C event loop is not loaded")
+    if request.param == "python":
+        monkeypatch.setattr(_engine, "_LIB", None)
+        monkeypatch.setattr(_engine, "BACKEND", "python")
+    return request.param
+
+
+def test_kac_rejects_gaussian_along_the_axis(backend):
+    """A g_l along n_hat leaves nothing after the projection: the event
+    raises and its pair keeps its velocities."""
+    rng = np.random.default_rng(41)
+    v = system.sample_equilibrium(4, 3, rng)
+    start, acc = v.copy(), np.zeros(2)
+    g = 2.0 * _unit(v[0] - v[1])
+    with pytest.raises(geometry.GeometryError, match="batch slot 0"):
+        _engine.advance_kac(v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
+                            proj_ctr=0, proj_every=10 ** 9, acc=acc,
+                            **_one_event_batch(0, 1, 1.2, 0.1, g))
+    np.testing.assert_array_equal(v, start)
+    assert acc[1] == 0.0
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_coupled_rejects_antipodal_sigma_along_the_axis(backend, d):
+    """An antipodal event whose g_sigma lies along n_u cannot complete the
+    plane: the event raises and both copies keep their velocities."""
+    rng = np.random.default_rng([42, d])
+    u, v = _branch_states("antipodal", d, rng)
+    start_u, start_v, acc = u.copy(), v.copy(), np.zeros(8)
+    gs = 2.0 * _unit(u[0] - u[1])
+    with pytest.raises(geometry.GeometryError, match="batch slot 0"):
+        _engine.advance_coupled(
+            u, v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0, proj_ctr=0,
+            proj_every=10 ** 9, acc=acc,
+            **_one_event_batch(0, 1, 1.1, 0.3, rng.standard_normal(d), gs))
+    np.testing.assert_array_equal(u, start_u)
+    np.testing.assert_array_equal(v, start_v)
     assert acc[4] == 0.0
 
 
