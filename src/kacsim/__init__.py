@@ -38,6 +38,7 @@ from .analysis import (
     AnalysisError,
     DiscreteCoupledDistribution,
     InequalityReport,
+    PairStatistics,
     area_decomposition,
     coupling_creation,
     counterexample_heavy_tail,
@@ -49,6 +50,7 @@ from .analysis import (
     kappa,
     max_eigenvalue,
     order4_bound,
+    pair_statistics,
     pathwise_weak_inequality,
     trace_inequality_report,
     wishart_kappa_moment,

@@ -263,6 +263,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
 
     coupled = len(states) == 2
     count = 4 if coupled else 1     # acc slot of the event count
+    n = states[0].shape[0]
     while True:
         if t_next > t_stop:
             return t_stop, t_next, cursor, proj_ctr, 0
@@ -270,8 +271,11 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
             return t, t_next, cursor, proj_ctr, 2
         if cursor >= len(thetas):
             return t, t_next, cursor, proj_ctr, 1
-        t = t_next
         i, j = int(pi[cursor]), int(pj[cursor])
+        # numpy would wrap a negative index to another particle
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"pair index out of range at batch slot {cursor}")
+        t = t_next
         before = [x[[i, j]] for x in states]
         draws = _draws(cursor, i, j, thetas, cphis, exps, *gaussians)
         try:

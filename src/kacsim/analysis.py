@@ -9,7 +9,8 @@ take an explicit Generator.
 Contents:
 
 * spectral quantities: ``max_eigenvalue``, ``kappa``;
-* the coupling creation functional and its pair integrand;
+* the two-copy pair pass ``pair_statistics``, whose ``PairStatistics`` the
+  pair functionals read, and the coupling creation ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
 * Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +43,11 @@ __all__ = [
     "MCEstimate",
     "HolderConstants",
     "AreaDecomposition",
+    "PairStatistics",
     "max_eigenvalue",
     "kappa",
+    "pair_statistics",
     "coupling_creation",
-    "creation_integrand",
     "fund_inequality_report",
     "trace_inequality_report",
     "area_decomposition",
@@ -200,31 +203,37 @@ def _pair_sq_dists(x):
     return d2
 
 
-def _pair_dots(u, v):
-    """Matrix of (u_i - u_j) . (v_i - v_j) over all ordered pairs."""
-    g = u @ v.T
-    dg = np.einsum("id,id->i", u, v)
-    return dg[:, None] + dg[None, :] - g - g.T
+@dataclass(frozen=True, eq=False)
+class PairStatistics:
+    """All-ordered-pairs matrices of a coupled configuration (u, v).
 
-
-def creation_integrand(u, v, weights=None):
-    """E(|U - U*||V - V*| - (U - U*).(V - V*)) over independent pairs.
-
-    For configurations (equal weights) this is the all-ordered-pairs
-    average; a weight vector turns it into the atom-pair sum of a discrete
-    law.  Nonnegative by Cauchy-Schwarz, zero iff all difference pairs are
-    positively aligned.
+    ``d2u``, ``d2v``: |u_i - u_j|^2, |v_i - v_j|^2 (clipped at 0); ``dots``:
+    (u_i - u_j).(v_i - v_j).  Built only by ``pair_statistics``.
     """
+
+    u: np.ndarray
+    v: np.ndarray
+    d2u: np.ndarray
+    d2v: np.ndarray
+    dots: np.ndarray
+
+    def creation(self):
+        """Coupling creation (d-2)/(2d-2) <|du||dv| - du.dv>_N."""
+        d = self.u.shape[1]
+        integ = np.sqrt(self.d2u) * np.sqrt(self.d2v) - self.dots
+        return (d - 2.0) / (2.0 * d - 2.0) * float(np.mean(integ))
+
+
+def pair_statistics(u, v):
+    """The one pass that builds the pair matrices of two copies."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 2:
         raise BadParams(f"configurations differ in shape: {u.shape} vs {v.shape}")
-    ru = np.sqrt(_pair_sq_dists(u))
-    rv = np.sqrt(_pair_sq_dists(v))
-    integ = ru * rv - _pair_dots(u, v)
-    if weights is None:
-        return float(np.mean(integ))
-    return float(weights @ integ @ weights)
+    g = u @ v.T
+    dg = np.einsum("id,id->i", u, v)
+    return PairStatistics(u, v, _pair_sq_dists(u), _pair_sq_dists(v),
+                          dg[:, None] + dg[None, :] - g - g.T)
 
 
 def coupling_creation(u, v):
@@ -232,10 +241,9 @@ def coupling_creation(u, v):
 
     The expected decrease rate of the mean squared pair distance under one
     shared-randomness collision step, multiplied by the event rate, equals
-    this functional exactly.
+    this functional exactly.  Nonnegative by Cauchy-Schwarz.
     """
-    d = np.asarray(u).shape[1]
-    return (d - 2.0) / (2.0 * d - 2.0) * creation_integrand(u, v)
+    return pair_statistics(u, v).creation()
 
 
 @dataclass
@@ -317,16 +325,15 @@ class DiscreteCoupledDistribution:
             raise BadParams("cannot normalize a marginal with zero energy")
         return DiscreteCoupledDistribution(u / np.sqrt(eu), v / np.sqrt(ev), w)
 
+    @cached_property
+    def pairs(self):
+        """Pair statistics of the atoms, built on first use and then kept."""
+        return pair_statistics(self.atoms_u, self.atoms_v)
+
     def alignment_area(self):
         """E(|U-U*|^2 |V-V*|^2 - ((U-U*).(V-V*))^2), exact K^2 sum."""
-        w = self.weights
-        d2u = _pair_sq_dists(self.atoms_u)
-        d2v = _pair_sq_dists(self.atoms_v)
-        dots = _pair_dots(self.atoms_u, self.atoms_v)
-        return float(w @ (d2u * d2v - dots * dots) @ w)
-
-    def creation_integrand(self):
-        return creation_integrand(self.atoms_u, self.atoms_v, self.weights)
+        w, p = self.weights, self.pairs
+        return float(w @ (p.d2u * p.d2v - p.dots * p.dots) @ w)
 
 
 def fund_inequality_report(dist):
@@ -461,21 +468,21 @@ def holder_constants(delta, p, d):
     return HolderConstants(delta=delta, p=p, q=q, k1=k1, k2=k2)
 
 
-def pathwise_weak_inequality(u, v, delta, p=None):
+def pathwise_weak_inequality(pairs, delta, p=None):
     """Check the weak alignment bound on one constrained pair state.
 
-    c(u, v) built from k1, the smaller kappa, and the two pair moments
+    ``pairs`` is the ``pair_statistics`` of the state (u, v).  c(u, v) built
+    from k1, the smaller kappa, and the two pair moments
     <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N must not exceed half
     the coupling creation divided by the pair distance to the power
     1 + 1/(2 delta).  Requires nonnegative velocity correlation.  The
     coincident case u = v is 0/0 and is returned flagged with nan sides.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    if not isinstance(pairs, PairStatistics):
+        raise BadParams("expected the PairStatistics of a pair state")
+    u, v = pairs.u, pairs.v
     check_configuration(u)
     check_configuration(v)
-    if u.shape != v.shape:
-        raise BadParams(f"copies differ in shape: {u.shape} vs {v.shape}")
     delta = float(delta)
     if delta <= 0:
         raise BadParams(f"need delta > 0, got {delta}")
@@ -493,12 +500,12 @@ def pathwise_weak_inequality(u, v, delta, p=None):
     kap_u = kappa(u.T @ u / u.shape[0])
     kap_v = kappa(v.T @ v / v.shape[0])
     kbar = min(kap_u, kap_v)
-    mom_u = float(np.mean(_pair_sq_dists(u) ** (p * (1.0 + delta))))
-    mom_v = float(np.mean(_pair_sq_dists(v) ** (q * (1.0 + delta))))
+    mom_u = float(np.mean(pairs.d2u ** (p * (1.0 + delta))))
+    mom_v = float(np.mean(pairs.d2v ** (q * (1.0 + delta))))
     c_val = (hc.k1 * kbar ** (-1.0 - 1.0 / (2.0 * delta))
              * mom_u ** (-1.0 / (2.0 * p * delta))
              * mom_v ** (-1.0 / (2.0 * q * delta)))
-    c2 = coupling_creation(u, v)
+    c2 = pairs.creation()
     degenerate = dist == 0.0
     if degenerate:
         rhs = np.nan

@@ -293,44 +293,47 @@ TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
 def _decay_observables(delta, p, notes):
     """Observable closures for one coupled replica, in column order.
 
-    The fundamental-inequality report is computed once per sample and split
-    across two columns through ``stash``; ``corr`` is turned into the
-    running minimum after the run.
+    A sample's columns share one row, built from one pair pass by whichever
+    closure is called first and kept against copies of the state; a column
+    called again, or on another state, gets a new row.  ``corr`` is turned
+    into the running minimum after the run.
     """
-    stash = {}
+    names = ("mean_sq_distance", "m2", "m4", "creation", "fund_lhs",
+             "fund_rhs", "corr", "weak_slack")
+    kept = {"unread": set()}
 
-    def fund_lhs(a, b):
+    def row(a, b):
         dist = analysis.DiscreteCoupledDistribution.from_configurations(a, b)
         try:
-            rep = analysis.fund_inequality_report(dist)
+            fund = analysis.fund_inequality_report(dist)
+            fund_lhs, fund_rhs = fund.lhs, fund.rhs
         except analysis.RhsInfinite as exc:
             notes.append(f"fundamental inequality degenerate: {exc}")
-            stash["fund_rhs"] = np.inf
-            return 1.0
-        stash["fund_rhs"] = rep.rhs
-        return rep.lhs
-
-    def fund_rhs(a, b):
-        return stash["fund_rhs"]
-
-    def weak_slack(a, b):
+            fund_lhs, fund_rhs = 1.0, np.inf
         try:
-            rep = analysis.pathwise_weak_inequality(a, b, delta, p)
+            weak = analysis.pathwise_weak_inequality(dist.pairs, delta, p)
+            creation, weak_slack = weak.aux["creation"], weak.slack
         except analysis.PreconditionFailed as exc:
             notes.append(f"weak inequality precondition failed: {exc}")
-            return -np.inf
-        return rep.slack
+            creation, weak_slack = analysis.coupling_creation(a, b), -np.inf
+        return {"mean_sq_distance": float(np.mean(np.sum((a - b) ** 2, axis=1))),
+                "m2": float(np.mean(np.sum(b * b, axis=1))),
+                "m4": float(np.mean(np.sum(b * b, axis=1) ** 2)),
+                "creation": creation, "fund_lhs": fund_lhs, "fund_rhs": fund_rhs,
+                "corr": float(np.mean(np.sum(a * b, axis=1))),
+                "weak_slack": weak_slack}
 
-    return {
-        "mean_sq_distance": lambda a, b: float(np.mean(np.sum((a - b) ** 2, axis=1))),
-        "m2": lambda a, b: float(np.mean(np.sum(b * b, axis=1))),
-        "m4": lambda a, b: float(np.mean(np.sum(b * b, axis=1) ** 2)),
-        "creation": lambda a, b: analysis.coupling_creation(a, b),
-        "fund_lhs": fund_lhs,
-        "fund_rhs": fund_rhs,
-        "corr": lambda a, b: float(np.mean(np.sum(a * b, axis=1))),
-        "weak_slack": weak_slack,
-    }
+    def column(name):
+        def read(a, b):
+            if (name not in kept["unread"] or not np.array_equal(kept["a"], a)
+                    or not np.array_equal(kept["b"], b)):
+                kept.update(a=a.copy(), b=b.copy(), row=row(a, b),
+                            unread=set(names))
+            kept["unread"].discard(name)
+            return kept["row"][name]
+        return read
+
+    return {name: column(name) for name in names}
 
 
 def _initial_copies(cfg, rng):
@@ -581,9 +584,9 @@ def run_inequality_sweep(cfg, out_dir):
     rng = substream(cfg.seed, 1)
     for k in range(cfg.n_config):
         u, v = _random_constrained_pair(cfg, rng)
-        note("configuration", "pathwise_weak",
-             analysis.pathwise_weak_inequality(u, v, delta, p), k, stream)
         dist = analysis.DiscreteCoupledDistribution.from_configurations(u, v)
+        note("configuration", "pathwise_weak",
+             analysis.pathwise_weak_inequality(dist.pairs, delta, p), k, stream)
         note("configuration", "fundamental_alignment",
              analysis.fund_inequality_report(dist), k, stream)
 

@@ -116,6 +116,39 @@ def test_creation_zero_for_identical_copies():
     assert analysis.coupling_creation(u, v) >= 0.0
 
 
+def test_pair_statistics_matches_double_loops():
+    rng = np.random.default_rng(80)
+    u, v = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
+    pairs = analysis.pair_statistics(u, v)
+    d2u, d2v, dots, integ = (np.empty((7, 7)) for _ in range(4))
+    for i in range(7):
+        for j in range(7):
+            du, dv = u[i] - u[j], v[i] - v[j]
+            d2u[i, j], d2v[i, j], dots[i, j] = du @ du, dv @ dv, du @ dv
+            integ[i, j] = np.sqrt(du @ du) * np.sqrt(dv @ dv) - du @ dv
+    np.testing.assert_allclose(pairs.d2u, d2u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pairs.d2v, d2v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pairs.dots, dots, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(analysis.coupling_creation(u, v),
+                               (4 - 2.0) / (2.0 * 4 - 2.0) * integ.mean(),
+                               rtol=1e-12, atol=0)
+    with pytest.raises(analysis.BadParams):
+        analysis.pair_statistics(u, v[:6])
+
+
+def test_alignment_area_matches_double_sum():
+    rng = np.random.default_rng(81)
+    dist = random_discrete(rng, k=9, normalized=False)
+    u, v, w = dist.atoms_u, dist.atoms_v, dist.weights
+    total = 0.0
+    for k in range(9):
+        for m in range(9):
+            du, dv = u[k] - u[m], v[k] - v[m]
+            total += w[k] * w[m] * ((du @ du) * (dv @ dv) - (du @ dv) ** 2)
+    np.testing.assert_allclose(dist.alignment_area(), total, rtol=1e-12, atol=0)
+    assert dist.pairs is dist.pairs     # built once, then kept
+
+
 def test_creation_matches_event_decrement():
     """rate x E[- d(msd)] over one shared-randomness event equals the
     creation functional exactly in expectation."""
@@ -235,21 +268,27 @@ def test_pathwise_weak_inequality_random_states():
         u = system.sample_equilibrium(32, 3, rng)
         v = system.sample_equilibrium(32, 3, rng)
         v, _ = system.align_configurations(u, v)
-        rep = analysis.pathwise_weak_inequality(u, v, delta=0.5)
+        rep = analysis.pathwise_weak_inequality(
+            analysis.pair_statistics(u, v), delta=0.5)
         assert rep.slack >= -1e-10
         assert rep.aux["correlation"] >= -1e-12
+        # the decay runner's creation column reads this value
+        assert rep.aux["creation"] == analysis.coupling_creation(u, v)
 
 
 def test_pathwise_weak_degenerate_and_errors():
     rng = np.random.default_rng(92)
     u = system.sample_equilibrium(16, 3, rng)
-    rep = analysis.pathwise_weak_inequality(u, u.copy(), delta=0.5)
+    pairs = analysis.pair_statistics
+    rep = analysis.pathwise_weak_inequality(pairs(u, u.copy()), delta=0.5)
     assert rep.aux["degenerate_zero_distance"]
     assert np.isnan(rep.rhs)
     with pytest.raises(analysis.PreconditionFailed):
-        analysis.pathwise_weak_inequality(u, -u, delta=0.5)
+        analysis.pathwise_weak_inequality(pairs(u, -u), delta=0.5)
     with pytest.raises(analysis.BadParams):
-        analysis.pathwise_weak_inequality(u, u, delta=1.5)  # needs explicit p
+        analysis.pathwise_weak_inequality(pairs(u, u), delta=1.5)  # needs explicit p
+    with pytest.raises(analysis.BadParams):
+        analysis.pathwise_weak_inequality(u, 0.5)  # raw arrays, not pairs
 
 
 def test_conjugate_exponent():

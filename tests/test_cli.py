@@ -139,6 +139,46 @@ def test_decay_identical_initial_law(tmp_path):
     assert max(msd) == 0.0
 
 
+def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
+    calls = []
+    build = cli.analysis.pair_statistics
+
+    def counting(u, v):
+        calls.append(1)
+        return build(u, v)
+
+    monkeypatch.setattr(cli.analysis, "pair_statistics", counting)
+    path = write_config(tmp_path, DECAY_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    samples = sum(len((out / f"trajectory_{r}.csv").read_text().split()) - 1
+                  for r in range(3))
+    assert samples == 3 * 5
+    assert len(calls) == samples
+
+
+def test_decay_observables_ignore_call_order():
+    rng = np.random.default_rng(6)
+    u = cli.sample_equilibrium(12, 3, rng)
+    v, _ = cli.align_configurations(u, cli.sample_equilibrium(12, 3, rng))
+    # a repeated state, a coincident pair, and a negatively correlated
+    # one (its weak report fails and adds a note)
+    states = [(u, v), (u, v), (v, u), (u, u.copy()), (u, -u)]
+
+    def table(reverse):
+        notes = []
+        obs = cli._decay_observables(0.5, 4.0, notes)
+        names = list(obs)[::-1] if reverse else list(obs)
+        rows = [{name: obs[name](a, b) for name in names} for a, b in states]
+        return rows, notes
+
+    forward, notes = table(False)
+    np.testing.assert_equal(table(True), (forward, notes))  # nan == nan here
+    assert len(notes) == 1 and forward[4]["weak_slack"] == -np.inf
+    assert forward[4]["creation"] == cli.analysis.coupling_creation(u, -u)
+
+
 def test_decay_zero_replicas_envelope_only(tmp_path):
     path = write_config(tmp_path, DECAY_CFG + "replicas = 0\n")
     out = tmp_path / "out"

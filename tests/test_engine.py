@@ -117,20 +117,6 @@ def test_c_matches_reference_on_each_branch(branch, d):
         assert np.max(np.abs(moved - start_moved)) > 1e-3
 
 
-@needs_c
-def test_c_rejects_out_of_range_pair_index():
-    rng = np.random.default_rng(3)
-    u, v = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    acc = np.zeros(8)
-    with pytest.raises(IndexError):
-        _engine.advance_coupled(
-            u, v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0, proj_ctr=0,
-            proj_every=10 ** 9, acc=acc,
-            **_one_event_batch(0, 4, 1.0, 0.0, rng.standard_normal(3),
-                               rng.standard_normal(3)))
-    assert acc[4] == 0.0
-
-
 def test_c_thresholds_equal_geometry_constants():
     defines = dict(re.findall(r"^#define (\w+) (\S+)$",
                               _engine._SOURCE.read_text(), re.MULTILINE))
@@ -147,6 +133,25 @@ def backend(request, monkeypatch):
         monkeypatch.setattr(_engine, "_LIB", None)
         monkeypatch.setattr(_engine, "BACKEND", "python")
     return request.param
+
+
+@pytest.mark.parametrize("i, j", [(0, 4), (-1, 1), (0, -1)],
+                         ids=["j_past_end", "i_negative", "j_negative"])
+def test_rejects_out_of_range_pair_index(backend, i, j):
+    """An index outside [0, n) raises naming the slot, also a negative one
+    that numpy would wrap to the last particle; the states stay unchanged."""
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    start, acc = (u.copy(), v.copy()), np.zeros(8)
+    with pytest.raises(IndexError, match="batch slot 0"):
+        _engine.advance_coupled(
+            u, v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0, proj_ctr=0,
+            proj_every=10 ** 9, acc=acc,
+            **_one_event_batch(i, j, 1.0, 0.0, rng.standard_normal(3),
+                               rng.standard_normal(3)))
+    assert acc[4] == 0.0
+    np.testing.assert_array_equal(u, start[0])
+    np.testing.assert_array_equal(v, start[1])
 
 
 def test_kac_rejects_gaussian_along_the_axis(backend):
