@@ -1,15 +1,17 @@
-/* Event loops for the single and coupled collision dynamics.
+/* One event loop for one copy or two coupled copies.
  *
- * Loaded through ctypes by _engine.py, which documents the accumulator
- * layout and the status codes.  The arithmetic follows the python
- * reference steppers term by term; build with -ffp-contract=off (and never
- * -ffast-math) so no fused multiply-add changes the rounding.
+ * kac_advance runs the coupled dynamics on u and v, or Kac's dynamics on u
+ * alone when v is NULL (gs is then not read).  Loaded through ctypes by
+ * _engine.py, which documents the accumulator layout and the status codes.
+ * The arithmetic follows the python reference steppers term by term; build
+ * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
+ * changes the rounding.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
- * (nb, d).  clock = {t, t_next} and ctr = {cursor, proj_ctr} are updated in
- * place.  A pair index outside [0, n) stops the loop with status -1, a
- * projection that annihilates its Gaussian with status -2; either stop
- * leaves the event's pair unchanged.
+ * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
+ * are updated in place.  A pair index outside [0, n) stops the loop with
+ * status -1, a projection that annihilates its Gaussian with status -2;
+ * either stop leaves the event's pair unchanged.
  */
 
 #include <math.h>
@@ -146,99 +148,12 @@ static double sin_from_cos(double c)
     return sqrt(x > 0.0 ? x : 0.0);
 }
 
-int kac_advance_kac(double *v, int64_t n, int64_t d, double *clock,
-                    double t_stop, double rate, double max_events,
-                    const double *thetas, const double *cphis,
-                    const double *exps, const int64_t *pi, const int64_t *pj,
-                    const double *gl, int64_t nb, int64_t *ctr,
-                    int64_t proj_every, double *acc, double *work)
-{
-    double *n_hat = work, *m_hat = work + d, *l_hat = work + 2 * d;
-    double *npr = work + 3 * d, *s_arr = work + 4 * d;
-    double t = clock[0], t_next = clock[1];
-    int64_t cursor = ctr[0], proj_ctr = ctr[1];
-    int status;
-    for (;;) {
-        if (t_next > t_stop) {
-            t = t_stop;
-            status = 0;
-            break;
-        }
-        if (acc[1] >= max_events) {
-            status = 2;
-            break;
-        }
-        if (cursor >= nb) {
-            status = 1;
-            break;
-        }
-        int64_t i = pi[cursor], j = pj[cursor];
-        if (i < 0 || i >= n || j < 0 || j >= n) {
-            status = -1;
-            break;
-        }
-        t = t_next;
-        double *vi = v + i * d, *vj = v + j * d;
-        double r = unit_of_diff(vi, vj, n_hat, d);
-        ortho_axis(n_hat, m_hat, d);
-        if (complement_unit(gl + cursor * d, n_hat, m_hat, l_hat, d)) {
-            status = -2;
-            break;
-        }
-        double cphi = cphis[cursor];
-        double sphi = sin_from_cos(cphi);
-        double ct = cos(thetas[cursor]);
-        double st = sin(thetas[cursor]);
-        double e_old = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            s_arr[k] = vi[k] + vj[k];
-            e_old += vi[k] * vi[k] + vj[k] * vj[k];
-            npr[k] = ct * n_hat[k] + st * (cphi * m_hat[k] + sphi * l_hat[k]);
-        }
-        /* an l_hat that is off-orthogonal by rounding (in-plane Gaussian
-         * nearly in span(n, m)) would otherwise leak into the energy */
-        normalize(npr, d);
-        double e_new = 0.0, mom_err = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            double a = 0.5 * (s_arr[k] + r * npr[k]);
-            double b = 0.5 * (s_arr[k] - r * npr[k]);
-            vi[k] = a;
-            vj[k] = b;
-            e_new += a * a + b * b;
-            double me = fabs((a + b) - s_arr[k]);
-            if (me > mom_err)
-                mom_err = me;
-        }
-        double err = fabs(e_new - e_old) / (e_old + 1e-300);
-        double mom_rel = mom_err / (sqrt(e_old) + 1e-300);
-        if (mom_rel > err)
-            err = mom_rel;
-        if (err > acc[0])
-            acc[0] = err;
-        acc[1] += 1.0;
-        proj_ctr += 1;
-        if (proj_ctr >= proj_every) {
-            reproject(v, n, d);
-            proj_ctr = 0;
-        }
-        t_next = t + exps[cursor] / rate;
-        cursor += 1;
-    }
-    clock[0] = t;
-    clock[1] = t_next;
-    ctr[0] = cursor;
-    ctr[1] = proj_ctr;
-    return status;
-}
-
-int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
-                        double *clock, double t_stop, double rate,
-                        double max_events, const double *thetas,
-                        const double *cphis, const double *exps,
-                        const int64_t *pi, const int64_t *pj,
-                        const double *gl, const double *gs, int64_t nb,
-                        int64_t *ctr, int64_t proj_every, double *acc,
-                        double *work)
+int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
+                double t_stop, double rate, double max_events,
+                const double *thetas, const double *cphis, const double *exps,
+                const int64_t *pi, const int64_t *pj, const double *gl,
+                const double *gs, int64_t nb, int64_t *ctr, int64_t proj_every,
+                double *acc, double *work)
 {
     double *nu = work, *nv = work + d, *mu = work + 2 * d, *mv = work + 3 * d;
     double *l_hat = work + 4 * d, *npu = work + 5 * d, *npv = work + 6 * d;
@@ -267,29 +182,36 @@ int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
         }
         t = t_next;
         double *ui = u + i * d, *uj = u + j * d;
-        double *vi = v + i * d, *vj = v + j * d;
+        double *vi = NULL, *vj = NULL;
         double r_u = unit_of_diff(ui, uj, nu, d);
-        double r_v = unit_of_diff(vi, vj, nv, d);
-        /* a zero relative velocity leaves its copy unchanged whatever the
-         * outgoing direction; borrow the other copy's direction so the
-         * active copy gets a clean marginal draw */
-        if (r_u == 0.0 && r_v > 0.0)
-            memcpy(nu, nv, (size_t)d * sizeof(double));
-        else if (r_v == 0.0 && r_u > 0.0)
-            memcpy(nv, nu, (size_t)d * sizeof(double));
-        double c_raw = 0.0;
-        for (int64_t k = 0; k < d; k++)
-            c_raw += nu[k] * nv[k];
-        double c = c_raw;
-        if (c > 1.0)
-            c = 1.0;
-        else if (c < -1.0)
-            c = -1.0;
+        /* a single copy has c = 1 and takes the deterministic frame of
+         * the coincident branch */
+        double r_v = 0.0, c_raw = 1.0, c = 1.0;
+        if (v) {
+            vi = v + i * d;
+            vj = v + j * d;
+            r_v = unit_of_diff(vi, vj, nv, d);
+            /* a zero relative velocity leaves its copy unchanged whatever
+             * the outgoing direction; borrow the other copy's direction so
+             * the active copy gets a clean marginal draw */
+            if (r_u == 0.0 && r_v > 0.0)
+                memcpy(nu, nv, (size_t)d * sizeof(double));
+            else if (r_v == 0.0 && r_u > 0.0)
+                memcpy(nv, nu, (size_t)d * sizeof(double));
+            c_raw = 0.0;
+            for (int64_t k = 0; k < d; k++)
+                c_raw += nu[k] * nv[k];
+            c = c_raw;
+            if (c > 1.0)
+                c = 1.0;
+            else if (c < -1.0)
+                c = -1.0;
+        }
         int antipodal = 0, parallel = 0;
         if (1.0 - c < PARALLEL_EPS) {
+            /* mv stays unset: both copies take npu */
             parallel = 1;
             ortho_axis(nu, mu, d);
-            memcpy(mv, mu, (size_t)d * sizeof(double));
         } else if (1.0 + c < ANTIPODAL_EPS) {
             /* no continuously transported frame exists; complete the plane
              * with an independent random direction orthogonal to nu */
@@ -329,13 +251,15 @@ int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
         double d_old = 0.0, e_old_u = 0.0, e_old_v = 0.0;
         for (int64_t k = 0; k < d; k++) {
             su[k] = ui[k] + uj[k];
-            sv[k] = vi[k] + vj[k];
             e_old_u += ui[k] * ui[k] + uj[k] * uj[k];
+            npu[k] = ct * nu[k] + st * (cphi * mu[k] + sphi * l_hat[k]);
+            if (!v)
+                continue;
+            sv[k] = vi[k] + vj[k];
             e_old_v += vi[k] * vi[k] + vj[k] * vj[k];
             double wui = ui[k] - vi[k];
             double wuj = uj[k] - vj[k];
             d_old += wui * wui + wuj * wuj;
-            npu[k] = ct * nu[k] + st * (cphi * mu[k] + sphi * l_hat[k]);
             /* axes agree to within the cutoff: both copies take the same
              * outgoing direction, so the pair distance cannot grow from a
              * frame that is stale for one of them */
@@ -345,65 +269,73 @@ int kac_advance_coupled(double *u, double *v, int64_t n, int64_t d,
                 npv[k] = ct * nv[k] + st * (cphi * mv[k] + sphi * l_hat[k]);
         }
         /* force exactly unit outgoing directions; near the branch cutoffs
-         * the transported frame can be off-orthonormal by the residual
-         * angle and would otherwise leak into the energies */
+         * the transported frame, and an l_hat off-orthogonal by rounding,
+         * would otherwise leak into the energies */
         normalize(npu, d);
-        normalize(npv, d);
+        if (v)
+            normalize(npv, d);
         double d_new = 0.0, e_new_u = 0.0, e_new_v = 0.0;
         double mom_u = 0.0, mom_v = 0.0;
         for (int64_t k = 0; k < d; k++) {
             double a = 0.5 * (su[k] + r_u * npu[k]);
             double b = 0.5 * (su[k] - r_u * npu[k]);
-            double p = 0.5 * (sv[k] + r_v * npv[k]);
-            double q = 0.5 * (sv[k] - r_v * npv[k]);
             ui[k] = a;
             uj[k] = b;
-            vi[k] = p;
-            vj[k] = q;
             e_new_u += a * a + b * b;
-            e_new_v += p * p + q * q;
-            d_new += (a - p) * (a - p) + (b - q) * (b - q);
             double me = fabs((a + b) - su[k]);
             if (me > mom_u)
                 mom_u = me;
+            if (!v)
+                continue;
+            double p = 0.5 * (sv[k] + r_v * npv[k]);
+            double q = 0.5 * (sv[k] - r_v * npv[k]);
+            vi[k] = p;
+            vj[k] = q;
+            e_new_v += p * p + q * q;
+            d_new += (a - p) * (a - p) + (b - q) * (b - q);
             me = fabs((p + q) - sv[k]);
             if (me > mom_v)
                 mom_v = me;
         }
-        double delta = d_new - d_old;
         double err = fabs(e_new_u - e_old_u) / (e_old_u + 1e-300);
-        double err_v = fabs(e_new_v - e_old_v) / (e_old_v + 1e-300);
-        if (err_v > err)
-            err = err_v;
         double mom_rel = mom_u / (sqrt(e_old_u) + 1e-300);
         if (mom_rel > err)
             err = mom_rel;
-        mom_rel = mom_v / (sqrt(e_old_v) + 1e-300);
-        if (mom_rel > err)
-            err = mom_rel;
+        if (v) {
+            double err_v = fabs(e_new_v - e_old_v) / (e_old_v + 1e-300);
+            if (err_v > err)
+                err = err_v;
+            mom_rel = mom_v / (sqrt(e_old_v) + 1e-300);
+            if (mom_rel > err)
+                err = mom_rel;
+        }
         if (err > acc[2])
             acc[2] = err;
-        if (antipodal) {
-            acc[3] += 1.0;
-            if (delta > acc[5])
-                acc[5] = delta;
-        } else {
-            double resid = delta + st * st * sphi * sphi
-                                       * (r_u * r_v - r_u * r_v * c_raw);
-            if (fabs(resid) > acc[0]) {
-                acc[0] = fabs(resid);
-                acc[6] = t;
-            }
-            if (delta > acc[1]) {
-                acc[1] = delta;
-                acc[7] = t;
+        if (v) {
+            double delta = d_new - d_old;
+            if (antipodal) {
+                acc[3] += 1.0;
+                if (delta > acc[5])
+                    acc[5] = delta;
+            } else {
+                double resid = delta + st * st * sphi * sphi
+                                           * (r_u * r_v - r_u * r_v * c_raw);
+                if (fabs(resid) > acc[0]) {
+                    acc[0] = fabs(resid);
+                    acc[6] = t;
+                }
+                if (delta > acc[1]) {
+                    acc[1] = delta;
+                    acc[7] = t;
+                }
             }
         }
         acc[4] += 1.0;
         proj_ctr += 1;
         if (proj_ctr >= proj_every) {
             reproject(u, n, d);
-            reproject(v, n, d);
+            if (v)
+                reproject(v, n, d);
             proj_ctr = 0;
         }
         t_next = t + exps[cursor] / rate;

@@ -1,4 +1,4 @@
-"""Event loops for the single and coupled collision dynamics.
+"""One event loop for the single and the coupled collision dynamics.
 
 The drivers in :mod:`kacsim.system` pre-draw batches of randomness with a
 numpy Generator and hand them to the advance functions below, which consume
@@ -6,28 +6,29 @@ one slot per event.  Keeping the random stream outside the compiled code
 makes the python reference stepper and the compiled loop consume draws in
 exactly the same order, so the two paths can be compared event by event.
 
-The loops are written in C (``_engine.c``, next to this file) and loaded
-through ctypes.  The shared library is compiled with ``cc`` on first import
-and cached in this package's ``__pycache__`` under a hash of the source, so
+The loop is one C function, ``kac_advance`` in ``_engine.c`` (next to this
+file), for one copy or two: ``advance_kac`` passes NULL for the second copy
+and its Gaussians, ``advance_coupled`` passes both.  It is loaded through
+ctypes; the shared library is compiled with ``cc`` on first import and
+cached in this package's ``__pycache__`` under a hash of the source, so
 later imports only load it.  If the compiler or the load fails, a
 RuntimeWarning names the error and the advance functions drive the python
 reference steppers ``system.step_kac``/``system.step_coupled`` over the
 same batch instead: same results to rounding, about a thousand times
 slower.  ``BACKEND`` names the active engine, ``"c"`` or ``"python"``.
 
-Accumulator layout (float64 arrays mutated in place):
+Accumulator layout (a float64 array of 8 slots, mutated in place; a single
+copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
 
-single copy  acc[0] max relative pair conservation error
-             acc[1] events processed
-coupled      acc[0] max |coupling identity residual| over generic events
-             acc[1] max signed pair distance increment over generic events
-             acc[2] max relative pair conservation error (both copies)
-             acc[3] count of antipodal events (resolved with a random plane;
-                    the transported-frame identity does not apply to them)
-             acc[4] events processed
-             acc[5] max signed pair distance increment over antipodal events
-             acc[6] event time at which acc[0] was attained
-             acc[7] event time at which acc[1] was attained
+    acc[0] max |coupling identity residual| over generic events
+    acc[1] max signed pair distance increment over generic events
+    acc[2] max relative pair conservation error (over the copies)
+    acc[3] count of antipodal events (resolved with a random plane; the
+           transported-frame identity does not apply to them)
+    acc[4] events processed
+    acc[5] max signed pair distance increment over antipodal events
+    acc[6] event time at which acc[0] was attained
+    acc[7] event time at which acc[1] was attained
 
 Conservation errors are relative: energy errors against the pair energy,
 momentum errors against the pair RMS speed, so the check is scale free.
@@ -71,12 +72,9 @@ _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _SIGNATURES = {
-    "kac_advance_kac": (_ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
-                        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
-                        _ptr, _i64, _ptr, _ptr),
-    "kac_advance_coupled": (_ptr, _ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
-                            _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
-                            _ptr, _i64, _ptr, _ptr),
+    "kac_advance": (_ptr, _ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
+                    _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
+                    _ptr, _i64, _ptr, _ptr),
 }
 
 
@@ -108,7 +106,7 @@ def _compile(target):
 
 
 def load_library(cache_dir=_CACHE_DIR):
-    """The compiled event loops, building them first if the cache is cold."""
+    """The compiled event loop, building it first if the cache is cold."""
     path = _library_path(cache_dir)
     if not path.exists():
         _compile(path)
@@ -121,7 +119,7 @@ def load_library(cache_dir=_CACHE_DIR):
 
 
 def _select_backend(cache_dir=_CACHE_DIR):
-    """Load the C loops, or warn and fall back to the python steppers."""
+    """Load the C loop, or warn and fall back to the python steppers."""
     global _LIB, BACKEND
     try:
         _LIB, BACKEND = load_library(cache_dir), "c"
@@ -178,7 +176,8 @@ def advance_kac(v, t, t_next, t_stop, rate, max_events,
                 cursor, proj_ctr, proj_every, acc):
     """Process collision events on a single copy until a stop condition.
 
-    Returns (t, t_next, cursor, proj_ctr, status).
+    ``acc`` has the 8-slot layout; slots 2 and 4 are filled.  Returns
+    (t, t_next, cursor, proj_ctr, status).
     """
     return _advance((v,), t, t_next, t_stop, rate, max_events,
                     thetas, cphis, exps, pi, pj, (gl,),
@@ -208,11 +207,13 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
              thetas, cphis, exps, pi, pj, gaussians,
              cursor, proj_ctr, proj_every, acc):
     """Check the arrays and run the C loop (or the fallback) for one or two
-    copies; the C functions differ only in those two argument groups."""
+    copies; one copy passes NULL for the second copy and for ``gs``."""
     coupled = len(states) == 2
     for name, x in zip(("u", "v") if coupled else ("v",), states):
         _state(name, x, 2)
     _state("acc", acc, 1)
+    if acc.shape[0] < 8:
+        raise ValueError("accumulator needs 8 slots")
     if coupled and states[0].shape != states[1].shape:
         raise ValueError(f"copies differ in shape: {states[0].shape} vs "
                          f"{states[1].shape}")
@@ -223,17 +224,14 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
                                cursor, proj_ctr, proj_every, acc)
     nb = np.shape(thetas)[0]
     batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians)
-    if coupled and acc.shape[0] < 8:
-        raise ValueError("coupled accumulator needs 8 slots")
-    if acc.shape[0] < 2:
-        raise ValueError("single-copy accumulator needs 2 slots")
+    v, gs = ((states[1].ctypes.data, batch[6].ctypes.data) if coupled
+             else (None, None))
     clock = np.array([t, t_next], dtype=np.float64)
     ctr = np.array([cursor, proj_ctr], dtype=np.int64)
-    work = np.empty((9 if coupled else 5) * d)
-    loop = _LIB.kac_advance_coupled if coupled else _LIB.kac_advance_kac
-    status = loop(
-        *(x.ctypes.data for x in states), n, d, clock.ctypes.data, t_stop,
-        rate, max_events, *(a.ctypes.data for a in batch), nb,
+    work = np.empty(9 * d)
+    status = _LIB.kac_advance(
+        states[0].ctypes.data, v, n, d, clock.ctypes.data, t_stop, rate,
+        max_events, *(a.ctypes.data for a in batch[:6]), gs, nb,
         ctr.ctypes.data, proj_every, acc.ctypes.data, work.ctypes.data)
     return _finish(clock, ctr, status)
 
@@ -262,12 +260,11 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
     from .system import project_to_constraint_sphere, step_coupled, step_kac
 
     coupled = len(states) == 2
-    count = 4 if coupled else 1     # acc slot of the event count
     n = states[0].shape[0]
     while True:
         if t_next > t_stop:
             return t_stop, t_next, cursor, proj_ctr, 0
-        if acc[count] >= max_events:
+        if acc[4] >= max_events:
             return t, t_next, cursor, proj_ctr, 2
         if cursor >= len(thetas):
             return t, t_next, cursor, proj_ctr, 1
@@ -288,10 +285,8 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
         except GeometryError as exc:
             raise GeometryError(f"{exc} at batch slot {cursor}") from exc
         err = max(_pair_error(b, x[[i, j]]) for b, x in zip(before, states))
-        if not coupled:
-            acc[0] = max(acc[0], err)
-        else:
-            acc[2] = max(acc[2], err)
+        acc[2] = max(acc[2], err)
+        if coupled:
             if resid is None:
                 acc[3] += 1.0
                 acc[5] = max(acc[5], delta)
@@ -300,7 +295,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
                     acc[0], acc[6] = abs(resid), t
                 if delta > acc[1]:
                     acc[1], acc[7] = delta, t
-        acc[count] += 1.0
+        acc[4] += 1.0
         proj_ctr += 1
         if proj_ctr >= proj_every:
             for x in states:

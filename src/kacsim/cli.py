@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
+from .assignment import MAX_ASSIGNMENT_SIZE
 from .kernels import KernelError, make_kernel
 from .system import (
     _sample_grid,
@@ -37,6 +38,7 @@ from .system import (
     substream,
     substream_seed,
     two_temperature_initial,
+    two_temperature_m4_range,
     project_to_constraint_sphere,
 )
 
@@ -120,30 +122,21 @@ class ExperimentConfig:
         return delta, p, q
 
 
-_INT_KEYS = ("n", "d", "replicas", "seed", "constant_samples",
-             "n_discrete", "n_config", "samples")
-_FLOAT_KEYS = ("theta0", "theta_min", "nu", "horizon", "sample_dt", "delta",
-               "p", "q", "m4_init", "q_moment", "band_eps", "p_moment")
-_STR_KEYS = ("kind", "kernel", "out", "initial_law")
-_FLOAT_LIST_KEYS = ("m_values", "r_values")
-_INT_LIST_KEYS = ("n_values",)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _cast(key, raw):
+    """Parse ``raw`` as the type of the key's default; a tuple default
+    takes a comma-separated list of its first element's type."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(x) for x in raw.split(","))
-        if key in _INT_LIST_KEYS:
-            return tuple(int(x) for x in raw.split(","))
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x) for x in raw.split(","))
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(path, overrides=None):
@@ -173,6 +166,11 @@ def load_config(path, overrides=None):
 
 def validate_config(cfg):
     """Range and consistency checks; raises ConfigError on the first failure."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, float) and not np.isfinite(x) for x in items):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     if cfg.n < 2:
@@ -199,11 +197,20 @@ def validate_config(cfg):
             f"initial_law must be one of {INITIAL_LAWS}, got {cfg.initial_law!r}")
 
     if cfg.kind == "decay":
-        if cfg.delta <= 0:
-            raise ConfigError(f"need delta > 0, got {cfg.delta}")
+        # the decay constants (analysis.k_main_estimate) need delta < 1
+        if not 0 < cfg.delta < 1:
+            raise ConfigError(f"need 0 < delta < 1, got {cfg.delta}")
         cfg.resolved_exponents()
         if cfg.constant_samples < 2:
             raise ConfigError("constant_samples must be at least 2")
+        if cfg.n > MAX_ASSIGNMENT_SIZE:
+            raise ConfigError(f"need n <= {MAX_ASSIGNMENT_SIZE} for the "
+                              f"initial pairing, got {cfg.n}")
+        if cfg.initial_law == "two_temperature":
+            lo, hi = two_temperature_m4_range(cfg.d)
+            if not lo < cfg.m4_init < hi:
+                raise ConfigError(f"need {lo:.6g} < m4_init < {hi:.6g} in "
+                                  f"dimension {cfg.d}, got {cfg.m4_init}")
     if cfg.kind == "inequalities":
         if cfg.n_discrete < 0 or cfg.n_config < 0:
             raise ConfigError("sweep sizes must be >= 0")

@@ -140,7 +140,7 @@ def complement_unit(gauss, basis):
     ``basis`` is an iterable of mutually orthonormal vectors.  For a standard
     Gaussian input the result is uniform on the unit sphere of the orthogonal
     complement.  Raises GeometryError when the projection is shorter than
-    1e-12; the C event loops stop there too.
+    1e-12; the C event loop stops there too.
     """
     g = np.asarray(gauss, dtype=np.float64)
     w = g.copy()

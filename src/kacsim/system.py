@@ -10,10 +10,10 @@ rate (n - 1) b0 / 2, and apply the elastic collision map with a deflection
 angle drawn from the angular kernel.  ``simulate_kac`` runs one copy and
 ``simulate_coupled`` two copies under shared randomness through transported
 frames; both hand their copies to one driver loop, which feeds pre-drawn
-random batches to the C event loops in :mod:`kacsim._engine`.
-``step_kac``/``step_coupled`` are single-event python references used to
-cross-check the C loops (and run in their place, with a warning, where the
-C loops cannot be built).
+random batches to the C event loop in :mod:`kacsim._engine` (one loop for
+one copy or two).  ``step_kac``/``step_coupled`` are single-event python
+references used to cross-check the C loop (and run in its place, with a
+warning, where the C loop cannot be built).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "check_configuration",
     "sample_equilibrium",
     "two_temperature_initial",
+    "two_temperature_m4_range",
     "equilibrium_m4",
     "substream",
     "substream_seed",
@@ -165,6 +166,12 @@ def sample_equilibrium(n, d, rng):
     return project_to_constraint_sphere(rng.standard_normal((n, d)))
 
 
+def two_temperature_m4_range(d):
+    """Open interval of fourth moments a two-point energy mixture reaches
+    in dimension d: the Gaussian value (d + 2)/d up to twice it."""
+    return (d + 2.0) / d, 2.0 * (d + 2.0) / d
+
+
 def two_temperature_initial(n, d, rng, m4_target=3.0, hot_energy=3.0):
     """Half hot, half cold Gaussian mixture with a prescribed fourth moment.
 
@@ -179,8 +186,7 @@ def two_temperature_initial(n, d, rng, m4_target=3.0, hot_energy=3.0):
     """
     a = float(hot_energy)
     m4 = float(m4_target)
-    lo = (d + 2.0) / d
-    hi = 2.0 * (d + 2.0) / d
+    lo, hi = two_temperature_m4_range(d)
     if not (lo < m4 < hi):
         raise ValueError(
             f"m4_target must lie in ({lo:.6g}, {hi:.6g}) for a two-point "
@@ -406,7 +412,7 @@ def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
               max_events, observables, reproject_every, chunk_size):
     """Advance one copy or two coupled copies in place, sampling on a grid.
 
-    The engine loop follows from the number of copies; observables are
+    The advance function follows from the number of copies; observables are
     called with the copies as positional arguments.  Returns (times,
     columns, acc) with the accumulator laid out as in :mod:`kacsim._engine`.
     """
@@ -422,7 +428,7 @@ def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
 
     t = 0.0
     t_next = t + float(rng.standard_exponential()) / rate
-    acc = np.zeros(8 if coupled else 2)
+    acc = np.zeros(8)
     cursor, proj_ctr = 0, 0
     batch = None
     out_t, cols = [], {k: [] for k in observables}
@@ -477,7 +483,7 @@ def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
     times, columns, acc = _simulate(
         (v,), kernel, rng, horizon, sample_dt, sample_times, max_events,
         observables, reproject_every, chunk_size)
-    checks = {"n_events": int(acc[1]), "max_conservation_error": float(acc[0])}
+    checks = {"n_events": int(acc[4]), "max_conservation_error": float(acc[2])}
     return TrajectoryRecord(times=times, columns=columns, checks=checks,
                             final=v)
 

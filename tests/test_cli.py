@@ -89,6 +89,28 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in err
 
 
+# each passed `kac validate` and then failed `kac run` with a traceback
+@pytest.mark.parametrize("extra", [
+    pytest.param("m4_init = 4.0\n", id="m4_init_above_range"),
+    # the decay constants need delta < 1
+    pytest.param("delta = 1.5\np = 3\n", id="delta_above_1"),
+    pytest.param("n = 5000\n", id="n_above_pairing_limit"),
+    pytest.param("horizon = nan\n", id="horizon_nan"),
+    pytest.param("horizon = inf\nreplicas = 0\n", id="horizon_inf"),
+    pytest.param("sample_dt = nan\n", id="sample_dt_nan"),
+    pytest.param("sample_dt = inf\n", id="sample_dt_inf"),
+    pytest.param("delta = nan\n", id="delta_nan"),
+])
+def test_decay_config_rejected_before_running(tmp_path, capsys, extra):
+    path = write_config(tmp_path, DECAY_CFG + extra)
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.count("config error") == 2
+
+
 def test_decay_run_outputs_and_determinism(tmp_path, capsys):
     path = write_config(tmp_path, DECAY_CFG)
     out_a = tmp_path / "a"

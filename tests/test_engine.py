@@ -1,12 +1,15 @@
-"""The C event loops against the python reference steppers.
+"""The C event loop against the python reference steppers.
 
 Each branch of the coupled frame rule (generic, parallel cutoff, antipodal,
 zero relative speed in one copy) is driven on purpose with a constructed
-one-event batch and compared with ``system.step_coupled``; the python
-fallback is forced and compared with the C loops on short runs.
+one-event batch and compared with ``system.step_coupled``, and a single
+copy (generic pair, pair at rest) with ``system.step_kac``; the python
+fallback is forced and compared with the C loop on short runs.
 """
 
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -117,6 +120,37 @@ def test_c_matches_reference_on_each_branch(branch, d):
         assert np.max(np.abs(moved - start_moved)) > 1e-3
 
 
+@needs_c
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("branch", ["generic", "at_rest"])
+def test_c_matches_reference_on_single_copy(branch, d):
+    """One copy takes the coincident-branch frame; a pair at rest comes
+    back unchanged bit for bit."""
+    rng = np.random.default_rng([d, 7, len(branch)])
+    v = rng.standard_normal((4, d))
+    if branch == "at_rest":
+        v[0] = v[1]
+    theta, cphi, gl = 1.1, 0.3, rng.standard_normal(d)
+    vc, acc = v.copy(), np.zeros(8)
+    out = _engine.advance_kac(vc, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
+                              proj_ctr=0, proj_every=10 ** 9, acc=acc,
+                              **_one_event_batch(0, 1, theta, cphi, gl))
+    assert out == (0.5, 0.75, 1, 1, 2)
+    vr = v.copy()
+    t, _ = system.step_kac(vr, None, t=0.5, rate=1.0,
+                           draws=(0.25, 0, 0, theta, cphi, gl))
+    assert t == 0.75
+
+    np.testing.assert_allclose(vc, vr, rtol=0, atol=ATOL)
+    assert acc[4] == 1.0 and acc[2] <= ATOL
+    np.testing.assert_array_equal(acc[[0, 1, 3, 5, 6, 7]], 0.0)
+    if branch == "at_rest":
+        np.testing.assert_array_equal(vc, v)
+    else:
+        np.testing.assert_array_equal(vc[2:], v[2:])
+        assert np.max(np.abs(vc - v)) > 1e-3
+
+
 def test_c_thresholds_equal_geometry_constants():
     defines = dict(re.findall(r"^#define (\w+) (\S+)$",
                               _engine._SOURCE.read_text(), re.MULTILINE))
@@ -126,7 +160,7 @@ def test_c_thresholds_equal_geometry_constants():
 
 @pytest.fixture(params=["c", "python"])
 def backend(request, monkeypatch):
-    """Run a test on the C loops and on the forced python fallback."""
+    """Run a test on the C loop and on the forced python fallback."""
     if request.param == "c" and _engine.BACKEND != "c":
         pytest.skip("the C event loop is not loaded")
     if request.param == "python":
@@ -159,14 +193,14 @@ def test_kac_rejects_gaussian_along_the_axis(backend):
     raises and its pair keeps its velocities."""
     rng = np.random.default_rng(41)
     v = system.sample_equilibrium(4, 3, rng)
-    start, acc = v.copy(), np.zeros(2)
+    start, acc = v.copy(), np.zeros(8)
     g = 2.0 * _unit(v[0] - v[1])
     with pytest.raises(geometry.GeometryError, match="batch slot 0"):
         _engine.advance_kac(v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
                             proj_ctr=0, proj_every=10 ** 9, acc=acc,
                             **_one_event_batch(0, 1, 1.2, 0.1, g))
     np.testing.assert_array_equal(v, start)
-    assert acc[1] == 0.0
+    assert acc[4] == 0.0
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -219,12 +253,12 @@ def test_kac_conserves_energy_when_gaussian_nearly_in_plane(offset):
         assert _pair_energy_error(v, ref) <= 1e-12
 
         eng = v.copy()
-        acc = np.zeros(2)
+        acc = np.zeros(8)
         _engine.advance_kac(eng, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
                             proj_ctr=0, proj_every=10 ** 9, acc=acc,
                             **_one_event_batch(0, 1, theta, cphi, g))
-        assert acc[1] == 1.0
-        assert acc[0] <= 1e-12
+        assert acc[4] == 1.0
+        assert acc[2] <= 1e-12
         assert _pair_energy_error(v, eng) <= 1e-12
 
 
@@ -295,6 +329,16 @@ def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path):
     assert coupled_c.checks["n_events"] > 64   # several batches were used
     _assert_same_run(coupled_c, coupled_py)
     _assert_same_run(single_c, single_py)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_c_source_is_warning_clean():
+    """A variable left unused or a mismatched type fails the build here."""
+    proc = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
+         "-fsyntax-only", str(_engine._SOURCE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_c
