@@ -6,18 +6,10 @@ through transported collision frames, and checks the alignment inequalities
 and moment bounds that control the coupling's contraction rate.
 """
 
-from .geometry import (
-    CollisionFrame,
-    GeometryError,
-    coupled_post_directions,
-    parallel_transport_map,
-    post_collision_velocities,
-    sample_post_direction,
-)
-from .kernels import AngularKernel, KernelError, make_kernel, sample_theta, total_rate
+from .geometry import GeometryError
+from .kernels import AngularKernel, KernelError, make_kernel
 from .assignment import solve_assignment, sym_distance
 from .system import (
-    CollisionEvent,
     CoupledState,
     InvariantViolation,
     TrajectoryRecord,

@@ -32,6 +32,7 @@ from .system import (
     _sample_grid,
     align_configurations,
     coupled_run_issues,
+    default_m4_init,
     equilibrium_m4,
     sample_equilibrium,
     simulate_coupled,
@@ -143,6 +144,8 @@ def load_config(path, overrides=None):
     """Parse a flat key = value config file into an ExperimentConfig.
 
     ``overrides`` maps keys to already-typed values (command line flags).
+    An unset ``m4_init`` takes system.default_m4_init of the config's d, so
+    the config records the fourth moment the start really has.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,6 +163,9 @@ def load_config(path, overrides=None):
     if overrides:
         values.update(overrides)
     cfg = ExperimentConfig(**values)
+    # validate_config refuses d < 3, where the m4 range is not defined
+    if "m4_init" not in values and cfg.d >= 3:
+        cfg.m4_init = default_m4_init(cfg.d)
     validate_config(cfg)
     return cfg
 

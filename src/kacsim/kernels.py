@@ -31,8 +31,6 @@ __all__ = [
     "BadAngle",
     "AngularKernel",
     "make_kernel",
-    "sample_theta",
-    "total_rate",
     "adaptive_simpson",
 ]
 
@@ -88,6 +86,8 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
 class AngularKernel:
     """Normalized angular measure plus its sampling table.
 
+    ``b0`` is the total mass, the per-pair jump intensity; an n-particle
+    system fires events at rate (n - 1) b0 / 2 (system.event_rate).
     ``levy_constant`` multiplies the family's base density so that the
     sin^2-weighted mass is one.  ``table_u``/``table_theta`` tabulate the
     inverse CDF of the probability law beta/b0.
@@ -210,16 +210,3 @@ def make_kernel(family, **params):
 
     raise KernelError(f"unknown kernel family {family!r}")
 
-
-def sample_theta(kernel, rng, size=None):
-    """Draw deflection angles from ``kernel``'s normalized law."""
-    return kernel.sample(rng, size)
-
-
-def total_rate(kernel):
-    """Angular mass b0 = int_0^pi beta(theta) dtheta of the normalized kernel.
-
-    This is the per-pair jump intensity; an n-particle system fires events at
-    rate (n - 1) b0 / 2.
-    """
-    return kernel.b0

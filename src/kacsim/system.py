@@ -30,7 +30,6 @@ from .geometry import (ANTIPODAL_EPS, PARALLEL_EPS, complement_unit,
 __all__ = [
     "DegenerateInput",
     "InvariantViolation",
-    "CollisionEvent",
     "CoupledState",
     "TrajectoryRecord",
     "event_rate",
@@ -39,6 +38,7 @@ __all__ = [
     "sample_equilibrium",
     "two_temperature_initial",
     "two_temperature_m4_range",
+    "default_m4_init",
     "equilibrium_m4",
     "substream",
     "substream_seed",
@@ -73,35 +73,13 @@ class InvariantViolation(RuntimeError):
     """A per-event or per-run invariant exceeded its tolerance."""
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One collision: its time, the (ordered) pair, and the angles.
-
-    ``l`` is the out-of-plane unit vector completing the collision frame;
-    together with theta and phi it determines the outgoing direction.
-    """
-
-    time: float
-    i: int
-    j: int
-    theta: float
-    phi: float
-    l: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError("collision pair must be distinct")
-
-
 @dataclass
 class CoupledState:
-    """Two slot-aligned copies plus the pairing and event bookkeeping."""
+    """Two slot-aligned copies plus the pairing that aligned them."""
 
     u: np.ndarray
     v: np.ndarray
     pairing: np.ndarray
-    clock: float = 0.0
-    event_count: int = 0
 
 
 def event_rate(kernel, n_particles):
@@ -172,7 +150,15 @@ def two_temperature_m4_range(d):
     return (d + 2.0) / d, 2.0 * (d + 2.0) / d
 
 
-def two_temperature_initial(n, d, rng, m4_target=3.0, hot_energy=3.0):
+def default_m4_init(d):
+    """Default fourth moment of the two-temperature start in dimension d:
+    3.0 where it lies strictly inside two_temperature_m4_range(d) (d = 3),
+    otherwise the midpoint of that range (3.0 is out of reach for d >= 4)."""
+    lo, hi = two_temperature_m4_range(d)
+    return 3.0 if lo < 3.0 < hi else 0.5 * (lo + hi)
+
+
+def two_temperature_initial(n, d, rng, m4_target=None, hot_energy=3.0):
     """Half hot, half cold Gaussian mixture with a prescribed fourth moment.
 
     The hot half has per-particle energy ``hot_energy``; the cold energy b
@@ -182,10 +168,11 @@ def two_temperature_initial(n, d, rng, m4_target=3.0, hot_energy=3.0):
         A b^2 - 2 a d m4 b + A a^2 = 0,   A = 2(d + 2) - d m4,  a = hot_energy
 
     (smaller root, so the cold half really is cold).  The sample is then
-    projected onto the constraint sphere.
+    projected onto the constraint sphere.  ``m4_target`` defaults to
+    default_m4_init(d).
     """
     a = float(hot_energy)
-    m4 = float(m4_target)
+    m4 = float(default_m4_init(d) if m4_target is None else m4_target)
     lo, hi = two_temperature_m4_range(d)
     if not (lo < m4 < hi):
         raise ValueError(
@@ -270,7 +257,7 @@ def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
 
     ``draws`` may carry pre-drawn randomness (w, i, j0, theta, cos_phi, g)
     to replay a recorded stream; otherwise everything comes from ``rng``.
-    Returns (new_time, CollisionEvent).
+    Returns (new_time, (i, j)) with the collided pair i != j.
     """
     v = np.asarray(v, dtype=np.float64)
     n, d = v.shape
@@ -293,8 +280,7 @@ def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
     s = v[i] + v[j]
     v[i] = 0.5 * (s + r * npr)
     v[j] = 0.5 * (s - r * npr)
-    phi = float(np.arccos(min(1.0, max(-1.0, cphi))))
-    return t, CollisionEvent(t, i, j, theta, phi, l_hat)
+    return t, (i, j)
 
 
 def _first_axis(d):
@@ -311,11 +297,11 @@ def _direction(n_hat, m_hat, l_hat, theta, cphi):
 def step_coupled(u, v, kernel, rng=None, t=0.0, rate=None, draws=None):
     """Apply one shared-randomness event to both copies, in place.
 
-    Returns (new_time, CollisionEvent, delta_pair, residual) where
-    delta_pair is the change of |u_i - v_i|^2 + |u_j - v_j|^2 across the
-    event and residual is delta_pair + sin(theta)^2 sin(phi)^2
-    (|du||dv| - du . dv), which vanishes identically except for antipodal
-    relative directions (residual is None there).
+    Returns (new_time, (i, j), delta_pair, residual) where (i, j) is the
+    collided pair (i != j), delta_pair is the change of |u_i - v_i|^2 +
+    |u_j - v_j|^2 across the event and residual is delta_pair +
+    sin(theta)^2 sin(phi)^2 (|du||dv| - du . dv), which vanishes identically
+    except for antipodal relative directions (residual is None there).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -367,8 +353,7 @@ def step_coupled(u, v, kernel, rng=None, t=0.0, rate=None, draws=None):
     else:
         sphi2 = max(0.0, 1.0 - cphi * cphi)
         residual = delta + np.sin(theta) ** 2 * sphi2 * (r_u * r_v - r_u * r_v * c_raw)
-    phi = float(np.arccos(min(1.0, max(-1.0, cphi))))
-    return t, CollisionEvent(t, i, j, theta, phi, l_hat), delta, residual
+    return t, (i, j), delta, residual
 
 
 def draw_event_batch(kernel, n, d, rng, size, coupled):

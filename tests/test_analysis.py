@@ -102,7 +102,7 @@ def test_delta4_matches_collision_monte_carlo():
         vsp = 0.5 * (s - r * dirs)
         jump = (np.sum(vp * vp, axis=1) ** 2 + np.sum(vsp * vsp, axis=1) ** 2
                 - np.sum(v * v) ** 2 - np.sum(vs * vs) ** 2)
-        scale = kernels.total_rate(kern) / 2.0
+        scale = kern.b0 / 2.0
         est = scale * float(np.mean(jump))
         se = scale * float(np.std(jump, ddof=1) / np.sqrt(m))
         assert abs(est - target) < 4 * se + 1e-12

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kacsim import cli
+from kacsim import cli, system
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -109,6 +109,23 @@ def test_decay_config_rejected_before_running(tmp_path, capsys, extra):
                      "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
     assert capsys.readouterr().err.count("config error") == 2
+
+
+def test_decay_config_default_m4_init_fits_the_dimension(tmp_path):
+    """A d = 5 decay config that leaves m4_init unset validates and runs
+    (3.0 is out of reach for d >= 4), and report.json records the fourth
+    moment the start was built with."""
+    path = write_config(tmp_path, DECAY_CFG + "d = 5\nreplicas = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    lo, hi = system.two_temperature_m4_range(5)
+    assert report["config"]["m4_init"] == system.default_m4_init(5)
+    assert lo < report["config"]["m4_init"] < hi
+    assert cli.load_config(write_config(tmp_path, DECAY_CFG,
+                                        name="d3.cfg")).m4_init == 3.0
 
 
 def test_decay_run_outputs_and_determinism(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The C event loop against the python reference steppers.
 
-Each branch of the coupled frame rule (generic, parallel cutoff, antipodal,
-zero relative speed in one copy) is driven on purpose with a constructed
-one-event batch and compared with ``system.step_coupled``, and a single
-copy (generic pair, pair at rest) with ``system.step_kac``; the python
-fallback is forced and compared with the C loop on short runs.
+Each branch of the coupled frame rule (generic, parallel cutoff, antipodal
+within the cutoff and exactly, zero relative speed in one copy) is driven
+on purpose with a constructed one-event batch and compared with
+``system.step_coupled``, and a single copy (generic pair, pair at rest)
+with ``system.step_kac``; the python fallback is forced and compared with
+the C loop on short runs.
 """
 
 import re
@@ -73,6 +74,9 @@ def _branch_states(branch, d, rng):
     elif branch == "antipodal":
         # 1 + cos ~ 5e-13 < ANTIPODAL_EPS
         v[0] = v[1] - 1.3 * (du + 1e-6 * r * p)
+    elif branch == "antipodal_exact":
+        # swapped rows: dv = -du exactly
+        v[:2] = u[1::-1]
     elif branch == "v_at_rest":
         v[0] = v[1]
     elif branch == "u_at_rest":
@@ -80,7 +84,8 @@ def _branch_states(branch, d, rng):
     return u, v
 
 
-BRANCHES = ["generic", "parallel", "antipodal", "v_at_rest", "u_at_rest"]
+BRANCHES = ["generic", "parallel", "antipodal", "v_at_rest", "u_at_rest",
+            "antipodal_exact"]
 
 
 @needs_c
@@ -99,7 +104,7 @@ def test_c_matches_reference_on_each_branch(branch, d):
     np.testing.assert_allclose(vc, vr, rtol=0, atol=ATOL)
     assert acc[4] == 1.0
     assert acc[2] <= ATOL
-    if branch == "antipodal":
+    if branch.startswith("antipodal"):
         assert resid is None
         assert acc[3] == 1.0
         np.testing.assert_allclose(acc[5], delta, rtol=0, atol=ATOL)
@@ -108,6 +113,14 @@ def test_c_matches_reference_on_each_branch(branch, d):
         assert abs(resid) <= ATOL and acc[0] <= ATOL
         np.testing.assert_allclose(acc[1], delta, rtol=0, atol=ATOL)
         assert delta <= ATOL
+    if branch == "antipodal_exact":
+        # the plane is completed at random, yet in each copy the outgoing
+        # direction is a unit vector at angle theta from its own axis
+        for start, out in ((u, uc), (v, vc), (u, ur), (v, vr)):
+            axis, new = start[0] - start[1], out[0] - out[1]
+            r = np.sqrt(axis @ axis)
+            assert abs(np.sqrt(new @ new) / r - 1.0) <= ATOL
+            assert abs(new @ axis / r ** 2 - np.cos(theta)) <= ATOL
 
     # the event really took its branch
     if branch == "parallel":

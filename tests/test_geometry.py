@@ -1,75 +1,18 @@
+"""The frame pieces of kacsim.geometry, and the laws of the collision rule
+they build, checked on the code that runs it: the python reference steppers
+``system.step_kac``/``system.step_coupled`` and the engine's advance
+functions (C loop, or the python fallback where it cannot be built)."""
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from kacsim import geometry as geo
+from kacsim import _engine, geometry as geo, system
 
 
 def unit(rng, d):
     g = rng.standard_normal(d)
     return g / np.linalg.norm(g)
-
-
-def test_post_collision_conserves_pair():
-    rng = np.random.default_rng(11)
-    for d in (3, 5):
-        v = rng.standard_normal(d)
-        vs = rng.standard_normal(d)
-        n_p = unit(rng, d)
-        a, b = geo.post_collision_velocities(v, vs, n_p)
-        np.testing.assert_allclose(a + b, v + vs, atol=1e-12)
-        assert abs(np.linalg.norm(a - b) - np.linalg.norm(v - vs)) < 1e-12
-        # energy follows from the two conservation laws
-        assert abs(a @ a + b @ b - v @ v - vs @ vs) < 1e-12
-
-
-def test_post_collision_coincident_pair():
-    v = np.array([0.3, -0.2, 0.9])
-    a, b = geo.post_collision_velocities(v, v, np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(a, v)
-    np.testing.assert_array_equal(b, v)
-
-
-def test_post_collision_broadcasts():
-    rng = np.random.default_rng(12)
-    v = rng.standard_normal((7, 4))
-    vs = rng.standard_normal((7, 4))
-    n_p = rng.standard_normal((7, 4))
-    n_p /= np.linalg.norm(n_p, axis=1, keepdims=True)
-    a, b = geo.post_collision_velocities(v, vs, n_p)
-    assert a.shape == (7, 4)
-    np.testing.assert_allclose(a + b, v + vs, atol=1e-12)
-
-
-def test_check_unit_rejects():
-    with pytest.raises(geo.GeometryError):
-        geo.check_unit(np.array([1.0, 0.0]))  # d = 2
-    with pytest.raises(geo.GeometryError):
-        geo.check_unit(np.array([1.0, 1.0, 0.0]))
-
-
-def test_build_direction_angle():
-    rng = np.random.default_rng(13)
-    n = unit(rng, 5)
-    m = geo.orthonormal_to(n)
-    l = geo.complement_unit(rng.standard_normal(5), (n, m))
-    theta, phi = 0.7, 2.1
-    out = geo.build_direction(n, m, l, theta, phi)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-    assert abs(out @ n - np.cos(theta)) < 1e-12
-    assert abs(out @ m - np.sin(theta) * np.cos(phi)) < 1e-12
-
-
-def test_collision_frame_validates():
-    rng = np.random.default_rng(14)
-    n = unit(rng, 3)
-    m = geo.orthonormal_to(n)
-    l = geo.complement_unit(rng.standard_normal(3), (n, m))
-    frame = geo.CollisionFrame(n=n, m=m, l=l, theta=1.0, phi=0.5)
-    np.testing.assert_allclose(frame.direction(),
-                               geo.build_direction(n, m, l, 1.0, 0.5))
-    with pytest.raises(geo.GeometryError):
-        geo.CollisionFrame(n=n, m=n, l=l, theta=1.0, phi=0.5)
 
 
 def test_orthonormal_to_well_conditioned():
@@ -106,30 +49,6 @@ def test_sample_azimuth_cos_moments():
         geo.sample_azimuth_cos(2, rng)
 
 
-def test_sample_post_direction_deflection():
-    rng = np.random.default_rng(17)
-    n = unit(rng, 4)
-    theta = 1.234
-    out = geo.sample_post_direction(np.tile(n, (5000, 1)), theta, rng)
-    np.testing.assert_allclose(out @ n, np.cos(theta), atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-
-
-def test_sample_post_direction_marginal_uniform():
-    """The off-axis part must be uniform on the (d-2)-sphere of the
-    orthogonal complement: any fixed tangent coordinate of 10^5 draws is
-    indistinguishable from the azimuth construction at the 1% level."""
-    rng = np.random.default_rng(18)
-    d = 3
-    n = np.zeros(d)
-    n[0] = 1.0
-    out = geo.sample_post_direction(np.tile(n, (100_000, 1)), 0.9, rng)
-    w = out[:, 1] / np.sin(0.9)  # tangent coordinate, should be cos(uniform angle)
-    u = np.arctan2(out[:, 2], out[:, 1])
-    assert stats.kstest(w, lambda x: np.arccos(np.clip(-x, -1, 1)) / np.pi).pvalue > 0.01
-    assert stats.kstest(u, stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf).pvalue > 0.01
-
-
 def test_transport_frames_exact_relations():
     rng = np.random.default_rng(19)
     for d in (3, 6):
@@ -157,26 +76,125 @@ def test_transport_frames_parallel_and_antipodal():
     assert c == -1.0
 
 
-def test_parallel_transport_map_moves_and_inverts():
-    rng = np.random.default_rng(20)
-    for _ in range(100):
-        n_u, n_v = unit(rng, 4), unit(rng, 4)
-        rot = geo.parallel_transport_map(n_u, n_v)
-        np.testing.assert_allclose(rot.apply(n_u), n_v, atol=1e-10)
-        # swapping arguments gives the inverse map
-        back = geo.parallel_transport_map(n_v, n_u)
-        x = rng.standard_normal(4)
-        np.testing.assert_allclose(back.apply(rot.apply(x)), x, atol=1e-10)
-        np.testing.assert_allclose(rot.inverse().apply(rot.apply(x)), x,
-                                   atol=1e-10)
+def _directions(x):
+    """Unit relative directions of the particle pairs (2k, 2k+1)."""
+    diff = x[0::2] - x[1::2]
+    return diff / np.linalg.norm(diff, axis=1, keepdims=True)
 
 
-def test_parallel_transport_fixes_complement():
-    rng = np.random.default_rng(21)
-    n_u, n_v = unit(rng, 5), unit(rng, 5)
-    rot = geo.parallel_transport_map(n_u, n_v)
-    w = geo.complement_unit(rng.standard_normal(5), (rot.e1, rot.e2))
-    np.testing.assert_allclose(rot.apply(w), w, atol=1e-12)
+def _collide_pairs(thetas, rng, *axes):
+    """One engine batch over one copy, or two coupled copies: event k
+    collides the disjoint pair (2k, 2k+1), whose relative velocity in each
+    copy is the unit vector axes[c][k].  Returns each copy's outgoing
+    relative velocities, unit vectors as long as the rule keeps the
+    relative speed."""
+    size, d = axes[0].shape
+    states = []
+    for a in axes:
+        x = np.zeros((2 * size, d))
+        x[0::2] = a
+        states.append(x)
+    batch = dict(thetas=thetas, cphis=geo.sample_azimuth_cos(d, rng, size),
+                 exps=np.ones(size), pi=np.arange(0, 2 * size, 2),
+                 pj=np.arange(1, 2 * size, 2),
+                 gl=rng.standard_normal((size, d)))
+    if len(axes) == 2:
+        batch["gs"] = rng.standard_normal((size, d))
+        advance = _engine.advance_coupled
+    else:
+        advance = _engine.advance_kac
+    acc = np.zeros(8)
+    *_, status = advance(*states, 0.0, 0.0, np.inf, 1.0, np.inf, **batch,
+                         cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc)
+    assert status == 1 and acc[4] == size
+    return [x[0::2] - x[1::2] for x in states]
+
+
+def _random_axes(rng, size, d):
+    a = rng.standard_normal((size, d))
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def test_post_collision_conserves_pair():
+    """One step_kac event keeps the pair sum, the relative speed and hence
+    the pair energy."""
+    rng = np.random.default_rng(11)
+    for d in (3, 5):
+        v = rng.standard_normal((2, d))
+        before = v.copy()
+        system.step_kac(v, None, rate=1.0,
+                        draws=(1.0, 0, 0, 1.3, 0.2, rng.standard_normal(d)))
+        np.testing.assert_allclose(v.sum(axis=0), before.sum(axis=0),
+                                   atol=1e-12)
+        assert abs(np.linalg.norm(v[0] - v[1])
+                   - np.linalg.norm(before[0] - before[1])) < 1e-12
+        assert abs(np.sum(v * v) - np.sum(before * before)) < 1e-12
+
+
+def test_post_collision_coincident_pair():
+    """A pair at rest relative to each other maps to itself bit for bit,
+    whatever the drawn angles."""
+    v = np.array([[0.3, -0.2, 0.9], [0.3, -0.2, 0.9], [-0.6, 0.4, -1.8]])
+    before = v.copy()
+    system.step_kac(v, None, rate=1.0,
+                    draws=(1.0, 0, 0, 1.1, 0.3, np.array([0.5, 0.1, -0.7])))
+    np.testing.assert_array_equal(v, before)
+
+
+def test_step_kac_direction_angle():
+    """The outgoing direction makes angle theta with the incoming axis n and
+    has azimuth cos(phi) toward the reference vector orthonormal_to(n)."""
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal((2, 5))
+    r = np.linalg.norm(v[0] - v[1])
+    n = (v[0] - v[1]) / r
+    m = geo.orthonormal_to(n)
+    theta, phi = 0.7, 2.1
+    system.step_kac(v, None, rate=1.0, draws=(1.0, 0, 0, theta, np.cos(phi),
+                                              rng.standard_normal(5)))
+    out = (v[0] - v[1]) / r
+    assert abs(out @ out - 1.0) < 1e-12
+    assert abs(out @ n - np.cos(theta)) < 1e-12
+    assert abs(out @ m - np.sin(theta) * np.cos(phi)) < 1e-12
+
+
+def test_kac_direction_deflection():
+    """5000 single-copy engine events at theta = 1.234 each leave their own
+    axis at exactly that angle, with unit outgoing direction."""
+    rng = np.random.default_rng(17)
+    theta = 1.234
+    axes = _random_axes(rng, 5000, 4)
+    (out,) = _collide_pairs(np.full(5000, theta), rng, axes)
+    np.testing.assert_allclose(np.einsum("id,id->i", out, axes),
+                               np.cos(theta), atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+
+def test_kac_direction_marginal_uniform():
+    """The off-axis part must be uniform on the (d-2)-sphere of the
+    orthogonal complement: any fixed tangent coordinate of 10^5 engine
+    events on one axis is indistinguishable from the azimuth construction
+    at the 1% level."""
+    rng = np.random.default_rng(18)
+    size, d, theta = 100_000, 3, 0.9
+    axes = np.zeros((size, d))
+    axes[:, 0] = 1.0
+    (out,) = _collide_pairs(np.full(size, theta), rng, axes)
+    w = out[:, 1] / np.sin(theta)  # tangent coordinate, should be cos(uniform angle)
+    u = np.arctan2(out[:, 2], out[:, 1])
+    assert stats.kstest(w, lambda x: np.arccos(np.clip(-x, -1, 1)) / np.pi).pvalue > 0.01
+    assert stats.kstest(u, stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf).pvalue > 0.01
+
+
+def _coupled_step(rng, d, theta, cphi):
+    """One step_coupled event on two random two-particle copies; returns the
+    axes and outgoing directions (n_u, n_v, out_u, out_v)."""
+    u, v = rng.standard_normal((2, d)), rng.standard_normal((2, d))
+    n_u, n_v = _directions(u)[0], _directions(v)[0]
+    system.step_coupled(u, v, None, rate=1.0,
+                        draws=(1.0, 0, 0, theta, cphi, rng.standard_normal(d),
+                               rng.standard_normal(d)))
+    return n_u, n_v, _directions(u)[0], _directions(v)[0]
 
 
 def test_coupled_identity_balance():
@@ -186,39 +204,41 @@ def test_coupled_identity_balance():
     worst = 0.0
     for _ in range(2000):
         d = int(rng.integers(3, 7))
-        n_u, n_v = unit(rng, d), unit(rng, d)
         theta = float(rng.uniform(0.0, np.pi))
-        out_u, out_v = geo.coupled_post_directions(n_u, n_v, theta, rng)
+        cphi = float(geo.sample_azimuth_cos(d, rng))
+        n_u, n_v, out_u, out_v = _coupled_step(rng, d, theta, cphi)
         c = n_u @ n_v
-        # recover sin^2(phi) from the out-of-plane component of out_u
-        m_u, m_v, _ = geo.transport_frames(n_u, n_v)
-        sin_phi_l = out_u - np.cos(theta) * n_u - (out_u @ m_u) * m_u
-        s2 = (sin_phi_l @ sin_phi_l) / max(np.sin(theta) ** 2, 1e-300)
         lhs = out_u @ out_v - c
+        s2 = 1.0 - cphi * cphi
         worst = max(worst, abs(lhs + np.sin(theta) ** 2 * s2 * (c - 1.0)))
     assert worst < 1e-10
 
 
-def test_coupled_same_inputs_coincide():
-    rng = np.random.default_rng(23)
-    n = unit(rng, 3)
-    out_u, out_v = geo.coupled_post_directions(n, n.copy(), 0.8, rng)
-    np.testing.assert_array_equal(out_u, out_v)
+def test_parallel_transport_fixes_complement():
+    """The coupled outputs differ only inside span(n_u, n_v): the rotation
+    carrying one frame onto the other fixes the complement, where both
+    outputs hold the same sin(theta) sin(phi) l."""
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        n_u, n_v, out_u, out_v = _coupled_step(rng, 5, 1.0, 0.2)
+        m_u, _, _ = geo.transport_frames(n_u, n_v)
+        gap = out_u - out_v
+        gap -= (gap @ n_u) * n_u + (gap @ m_u) * m_u
+        assert np.linalg.norm(gap) < 1e-12
 
 
 def test_coupled_marginals_match_single_system():
-    """Each output of the coupled sampler has the single-system law at the
-    same deflection angle (two-sample tests at the 1% level, 2 * 10^4
-    draws)."""
+    """Each copy of one coupled engine batch has the single-system law at
+    the same deflection angle (two-sample tests at the 1% level against
+    independent single-copy events, 2 * 10^4 events)."""
     rng = np.random.default_rng(24)
     size, d, theta = 20_000, 3, 1.1
-    n_u = rng.standard_normal((size, d))
-    n_u /= np.linalg.norm(n_u, axis=1, keepdims=True)
-    n_v = rng.standard_normal((size, d))
-    n_v /= np.linalg.norm(n_v, axis=1, keepdims=True)
-    out_u, out_v = np.array([geo.coupled_post_directions(a, b, theta, rng)
-                             for a, b in zip(n_u, n_v)]).transpose(1, 0, 2)
-    ref = geo.sample_post_direction(n_u, theta, rng)
+    thetas = np.full(size, theta)
+    n_u, n_v = _random_axes(rng, size, d), _random_axes(rng, size, d)
+    out_u, out_v = _collide_pairs(thetas, rng, n_u, n_v)
+    # independent axes and draws: a reference built from the coupled
+    # run's own draws would be correlated with it and weaken the test
+    (ref,) = _collide_pairs(thetas, rng, _random_axes(rng, size, d))
 
     np.testing.assert_allclose(np.einsum("id,id->i", out_u, n_u),
                                np.cos(theta), atol=1e-10)
@@ -228,14 +248,3 @@ def test_coupled_marginals_match_single_system():
     # must match the single-system law
     assert stats.ks_2samp(out_u[:, 0], ref[:, 0]).pvalue > 0.01
     assert stats.ks_2samp(out_v[:, 1], ref[:, 1]).pvalue > 0.01
-
-
-def test_coupled_antipodal_outputs_share_the_angle():
-    rng = np.random.default_rng(25)
-    n = unit(rng, 3)
-    out_u, out_v = geo.coupled_post_directions(n, -n, 0.6, rng)
-    # the plane is completed at random, yet both outputs are unit vectors
-    # at the deflection angle from their own axis
-    for out, axis in ((out_u, n), (out_v, -n)):
-        assert abs(out @ out - 1.0) < 1e-12
-        assert abs(out @ axis - np.cos(0.6)) < 1e-12

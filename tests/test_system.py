@@ -85,6 +85,17 @@ def test_two_temperature_initial():
         system.two_temperature_initial(64, 3, rng, m4_target=0.5)
 
 
+def test_default_m4_init_is_reachable():
+    """3.0 where the two-temperature start reaches it (d = 3), the middle
+    of the reachable range from d = 4 on, where 3.0 is out of reach."""
+    assert system.default_m4_init(3) == 3.0
+    for d in (4, 5, 8):
+        lo, hi = system.two_temperature_m4_range(d)
+        assert not lo < 3.0 < hi
+        assert system.default_m4_init(d) == 0.5 * (lo + hi)
+        system.two_temperature_initial(64, d, np.random.default_rng(d))
+
+
 def test_substreams_disjoint_and_stable():
     a = system.substream_seed(7, 0)
     b = system.substream_seed(7, 1)
@@ -95,18 +106,13 @@ def test_substreams_disjoint_and_stable():
     np.testing.assert_array_equal(x, y)
 
 
-def test_collision_event_rejects_self_pair():
-    with pytest.raises(ValueError):
-        system.CollisionEvent(0.0, 2, 2, 1.0, 1.0)
-
-
 def test_step_kac_conserves():
     v, rng = kac_sphere_point(8, 3, 55)
     p0, e0 = v.sum(axis=0), np.sum(v * v)
     t = 0.0
     for _ in range(200):
-        t, ev = system.step_kac(v, UNIFORM, rng, t=t)
-        assert ev.i != ev.j
+        t, (i, j) = system.step_kac(v, UNIFORM, rng, t=t)
+        assert i != j
     np.testing.assert_allclose(v.sum(axis=0), p0, atol=1e-12)
     np.testing.assert_allclose(np.sum(v * v), e0, rtol=1e-12)
     assert t > 0.0
