@@ -3,8 +3,10 @@
  * kac_advance runs the coupled dynamics on u and v, or Kac's dynamics on u
  * alone when v is NULL (gs is then not read).  Loaded through ctypes by
  * _engine.py, which documents the accumulator layout and the status codes.
- * The arithmetic follows the python reference steppers term by term; build
- * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
+ * The arithmetic follows the python reference steppers step by step, and
+ * the relative directions bit for bit: the coupled frame amplifies their
+ * rounding near identical or antipodal directions.  Build with
+ * -ffp-contract=off (and never -ffast-math) so no fused multiply-add
  * changes the rounding.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
@@ -18,8 +20,6 @@
 #include <stdint.h>
 #include <string.h>
 
-#define PARALLEL_EPS 1e-13
-#define ANTIPODAL_EPS 1e-9
 #define REORTHO_RATIO 1e-8
 
 /* out = (a - b)/|a - b|; returns |a - b|.  Zero difference -> e_0. */
@@ -123,6 +123,67 @@ static void normalize(double *x, int64_t d)
         x[k] *= inv;
 }
 
+/* The frame of geometry.transport_frames in mu and mv, from the half-angle
+ * basis w = nu + nv, z = nu - nv: mu = sin w^ - cos z^, mv = -sin w^ - cos z^
+ * with cos = |w|/2, sin = |z|/2.  Returns 1 when gs completed the plane of
+ * antipodal directions, 0 otherwise, -1 when gs lies along z. */
+static int transport_frames(const double *nu, const double *nv,
+                            const double *gs, double *mu, double *mv,
+                            int64_t d)
+{
+    double *w = mu, *z = mv;
+    double ww = 0.0, zz = 0.0;
+    for (int64_t k = 0; k < d; k++) {
+        w[k] = nu[k] + nv[k];
+        z[k] = nu[k] - nv[k];
+        ww += w[k] * w[k];
+        zz += z[k] * z[k];
+    }
+    double cos_h = 0.5 * sqrt(ww), sin_h = 0.5 * sqrt(zz);
+    int w_short = ww < zz;
+    double *lo = w_short ? w : z, *hi = w_short ? z : w;
+    double ll = w_short ? ww : zz, hh = w_short ? zz : ww;
+    /* the shorter one projected off the longer: complement_unit's rule on
+     * lo / |lo| against hi / |hi|, unscaled */
+    double s = ll;
+    for (int pass = 0; pass < 2 && (pass == 0 || s < REORTHO_RATIO * ll);
+         pass++) {
+        double a = 0.0;
+        for (int64_t k = 0; k < d; k++)
+            a += lo[k] * hi[k];
+        a /= hh;
+        s = 0.0;
+        for (int64_t k = 0; k < d; k++) {
+            lo[k] -= a * hi[k];
+            s += lo[k] * lo[k];
+        }
+    }
+    int is_open = !(s > 1e-24 * ll);
+    if (is_open && !w_short) {
+        ortho_axis(nu, mu, d);
+        memcpy(mv, mu, (size_t)d * sizeof(double));
+        return 0;
+    }
+    /* lo * f_lo and hi * f_hi are w^ and z^ in some order; the factors
+     * are folded into the combination below */
+    double f_lo = 1.0 / sqrt(s), f_hi = 0.5 / (w_short ? sin_h : cos_h);
+    if (is_open) {
+        for (int64_t k = 0; k < d; k++)
+            hi[k] *= f_hi;
+        if (complement_unit(gs, hi, NULL, lo, d))
+            return -1;
+        f_lo = f_hi = 1.0;
+    }
+    double a_w = sin_h * (w_short ? f_lo : f_hi);
+    double a_z = cos_h * (w_short ? f_hi : f_lo);
+    for (int64_t k = 0; k < d; k++) {
+        double a = w[k], b = z[k];
+        mu[k] = a_w * a - a_z * b;
+        mv[k] = -a_w * a - a_z * b;
+    }
+    return is_open;
+}
+
 /* Recenter to zero mean and rescale to unit mean energy, in place. */
 static void reproject(double *v, int64_t n, int64_t d)
 {
@@ -140,12 +201,6 @@ static void reproject(double *v, int64_t n, int64_t d)
     double scale = sqrt((double)n / s);
     for (int64_t i = 0; i < n * d; i++)
         v[i] *= scale;
-}
-
-static double sin_from_cos(double c)
-{
-    double x = 1.0 - c * c;
-    return sqrt(x > 0.0 ? x : 0.0);
 }
 
 int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
@@ -184,68 +239,30 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
         double *ui = u + i * d, *uj = u + j * d;
         double *vi = NULL, *vj = NULL;
         double r_u = unit_of_diff(ui, uj, nu, d);
-        /* a single copy has c = 1 and takes the deterministic frame of
-         * the coincident branch */
-        double r_v = 0.0, c_raw = 1.0, c = 1.0;
+        double r_v = 0.0, c = 0.0;
+        int completed = 0;
         if (v) {
             vi = v + i * d;
             vj = v + j * d;
             r_v = unit_of_diff(vi, vj, nv, d);
-            /* a zero relative velocity leaves its copy unchanged whatever
-             * the outgoing direction; borrow the other copy's direction so
-             * the active copy gets a clean marginal draw */
-            if (r_u == 0.0 && r_v > 0.0)
-                memcpy(nu, nv, (size_t)d * sizeof(double));
-            else if (r_v == 0.0 && r_u > 0.0)
-                memcpy(nv, nu, (size_t)d * sizeof(double));
-            c_raw = 0.0;
             for (int64_t k = 0; k < d; k++)
-                c_raw += nu[k] * nv[k];
-            c = c_raw;
-            if (c > 1.0)
-                c = 1.0;
-            else if (c < -1.0)
-                c = -1.0;
-        }
-        int antipodal = 0, parallel = 0;
-        if (1.0 - c < PARALLEL_EPS) {
-            /* mv stays unset: both copies take npu */
-            parallel = 1;
-            ortho_axis(nu, mu, d);
-        } else if (1.0 + c < ANTIPODAL_EPS) {
-            /* no continuously transported frame exists; complete the plane
-             * with an independent random direction orthogonal to nu */
-            antipodal = 1;
-            if (complement_unit(gs + cursor * d, nu, NULL, mu, d)) {
+                c += nu[k] * nv[k];
+            completed = transport_frames(nu, nv, gs + cursor * d, mu, mv, d);
+            if (completed < 0) {
                 status = -2;
                 break;
             }
-            for (int64_t k = 0; k < d; k++)
-                mv[k] = -mu[k];
         } else {
-            double s = 0.0;
-            for (int64_t k = 0; k < d; k++) {
-                mu[k] = nv[k] - c * nu[k];
-                s += mu[k] * mu[k];
-            }
-            double inv = 1.0 / sqrt(s);
-            for (int64_t k = 0; k < d; k++)
-                mu[k] *= inv;
-            s = 0.0;
-            for (int64_t k = 0; k < d; k++) {
-                mv[k] = nu[k] - c * nv[k];
-                s += mv[k] * mv[k];
-            }
-            inv = -1.0 / sqrt(s);
-            for (int64_t k = 0; k < d; k++)
-                mv[k] *= inv;
+            /* a single copy takes the frame of identical directions */
+            ortho_axis(nu, mu, d);
         }
         if (complement_unit(gl + cursor * d, nu, mu, l_hat, d)) {
             status = -2;
             break;
         }
         double cphi = cphis[cursor];
-        double sphi = sin_from_cos(cphi);
+        double sphi = 1.0 - cphi * cphi;
+        sphi = sqrt(sphi > 0.0 ? sphi : 0.0);
         double ct = cos(thetas[cursor]);
         double st = sin(thetas[cursor]);
         double d_old = 0.0, e_old_u = 0.0, e_old_v = 0.0;
@@ -260,17 +277,10 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
             double wui = ui[k] - vi[k];
             double wuj = uj[k] - vj[k];
             d_old += wui * wui + wuj * wuj;
-            /* axes agree to within the cutoff: both copies take the same
-             * outgoing direction, so the pair distance cannot grow from a
-             * frame that is stale for one of them */
-            if (parallel)
-                npv[k] = npu[k];
-            else
-                npv[k] = ct * nv[k] + st * (cphi * mv[k] + sphi * l_hat[k]);
+            npv[k] = ct * nv[k] + st * (cphi * mv[k] + sphi * l_hat[k]);
         }
-        /* force exactly unit outgoing directions; near the branch cutoffs
-         * the transported frame, and an l_hat off-orthogonal by rounding,
-         * would otherwise leak into the energies */
+        /* force exactly unit outgoing directions; an l_hat off-orthogonal
+         * by rounding would otherwise leak into the energies */
         normalize(npu, d);
         if (v)
             normalize(npv, d);
@@ -313,21 +323,20 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
             acc[2] = err;
         if (v) {
             double delta = d_new - d_old;
-            if (antipodal) {
+            double resid = delta + st * st * sphi * sphi
+                                       * (r_u * r_v - r_u * r_v * c);
+            if (fabs(resid) > acc[0]) {
+                acc[0] = fabs(resid);
+                acc[6] = t;
+            }
+            if (delta > acc[1]) {
+                acc[1] = delta;
+                acc[7] = t;
+            }
+            if (completed) {
                 acc[3] += 1.0;
                 if (delta > acc[5])
                     acc[5] = delta;
-            } else {
-                double resid = delta + st * st * sphi * sphi
-                                           * (r_u * r_v - r_u * r_v * c_raw);
-                if (fabs(resid) > acc[0]) {
-                    acc[0] = fabs(resid);
-                    acc[6] = t;
-                }
-                if (delta > acc[1]) {
-                    acc[1] = delta;
-                    acc[7] = t;
-                }
             }
         }
         acc[4] += 1.0;

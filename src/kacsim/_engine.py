@@ -20,11 +20,11 @@ slower.  ``BACKEND`` names the active engine, ``"c"`` or ``"python"``.
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
 
-    acc[0] max |coupling identity residual| over generic events
-    acc[1] max signed pair distance increment over generic events
+    acc[0] max |coupling identity residual| over all events
+    acc[1] max signed pair distance increment over all events
     acc[2] max relative pair conservation error (over the copies)
-    acc[3] count of antipodal events (resolved with a random plane; the
-           transported-frame identity does not apply to them)
+    acc[3] count of antipodal events, whose frame plane was completed with
+           the Gaussian ``gs`` (they count in acc[0] and acc[1] too)
     acc[4] events processed
     acc[5] max signed pair distance increment over antipodal events
     acc[6] event time at which acc[0] was attained
@@ -189,12 +189,9 @@ def advance_coupled(u, v, t, t_next, t_stop, rate, max_events,
                     cursor, proj_ctr, proj_every, acc):
     """Process events on two copies driven by the same randomness.
 
-    The frames follow the rule of geometry.transport_frames: generic frames
-    from the shared plane, a deterministic common axis for coincident
-    directions, and a plane completed with ``gs`` for antipodal ones.
-    Coincident directions give both copies the identical outgoing
-    direction, and all outgoing directions are renormalized before the
-    update, so pair conservation holds to rounding in every branch.
+    The frames follow geometry.transport_frames, with ``gs`` completing the
+    plane of antipodal directions; pair conservation and the coupling
+    identity hold to rounding on every event.
 
     Returns (t, t_next, cursor, proj_ctr, status).
     """
@@ -277,7 +274,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
         draws = _draws(cursor, i, j, thetas, cphis, exps, *gaussians)
         try:
             if coupled:
-                t_next, _, delta, resid = step_coupled(
+                t_next, _, delta, resid, completed = step_coupled(
                     *states, None, t=t, rate=rate, draws=draws)
             else:
                 t_next, _ = step_kac(*states, None, t=t, rate=rate,
@@ -287,14 +284,13 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
         err = max(_pair_error(b, x[[i, j]]) for b, x in zip(before, states))
         acc[2] = max(acc[2], err)
         if coupled:
-            if resid is None:
+            if abs(resid) > acc[0]:
+                acc[0], acc[6] = abs(resid), t
+            if delta > acc[1]:
+                acc[1], acc[7] = delta, t
+            if completed:
                 acc[3] += 1.0
                 acc[5] = max(acc[5], delta)
-            else:
-                if abs(resid) > acc[0]:
-                    acc[0], acc[6] = abs(resid), t
-                if delta > acc[1]:
-                    acc[1], acc[7] = delta, t
         acc[4] += 1.0
         proj_ctr += 1
         if proj_ctr >= proj_every:

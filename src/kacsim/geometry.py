@@ -11,13 +11,12 @@ of :mod:`kacsim._engine`; this module provides the frame pieces they share:
   normalized (uniform on the sphere of the complement),
 * ``sample_azimuth_cos``, the azimuth law with density sin(phi)^(d-3), and
 * ``transport_frames``, the in-plane vectors of the rotation that carries
-  one relative direction onto the other, with its parallel and antipodal
-  branches.
+  one relative direction onto the other, built from the half-angle basis
+  (n_u + n_v, n_u - n_v) and exact at every angle; only identical and
+  antipodal directions, where the plane is not fixed, are completed.
 
-``orthonormal_to``, ``complement_unit`` and ``sample_azimuth_cos`` broadcast
-over leading axes (vectors shaped ``(d,)`` or ``(..., d)``);
-``transport_frames`` takes two single vectors of shape ``(d,)``.
-Dimensions d >= 3 are supported throughout.
+Vectors are single arrays of shape ``(d,)``; ``sample_azimuth_cos`` draws
+any number of samples.  Dimensions d >= 3 are supported throughout.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ __all__ = [
     "transport_frames",
 ]
 
-# Two directions count as antipodal when 1 + <n_u, n_v> falls below this;
-# the transport plane is then completed with an independent random direction.
-ANTIPODAL_EPS = 1e-9
-# Two directions count as identical when 1 - <n_u, n_v> falls below this;
-# the transport degenerates to the identity.  The cut keeps the Gram-Schmidt
-# step well conditioned while bounding the induced inner-product error by
-# PARALLEL_EPS itself.
-PARALLEL_EPS = 1e-13
 # complement_unit projects a second time when the first projection keeps
 # less than this fraction of |g|^2; below it the first pass can leave the
 # result off-orthogonal by more than 1e-12 (eps / sqrt(REORTHO_RATIO)).
@@ -50,10 +41,6 @@ class GeometryError(ValueError):
     """Raised when a vector or frame violates its construction contract."""
 
 
-def _norm(x, axis=-1):
-    return np.sqrt(np.sum(x * x, axis=axis))
-
-
 def orthonormal_to(n):
     """Deterministic unit vector orthogonal to ``n``.
 
@@ -61,12 +48,10 @@ def orthonormal_to(n):
     keeps the construction well conditioned for every input.
     """
     n = np.asarray(n, dtype=np.float64)
-    d = n.shape[-1]
-    k = np.argmin(np.abs(n), axis=-1)
-    e = np.zeros(n.shape)
-    np.put_along_axis(e, k[..., None], 1.0, axis=-1)
-    w = e - np.sum(e * n, axis=-1)[..., None] * n
-    return w / _norm(w)[..., None]
+    k = int(np.argmin(np.abs(n)))
+    w = -n[k] * n
+    w[k] += 1.0
+    return w / np.sqrt(np.sum(w * w))
 
 
 def complement_unit(gauss, basis):
@@ -80,20 +65,17 @@ def complement_unit(gauss, basis):
     g = np.asarray(gauss, dtype=np.float64)
     w = g.copy()
     for b in basis:
-        w -= np.sum(w * b, axis=-1)[..., None] * b
+        w -= np.sum(w * b) * b
     # rounding leaves w a component along the basis of relative size
     # eps |g| / |w|; where g lies nearly in the basis span that component
     # would break the frame identities, so project once more
-    again = np.sum(w * w, axis=-1) < REORTHO_RATIO * np.sum(g * g, axis=-1)
-    if np.any(again):
-        w2 = w.copy()
+    if np.sum(w * w) < REORTHO_RATIO * np.sum(g * g):
         for b in basis:
-            w2 -= np.sum(w2 * b, axis=-1)[..., None] * b
-        w = np.where(again[..., None], w2, w)
-    nrm = _norm(w)
-    if np.any(nrm < 1e-12):
+            w -= np.sum(w * b) * b
+    nrm = np.sqrt(np.sum(w * w))
+    if nrm < 1e-12:
         raise GeometryError("complement projection annihilated the sample")
-    return w / nrm[..., None]
+    return w / nrm
 
 
 def sample_azimuth_cos(d, rng, size=None):
@@ -116,22 +98,42 @@ def transport_frames(n_u, n_v, sigma=None):
 
         <m_u, m_v> = <n_u, n_v>      and      <n_u, m_v> = -<m_u, n_v>.
 
-    When the inputs are antipodal the plane is not unique and is completed
-    with the tie-break vector ``sigma`` (projected orthogonal to n_u), with
-    m_v = -m_u.  When the inputs coincide the transport is the identity and
-    m_v = m_u.
+    Both come from one half-angle basis: with w = n_u + n_v, z = n_u - n_v
+    and the half angle's cos = |w|/2 and sin = |z|/2,
+
+        m_u = sin w^ - cos z^,      m_v = -sin w^ - cos z^,
+
+    where the shorter of w^, z^ is projected orthogonal to the longer, so
+    the frame is exact at every angle.  Where the shorter one has no
+    direction off the longer (it is zero, or rounding noise along it) the
+    plane is open: identical directions take m_u = m_v = orthonormal_to(n_u),
+    and antipodal ones complete w^ with the tie-break vector ``sigma``.
+
+    Returns (m_u, m_v, completed), ``completed`` telling whether ``sigma``
+    was used.
     """
-    c = float(np.clip(np.dot(n_u, n_v), -1.0, 1.0))
-    if 1.0 - c < PARALLEL_EPS:
+    w, z = n_u + n_v, n_u - n_v
+    ww, zz = float(w @ w), float(z @ z)
+    cos_h, sin_h = 0.5 * np.sqrt(ww), 0.5 * np.sqrt(zz)
+    w_short = ww < zz
+    (lo, ll), (hi, hh) = ((w, ww), (z, zz)) if w_short else ((z, zz), (w, ww))
+    # complement_unit's rule on lo / |lo| against hi / |hi|, unscaled
+    for _ in range(2):
+        lo = lo - (np.sum(lo * hi) / hh) * hi
+        s = float(np.sum(lo * lo))
+        if not s < REORTHO_RATIO * ll:
+            break
+    is_open = not s > 1e-24 * ll
+    if is_open and not w_short:
         m_u = orthonormal_to(n_u)
-        return m_u, m_u.copy(), c
-    if 1.0 + c < ANTIPODAL_EPS:
-        if sigma is None:
-            raise GeometryError("antipodal directions need a tie-break vector sigma")
-        m_u = complement_unit(sigma, (n_u,))
-        return m_u, -m_u, c
-    w_u = n_v - c * n_u
-    m_u = w_u / _norm(w_u)
-    w_v = n_u - c * n_v
-    m_v = -w_v / _norm(w_v)
-    return m_u, m_v, c
+        return m_u, m_u.copy(), False
+    hi = hi * (0.5 / (sin_h if w_short else cos_h))
+    if not is_open:
+        lo = lo * (1.0 / np.sqrt(s))
+    elif sigma is None:
+        raise GeometryError("antipodal directions need a tie-break vector sigma")
+    else:
+        lo = complement_unit(sigma, (hi,))
+    w_hat, z_hat = (lo, hi) if w_short else (hi, lo)
+    return (sin_h * w_hat - cos_h * z_hat, -sin_h * w_hat - cos_h * z_hat,
+            is_open)

@@ -161,7 +161,7 @@ def test_creation_matches_event_decrement():
     deltas = np.empty(m)
     for k in range(m):
         u, v = u0.copy(), v0.copy()
-        _, _, delta, _ = system.step_coupled(u, v, UNIFORM, rng)
+        delta = system.step_coupled(u, v, UNIFORM, rng)[2]
         deltas[k] = delta / n
     est = -rate * float(np.mean(deltas))
     se = rate * float(np.std(deltas, ddof=1) / np.sqrt(m))

@@ -128,6 +128,17 @@ def test_decay_config_default_m4_init_fits_the_dimension(tmp_path):
                                         name="d3.cfg")).m4_init == 3.0
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_direct_decay_config_default_m4_init_validates(d):
+    """A config built in code takes the same d-dependent m4_init default
+    as one read from a file, and 0 asks for that default explicitly."""
+    cfg = cli.ExperimentConfig(kind="decay", d=d)
+    cli.validate_config(cfg)
+    assert cfg.m4_init == system.default_m4_init(d)
+    assert cli.ExperimentConfig(d=d, m4_init=0.0).m4_init == cfg.m4_init
+    assert cli.ExperimentConfig(d=d, m4_init=2.5).m4_init == 2.5
+
+
 def test_decay_run_outputs_and_determinism(tmp_path, capsys):
     path = write_config(tmp_path, DECAY_CFG)
     out_a = tmp_path / "a"
@@ -179,6 +190,9 @@ def test_decay_identical_initial_law(tmp_path):
 
 
 def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
+    """One pair_statistics call per decay sample, also for a negatively
+    correlated state, whose weak report fails and whose creation is read
+    from the same pass."""
     calls = []
     build = cli.analysis.pair_statistics
 
@@ -195,6 +209,14 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
                   for r in range(3))
     assert samples == 3 * 5
     assert len(calls) == samples
+
+    calls.clear()
+    u = cli.sample_equilibrium(12, 3, np.random.default_rng(8))
+    notes = []
+    row = {name: read(u, -u) for name, read in
+           cli._decay_observables(0.5, 4.0, notes).items()}
+    assert len(calls) == 1
+    assert len(notes) == 1 and row["weak_slack"] == -np.inf
 
 
 def test_decay_observables_ignore_call_order():

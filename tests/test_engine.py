@@ -1,9 +1,10 @@
 """The C event loop against the python reference steppers.
 
-Each branch of the coupled frame rule (generic, parallel cutoff, antipodal
-within the cutoff and exactly, zero relative speed in one copy) is driven
-on purpose with a constructed one-event batch and compared with
-``system.step_coupled``, and a single copy (generic pair, pair at rest)
+The coupled frame is driven on purpose with constructed one-event batches:
+generic, nearly parallel, nearly and exactly antipodal directions, and
+zero relative speed in one copy are compared with ``system.step_coupled``,
+and a sweep of angles near 0 and pi checks the per-event identities on
+both backends.  A single copy (generic pair, pair at rest) is compared
 with ``system.step_kac``; the python fallback is forced and compared with
 the C loop on short runs.
 """
@@ -11,6 +12,7 @@ the C loop on short runs.
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +57,10 @@ def _engine_coupled_event(u, v, i, j, theta, cphi, gl, gs):
 def _reference_coupled_event(u, v, i, j, theta, cphi, gl, gs):
     u, v = u.copy(), v.copy()
     j0 = j - 1 if j > i else j
-    t, _, delta, resid = system.step_coupled(
+    t, _, delta, resid, completed = system.step_coupled(
         u, v, None, t=0.5, rate=1.0, draws=(0.25, i, j0, theta, cphi, gl, gs))
     assert t == 0.75
-    return u, v, delta, resid
+    return u, v, delta, resid, completed
 
 
 def _branch_states(branch, d, rng):
@@ -69,10 +71,10 @@ def _branch_states(branch, d, rng):
     p = geometry.complement_unit(rng.standard_normal(d), (_unit(du),))
     r = np.sqrt(du @ du)
     if branch == "parallel":
-        # directions 1e-8 apart: 1 - cos < PARALLEL_EPS, yet not identical
+        # directions 1e-8 apart: 1 - cos ~ 5e-17, yet not identical
         v[0] = v[1] + 1.7 * (du + 1e-8 * r * p)
     elif branch == "antipodal":
-        # 1 + cos ~ 5e-13 < ANTIPODAL_EPS
+        # 1 + cos ~ 5e-13, yet not antipodal
         v[0] = v[1] - 1.3 * (du + 1e-6 * r * p)
     elif branch == "antipodal_exact":
         # swapped rows: dv = -du exactly
@@ -88,45 +90,51 @@ BRANCHES = ["generic", "parallel", "antipodal", "v_at_rest", "u_at_rest",
             "antipodal_exact"]
 
 
+def _assert_deflected(theta, starts, outs):
+    """In each copy whose pair (0, 1) moves, the outgoing relative velocity
+    has the incoming speed and makes the angle theta with the incoming one,
+    within ATOL."""
+    for start, out in zip(starts, outs):
+        axis, new = start[0] - start[1], out[0] - out[1]
+        r = np.sqrt(axis @ axis)
+        if r == 0.0:
+            continue
+        assert abs(np.sqrt(new @ new) / r - 1.0) <= ATOL
+        assert abs(new @ axis / r ** 2 - np.cos(theta)) <= ATOL
+
+
 @needs_c
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_c_matches_reference_on_each_branch(branch, d):
+    """Every case obeys the per-event identity (residual, increment and
+    conservation within ATOL, each copy deflected by theta); only the
+    exactly antipodal one completes its plane with g_sigma."""
     rng = np.random.default_rng([d, BRANCHES.index(branch)])
     u, v = _branch_states(branch, d, rng)
     theta, cphi = 1.1, 0.3
     gl, gs = rng.standard_normal(d), rng.standard_normal(d)
     uc, vc, acc = _engine_coupled_event(u, v, 0, 1, theta, cphi, gl, gs)
-    ur, vr, delta, resid = _reference_coupled_event(u, v, 0, 1, theta, cphi,
-                                                    gl, gs)
+    ur, vr, delta, resid, completed = _reference_coupled_event(
+        u, v, 0, 1, theta, cphi, gl, gs)
 
     np.testing.assert_allclose(uc, ur, rtol=0, atol=ATOL)
     np.testing.assert_allclose(vc, vr, rtol=0, atol=ATOL)
     assert acc[4] == 1.0
     assert acc[2] <= ATOL
-    if branch.startswith("antipodal"):
-        assert resid is None
-        assert acc[3] == 1.0
+    assert isinstance(resid, float)
+    assert abs(resid) <= ATOL and acc[0] <= ATOL
+    np.testing.assert_allclose(acc[1], delta, rtol=0, atol=ATOL)
+    assert delta <= ATOL
+    _assert_deflected(theta, (u, v, u, v), (uc, vc, ur, vr))
+    if branch == "antipodal_exact":
+        assert completed and acc[3] == 1.0
         np.testing.assert_allclose(acc[5], delta, rtol=0, atol=ATOL)
     else:
-        assert acc[3] == 0.0
-        assert abs(resid) <= ATOL and acc[0] <= ATOL
-        np.testing.assert_allclose(acc[1], delta, rtol=0, atol=ATOL)
-        assert delta <= ATOL
-    if branch == "antipodal_exact":
-        # the plane is completed at random, yet in each copy the outgoing
-        # direction is a unit vector at angle theta from its own axis
-        for start, out in ((u, uc), (v, vc), (u, ur), (v, vr)):
-            axis, new = start[0] - start[1], out[0] - out[1]
-            r = np.sqrt(axis @ axis)
-            assert abs(np.sqrt(new @ new) / r - 1.0) <= ATOL
-            assert abs(new @ axis / r ** 2 - np.cos(theta)) <= ATOL
+        assert not completed and acc[3] == 0.0
 
     # the event really took its branch
-    if branch == "parallel":
-        np.testing.assert_allclose(_unit(uc[0] - uc[1]), _unit(vc[0] - vc[1]),
-                                   rtol=0, atol=1e-15)
-    elif branch in ("v_at_rest", "u_at_rest"):
+    if branch in ("v_at_rest", "u_at_rest"):
         still, moved = (vc, uc) if branch == "v_at_rest" else (uc, vc)
         start_still, start_moved = (v, u) if branch == "v_at_rest" else (u, v)
         np.testing.assert_array_equal(still, start_still)
@@ -165,10 +173,16 @@ def test_c_matches_reference_on_single_copy(branch, d):
 
 
 def test_c_thresholds_equal_geometry_constants():
-    defines = dict(re.findall(r"^#define (\w+) (\S+)$",
-                              _engine._SOURCE.read_text(), re.MULTILINE))
-    for name in ("PARALLEL_EPS", "ANTIPODAL_EPS", "REORTHO_RATIO"):
-        assert float(defines[name]) == getattr(geometry, name)
+    """The one shared threshold agrees, and the angle cutoffs the
+    half-angle frame replaced stay gone from both languages."""
+    source = _engine._SOURCE.read_text()
+    defines = dict(re.findall(r"^#define (\w+) (\S+)$", source,
+                              re.MULTILINE))
+    assert float(defines["REORTHO_RATIO"]) == geometry.REORTHO_RATIO
+    python_source = Path(geometry.__file__).read_text()
+    for name in ("PARALLEL_EPS", "ANTIPODAL_EPS"):
+        assert name not in defines and not hasattr(geometry, name)
+        assert name not in source and name not in python_source
 
 
 @pytest.fixture(params=["c", "python"])
@@ -221,7 +235,7 @@ def test_coupled_rejects_antipodal_sigma_along_the_axis(backend, d):
     """An antipodal event whose g_sigma lies along n_u cannot complete the
     plane: the event raises and both copies keep their velocities."""
     rng = np.random.default_rng([42, d])
-    u, v = _branch_states("antipodal", d, rng)
+    u, v = _branch_states("antipodal_exact", d, rng)
     start_u, start_v, acc = u.copy(), v.copy(), np.zeros(8)
     gs = 2.0 * _unit(u[0] - u[1])
     with pytest.raises(geometry.GeometryError, match="batch slot 0"):
@@ -289,11 +303,78 @@ def test_coupled_identity_holds_when_gaussian_nearly_in_plane(seed, d):
     theta, cphi, gs = 1.2, 0.1, rng.standard_normal(d)
 
     _, _, acc = _engine_coupled_event(u, v, 0, 1, theta, cphi, gl, gs)
-    _, _, delta, resid = _reference_coupled_event(u, v, 0, 1, theta, cphi,
-                                                  gl, gs)
-    assert acc[3] == 0.0 and resid is not None
+    _, _, delta, resid, completed = _reference_coupled_event(
+        u, v, 0, 1, theta, cphi, gl, gs)
+    assert acc[3] == 0.0 and not completed
     assert acc[0] <= ATOL and abs(resid) <= ATOL
     assert acc[1] <= ATOL and delta <= ATOL
+
+
+def _angle_states(case, eps, d, rng):
+    """Two 2-particle copies whose relative velocities make the angle eps
+    ("near_0") or pi - eps ("near_pi"), or with one copy's pair at rest.
+    eps = 0 is exact: the second axis is the first scaled by +-2."""
+    x = rng.standard_normal(d)
+    if case.endswith("at_rest"):
+        moving = np.stack([x, np.zeros(d)])
+        still = np.stack([x, x])
+        return (still, moving) if case == "u_at_rest" else (moving, still)
+    sign = 1.0 if case == "near_0" else -1.0
+    if eps == 0.0:
+        y = 2.0 * sign * x
+    else:
+        n = _unit(x)
+        p = geometry.complement_unit(rng.standard_normal(d), (n,))
+        y = 1.3 * np.sqrt(x @ x) * (sign * np.cos(eps) * n + np.sin(eps) * p)
+    return np.stack([x, np.zeros(d)]), np.stack([y, np.zeros(d)])
+
+
+ANGLE_EPS = [0.0, 1e-12, 1e-8, 1e-6, 4.5e-5, 1e-2]
+ANGLE_CASES = ([("near_0", e) for e in ANGLE_EPS]
+               + [("near_pi", e) for e in ANGLE_EPS]
+               + [("u_at_rest", None), ("v_at_rest", None)])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("case, eps", ANGLE_CASES,
+                         ids=[f"{c}-{e}" for c, e in ANGLE_CASES])
+def test_coupled_identity_at_every_angle(backend, case, eps, d):
+    """The half-angle frame is exact at every angle between the copies'
+    relative directions: per event the identity residual, the pair
+    distance increment and the conservation error stay within 1e-12 and
+    each copy is deflected by theta.  Only exactly antipodal directions
+    complete their plane with g_sigma."""
+    rng = np.random.default_rng([43, d, ANGLE_CASES.index((case, eps))])
+    u, v = _angle_states(case, eps, d, rng)
+    for theta, cphi in ((1.1, 0.3), (2.9, -0.8), (0.2, 0.95)):
+        gl, gs = rng.standard_normal(d), rng.standard_normal(d)
+        uc, vc, acc = _engine_coupled_event(u, v, 0, 1, theta, cphi, gl, gs)
+        assert acc[0] <= 1e-12
+        assert acc[1] <= 1e-12
+        assert acc[2] <= 1e-12
+        _assert_deflected(theta, (u, v), (uc, vc))
+        assert acc[3] == float(case == "near_pi" and eps == 0.0)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-19], ids=["on_axis", "tilted"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same", "opposite"])
+def test_coupled_axis_directions_one_ulp_apart(backend, sign, tilt):
+    """Relative velocities along one axis whose unit vectors differ in the
+    last bit (49 * (1/49) < 1): the shorter of n_u +- n_v is rounding noise
+    along the longer.  On the axis the event takes the identical or the
+    antipodal completion instead of normalizing that noise; tilted by
+    ~2e-21 the noise has a direction off the longer, and the frame uses
+    it."""
+    u = np.array([[49.0, tilt, 0.0], [0.0, 0.0, 0.0]])
+    v = np.array([[sign * 3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    gl, gs = np.array([0.3, -0.5, 0.7]), np.array([0.1, 0.9, -0.4])
+    uc, vc, acc = _engine_coupled_event(u, v, 0, 1, 1.1, 0.3, gl, gs)
+    assert np.all(np.isfinite(uc)) and np.all(np.isfinite(vc))
+    assert acc[0] <= 1e-12 * 49.0 * 3.0
+    assert acc[1] <= 1e-12 * 49.0 * 3.0
+    assert acc[2] <= 1e-12
+    _assert_deflected(1.1, (u, v), (uc, vc))
+    assert acc[3] == float(sign < 0 and tilt == 0.0)
 
 
 def _short_runs():

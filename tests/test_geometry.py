@@ -50,30 +50,51 @@ def test_sample_azimuth_cos_moments():
 
 
 def test_transport_frames_exact_relations():
+    """The frame relations hold at random angles, at angles down to 1e-12
+    from 0 and from pi, and where n_u + n_v is rounding noise 2e-6 from
+    n_u - n_v (a second projection), none of which completes the plane."""
     rng = np.random.default_rng(19)
+    ulp = np.spacing(0.6)
+    noise = [(np.array([0.6, 0.8, 0.0]),
+              np.array([-0.6 - 3 * k * ulp, -0.8 - 4 * k * ulp, 1e-21]))
+             for k in (1, 5)]
     for d in (3, 6):
-        for _ in range(300):
-            n_u, n_v = unit(rng, d), unit(rng, d)
-            m_u, m_v, c = geo.transport_frames(n_u, n_v)
+        pairs = [(unit(rng, d), unit(rng, d)) for _ in range(300)]
+        pairs += noise if d == 3 else []
+        for eps in (1e-12, 1e-8, 1e-4):
+            for sign in (1.0, -1.0):
+                n = unit(rng, d)
+                p = geo.complement_unit(rng.standard_normal(d), (n,))
+                n_v = sign * np.cos(eps) * n + np.sin(eps) * p
+                pairs.append((n, n_v / np.linalg.norm(n_v)))
+        for n_u, n_v in pairs:
+            m_u, m_v, completed = geo.transport_frames(n_u, n_v)
+            c = n_u @ n_v
+            assert not completed
+            assert abs(np.linalg.norm(m_u) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(m_v) - 1.0) < 1e-12
             assert abs(m_u @ n_u) < 1e-12
             assert abs(m_v @ n_v) < 1e-12
             assert abs(m_u @ m_v - c) < 1e-12
             assert abs(n_u @ m_v + m_u @ n_v) < 1e-12
+            # m_u points from n_u toward n_v
+            assert m_u @ n_v >= 0.0
 
 
 def test_transport_frames_parallel_and_antipodal():
     n = np.array([0.0, 0.0, 1.0])
-    m_u, m_v, c = geo.transport_frames(n, n.copy())
+    m_u, m_v, completed = geo.transport_frames(n, n.copy())
     np.testing.assert_array_equal(m_u, m_v)
-    assert c == 1.0
+    np.testing.assert_array_equal(m_u, geo.orthonormal_to(n))
+    assert not completed
 
     with pytest.raises(geo.GeometryError):
         geo.transport_frames(n, -n)  # needs a tie-break vector
     sigma = np.array([0.3, 0.4, 0.5])
-    m_u, m_v, c = geo.transport_frames(n, -n, sigma)
+    m_u, m_v, completed = geo.transport_frames(n, -n, sigma)
     np.testing.assert_allclose(m_v, -m_u)
     assert abs(m_u @ n) < 1e-12
-    assert c == -1.0
+    assert completed
 
 
 def _directions(x):

@@ -133,7 +133,8 @@ def test_step_coupled_identical_copies_stay_identical():
     v = u.copy()
     t = 0.0
     for _ in range(100):
-        t, ev, delta, residual = system.step_coupled(u, v, UNIFORM, rng, t=t)
+        t, ev, delta, residual, _ = system.step_coupled(u, v, UNIFORM, rng,
+                                                        t=t)
         assert delta <= 1e-15
     np.testing.assert_array_equal(u, v)
 
@@ -145,9 +146,9 @@ def test_step_coupled_residual_identity():
     worst_resid, worst_delta = 0.0, -np.inf
     t = 0.0
     for _ in range(500):
-        t, ev, delta, residual = system.step_coupled(u, v, UNIFORM, rng, t=t)
-        if residual is not None:
-            worst_resid = max(worst_resid, abs(residual))
+        t, ev, delta, residual, _ = system.step_coupled(u, v, UNIFORM, rng,
+                                                        t=t)
+        worst_resid = max(worst_resid, abs(residual))
         worst_delta = max(worst_delta, delta)
     assert worst_resid < 1e-12
     assert worst_delta <= 1e-13
@@ -208,10 +209,9 @@ def test_engine_matches_python_step_coupled():
         i, j = int(ii[k]), int(jj[k])
         j0 = j - 1 if j > i else j
         w = w0 if k == 0 else float(exps[k - 1])
-        t, _, _, _ = system.step_coupled(u, v, UNIFORM, t=t, rate=rate,
-                                         draws=(w, i, j0, float(thetas[k]),
-                                                float(cphis[k]), gl[k],
-                                                gs[k]))
+        t = system.step_coupled(u, v, UNIFORM, t=t, rate=rate,
+                                draws=(w, i, j0, float(thetas[k]),
+                                       float(cphis[k]), gl[k], gs[k]))[0]
 
     fu, fv = rec.final
     np.testing.assert_allclose(fu, u, atol=1e-12)
