@@ -3,10 +3,9 @@
  * kac_advance runs the coupled dynamics on u and v, or Kac's dynamics on u
  * alone when v is NULL (gs is then not read).  Loaded through ctypes by
  * _engine.py, which documents the accumulator layout and the status codes.
- * The arithmetic follows the python reference steppers step by step, and
- * the relative directions bit for bit: the coupled frame amplifies their
- * rounding near identical or antipodal directions.  Build with
- * -ffp-contract=off (and never -ffast-math) so no fused multiply-add
+ * system._collide spells the same arithmetic in python operation for
+ * operation, so the python fallback replays this loop bit for bit.  Build
+ * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
  * changes the rounding.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
@@ -21,6 +20,7 @@
 #include <string.h>
 
 #define REORTHO_RATIO 1e-8
+#define ANNIHILATION_SQ 1e-24
 
 /* out = (a - b)/|a - b|; returns |a - b|.  Zero difference -> e_0. */
 static double unit_of_diff(const double *a, const double *b, double *out,
@@ -93,7 +93,7 @@ static double project_out(double *x, const double *n, const double *m,
 /* Unit vector along g projected orthogonal to n and m (orthonormal; m may
  * be NULL), the rule of geometry.complement_unit: a g within a relative
  * REORTHO_RATIO of the span is projected twice.  Returns -1, with out not
- * normalized, when the projection keeps |w| <= 1e-12. */
+ * normalized, when the projection keeps |w|^2 <= ANNIHILATION_SQ. */
 static int complement_unit(const double *g, const double *n, const double *m,
                            double *out, int64_t d)
 {
@@ -104,7 +104,7 @@ static int complement_unit(const double *g, const double *n, const double *m,
     double s = project_out(out, n, m, d);
     if (s < REORTHO_RATIO * g2)
         s = project_out(out, n, m, d);
-    if (!(s > 1e-24))
+    if (!(s > ANNIHILATION_SQ))
         return -1;
     double inv = 1.0 / sqrt(s);
     for (int64_t k = 0; k < d; k++)
@@ -158,7 +158,7 @@ static int transport_frames(const double *nu, const double *nv,
             s += lo[k] * lo[k];
         }
     }
-    int is_open = !(s > 1e-24 * ll);
+    int is_open = !(s > ANNIHILATION_SQ * ll);
     if (is_open && !w_short) {
         ortho_axis(nu, mu, d);
         memcpy(mv, mu, (size_t)d * sizeof(double));

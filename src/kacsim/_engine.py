@@ -4,7 +4,7 @@ The drivers in :mod:`kacsim.system` pre-draw batches of randomness with a
 numpy Generator and hand them to the advance functions below, which consume
 one slot per event.  Keeping the random stream outside the compiled code
 makes the python reference stepper and the compiled loop consume draws in
-exactly the same order, so the two paths can be compared event by event.
+the same order; as they also round alike, they agree bit for bit.
 
 The loop is one C function, ``kac_advance`` in ``_engine.c`` (next to this
 file), for one copy or two: ``advance_kac`` passes NULL for the second copy
@@ -12,10 +12,11 @@ and its Gaussians, ``advance_coupled`` passes both.  It is loaded through
 ctypes; the shared library is compiled with ``cc`` on first import and
 cached in this package's ``__pycache__`` under a hash of the source, so
 later imports only load it.  If the compiler or the load fails, a
-RuntimeWarning names the error and the advance functions drive the python
-reference steppers ``system.step_kac``/``system.step_coupled`` over the
-same batch instead: same results to rounding, about a thousand times
-slower.  ``BACKEND`` names the active engine, ``"c"`` or ``"python"``.
+RuntimeWarning names the error and the advance functions run the python
+reference stepper ``system._collide`` on each slot of the same batch
+instead: the same results bit for bit (final states, times and every
+accumulator slot), about a thousand times slower.  ``BACKEND`` names the
+active engine, ``"c"`` or ``"python"``.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -36,8 +37,8 @@ momentum errors against the pair RMS speed, so the check is scale free.
 Status codes returned by the advance functions: 0 = reached t_stop,
 1 = random batch exhausted, 2 = event budget reached.  A pair index
 outside [0, n) raises IndexError (C status -1).  A Gaussian that keeps
-|w| <= 1e-12 after projection orthogonal to the frame (``g_l`` in
-span(n, m), or an antipodal ``g_sigma`` along n_u) raises
+|w|^2 <= geometry.ANNIHILATION_SQ after projection orthogonal to the
+frame (``g_l`` in span(n, m), or an antipodal ``g_sigma`` along n_u) raises
 geometry.GeometryError (C status -2), as geometry.complement_unit does.
 Both errors name the batch slot and leave its pair unchanged.
 """
@@ -126,8 +127,9 @@ def _select_backend(cache_dir=_CACHE_DIR):
     except OSError as exc:
         _LIB, BACKEND = None, "python"
         warnings.warn(f"kacsim: the C event loop is unavailable ({exc}); "
-                      "running the python reference stepper, about 1000x "
-                      "slower", RuntimeWarning, stacklevel=2)
+                      "running the python reference stepper, same results "
+                      "bit for bit but about 1000x slower", RuntimeWarning,
+                      stacklevel=2)
 
 
 _LIB = None
@@ -215,12 +217,11 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
         raise ValueError(f"copies differ in shape: {states[0].shape} vs "
                          f"{states[1].shape}")
     n, d = states[0].shape
-    if _LIB is None:
-        return _python_advance(states, t, t_next, t_stop, rate, max_events,
-                               thetas, cphis, exps, pi, pj, gaussians,
-                               cursor, proj_ctr, proj_every, acc)
     nb = np.shape(thetas)[0]
     batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians)
+    if _LIB is None:
+        return _python_advance(states, t, t_next, t_stop, rate, max_events,
+                               batch, cursor, proj_ctr, proj_every, acc)
     v, gs = ((states[1].ctypes.data, batch[6].ctypes.data) if coupled
              else (None, None))
     clock = np.array([t, t_next], dtype=np.float64)
@@ -233,30 +234,13 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
     return _finish(clock, ctr, status)
 
 
-# --- fallback: the python reference steppers over the same batch ------------
-
-def _pair_error(before, after):
-    """Relative energy/momentum change of one particle pair (2, d)."""
-    e_old = float(np.sum(before * before))
-    e_new = float(np.sum(after * after))
-    mom = float(np.max(np.abs(after.sum(axis=0) - before.sum(axis=0))))
-    return max(abs(e_new - e_old) / (e_old + 1e-300),
-               mom / (np.sqrt(e_old) + 1e-300))
-
-
-def _draws(cursor, i, j, thetas, cphis, exps, *gaussians):
-    """One batch slot in the ``draws`` layout of the reference steppers."""
-    j0 = j - 1 if j > i else j
-    return ((float(exps[cursor]), i, j0, float(thetas[cursor]),
-             float(cphis[cursor])) + tuple(g[cursor] for g in gaussians))
-
-
-def _python_advance(states, t, t_next, t_stop, rate, max_events,
-                    thetas, cphis, exps, pi, pj, gaussians,
+def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
                     cursor, proj_ctr, proj_every, acc):
-    from .system import project_to_constraint_sphere, step_coupled, step_kac
+    """kac_advance in python: system._collide on each batch slot, with the
+    same stops, accumulator updates and reprojection."""
+    from .system import _collide, _reproject
 
-    coupled = len(states) == 2
+    thetas, cphis, exps, pi, pj, *gaussians = batch
     n = states[0].shape[0]
     while True:
         if t_next > t_stop:
@@ -270,31 +254,28 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events,
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair index out of range at batch slot {cursor}")
         t = t_next
-        before = [x[[i, j]] for x in states]
-        draws = _draws(cursor, i, j, thetas, cphis, exps, *gaussians)
         try:
-            if coupled:
-                t_next, _, delta, resid, completed = step_coupled(
-                    *states, None, t=t, rate=rate, draws=draws)
-            else:
-                t_next, _ = step_kac(*states, None, t=t, rate=rate,
-                                     draws=draws)
+            delta, resid, completed, err = _collide(
+                states, i, j, float(thetas[cursor]), float(cphis[cursor]),
+                *(g[cursor] for g in gaussians))
         except GeometryError as exc:
             raise GeometryError(f"{exc} at batch slot {cursor}") from exc
-        err = max(_pair_error(b, x[[i, j]]) for b, x in zip(before, states))
-        acc[2] = max(acc[2], err)
-        if coupled:
+        if err > acc[2]:
+            acc[2] = err
+        if delta is not None:
             if abs(resid) > acc[0]:
                 acc[0], acc[6] = abs(resid), t
             if delta > acc[1]:
                 acc[1], acc[7] = delta, t
             if completed:
                 acc[3] += 1.0
-                acc[5] = max(acc[5], delta)
+                if delta > acc[5]:
+                    acc[5] = delta
         acc[4] += 1.0
         proj_ctr += 1
         if proj_ctr >= proj_every:
             for x in states:
-                project_to_constraint_sphere(x)
+                _reproject(x)
             proj_ctr = 0
+        t_next = t + float(exps[cursor]) / rate
         cursor += 1

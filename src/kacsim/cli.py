@@ -384,7 +384,7 @@ def run_decay_experiment(cfg, out_dir):
     """Coupled decay runs: per-replica trajectories, aggregate, envelope."""
     kern = build_kernel(cfg)
     delta, p, q = cfg.resolved_exponents()
-    grid = _sample_grid(cfg.horizon, cfg.sample_dt, None)
+    grid = _sample_grid(cfg.horizon, cfg.sample_dt)
 
     hc = analysis.k_main_estimate(delta, p, q, cfg.n, cfg.d,
                                   cfg.constant_samples,

@@ -3,8 +3,8 @@
 Binary elastic collisions preserve the pair momentum and the pair energy, so a
 post-collisional state is fixed by a single unit vector: the new direction of
 the relative velocity.  The collision rule itself lives in the python
-reference steppers ``system.step_kac``/``system.step_coupled`` and the C loop
-of :mod:`kacsim._engine`; this module provides the frame pieces they share:
+reference stepper ``system._collide`` and the C loop of
+:mod:`kacsim._engine`; this module provides the frame pieces they share:
 
 * ``orthonormal_to``, a deterministic unit vector orthogonal to an axis,
 * ``complement_unit``, a Gaussian projected off an orthonormal set and
@@ -15,16 +15,19 @@ of :mod:`kacsim._engine`; this module provides the frame pieces they share:
   (n_u + n_v, n_u - n_v) and exact at every angle; only identical and
   antipodal directions, where the plane is not fixed, are completed.
 
-Vectors are single arrays of shape ``(d,)``; ``sample_azimuth_cos`` draws
-any number of samples.  Dimensions d >= 3 are supported throughout.
+They round as the C loop does (sums in index order by ``sequential_sum``,
+one reciprocal per normalization).  Vectors have shape ``(d,)``, d >= 3.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = [
     "GeometryError",
+    "sequential_sum",
     "orthonormal_to",
     "complement_unit",
     "sample_azimuth_cos",
@@ -35,10 +38,22 @@ __all__ = [
 # less than this fraction of |g|^2; below it the first pass can leave the
 # result off-orthogonal by more than 1e-12 (eps / sqrt(REORTHO_RATIO)).
 REORTHO_RATIO = 1e-8
+# a projection of a unit vector that keeps |w|^2 <= this annihilated it
+ANNIHILATION_SQ = 1e-24
 
 
 class GeometryError(ValueError):
     """Raised when a vector or frame violates its construction contract."""
+
+
+def sequential_sum(x):
+    """Sum of ``x`` in index order, as the C loop adds (numpy's pairwise
+    sum differs from 8 terms on, and builtin ``sum`` compensates from
+    Python 3.12); a dot product is ``sequential_sum(x * y)``."""
+    s = 0.0
+    for xk in np.ravel(x).tolist():
+        s += xk
+    return s
 
 
 def orthonormal_to(n):
@@ -51,31 +66,33 @@ def orthonormal_to(n):
     k = int(np.argmin(np.abs(n)))
     w = -n[k] * n
     w[k] += 1.0
-    return w / np.sqrt(np.sum(w * w))
+    return w * (1.0 / math.sqrt(sequential_sum(w * w)))
 
 
 def complement_unit(gauss, basis):
     """Normalize ``gauss`` after projecting out the vectors in ``basis``.
 
-    ``basis`` is an iterable of mutually orthonormal vectors.  For a standard
-    Gaussian input the result is uniform on the unit sphere of the orthogonal
-    complement.  Raises GeometryError when the projection is shorter than
-    1e-12; the C event loop stops there too.
+    ``basis`` is a tuple of mutually orthonormal vectors, whose
+    coefficients are all taken from the same vector.  For a standard
+    Gaussian input the result is uniform on the unit sphere of the
+    orthogonal complement.  Raises GeometryError when the projection keeps
+    |w|^2 <= ANNIHILATION_SQ; the C event loop stops there too.
     """
-    g = np.asarray(gauss, dtype=np.float64)
-    w = g.copy()
-    for b in basis:
-        w -= np.sum(w * b) * b
+    w = np.asarray(gauss, dtype=np.float64)
+    g2 = sequential_sum(w * w)
     # rounding leaves w a component along the basis of relative size
     # eps |g| / |w|; where g lies nearly in the basis span that component
     # would break the frame identities, so project once more
-    if np.sum(w * w) < REORTHO_RATIO * np.sum(g * g):
-        for b in basis:
-            w -= np.sum(w * b) * b
-    nrm = np.sqrt(np.sum(w * w))
-    if nrm < 1e-12:
+    for _ in range(2):
+        coefs = [sequential_sum(w * b) for b in basis]
+        for a, b in zip(coefs, basis):
+            w = w - a * b
+        s = sequential_sum(w * w)
+        if not s < REORTHO_RATIO * g2:
+            break
+    if not s > ANNIHILATION_SQ:
         raise GeometryError("complement projection annihilated the sample")
-    return w / nrm
+    return w * (1.0 / math.sqrt(s))
 
 
 def sample_azimuth_cos(d, rng, size=None):
@@ -113,27 +130,32 @@ def transport_frames(n_u, n_v, sigma=None):
     was used.
     """
     w, z = n_u + n_v, n_u - n_v
-    ww, zz = float(w @ w), float(z @ z)
-    cos_h, sin_h = 0.5 * np.sqrt(ww), 0.5 * np.sqrt(zz)
+    ww, zz = sequential_sum(w * w), sequential_sum(z * z)
+    cos_h, sin_h = 0.5 * math.sqrt(ww), 0.5 * math.sqrt(zz)
     w_short = ww < zz
     (lo, ll), (hi, hh) = ((w, ww), (z, zz)) if w_short else ((z, zz), (w, ww))
     # complement_unit's rule on lo / |lo| against hi / |hi|, unscaled
     for _ in range(2):
-        lo = lo - (np.sum(lo * hi) / hh) * hi
-        s = float(np.sum(lo * lo))
+        lo = lo - (sequential_sum(lo * hi) / hh) * hi
+        s = sequential_sum(lo * lo)
         if not s < REORTHO_RATIO * ll:
             break
-    is_open = not s > 1e-24 * ll
+    is_open = not s > ANNIHILATION_SQ * ll
     if is_open and not w_short:
         m_u = orthonormal_to(n_u)
         return m_u, m_u.copy(), False
-    hi = hi * (0.5 / (sin_h if w_short else cos_h))
+    # lo * f_lo and hi * f_hi are the unit vectors; the factors are folded
+    # into the two coefficients below
+    f_hi = 0.5 / (sin_h if w_short else cos_h)
     if not is_open:
-        lo = lo * (1.0 / np.sqrt(s))
+        f_lo = 1.0 / math.sqrt(s)
     elif sigma is None:
         raise GeometryError("antipodal directions need a tie-break vector sigma")
     else:
+        hi = hi * f_hi
         lo = complement_unit(sigma, (hi,))
-    w_hat, z_hat = (lo, hi) if w_short else (hi, lo)
-    return (sin_h * w_hat - cos_h * z_hat, -sin_h * w_hat - cos_h * z_hat,
-            is_open)
+        f_lo = f_hi = 1.0
+    (w, f_w), (z, f_z) = ((lo, f_lo), (hi, f_hi)) if w_short else \
+        ((hi, f_hi), (lo, f_lo))
+    a_w, a_z = sin_h * f_w, cos_h * f_z
+    return a_w * w - a_z * z, -a_w * w - a_z * z, is_open

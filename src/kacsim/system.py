@@ -11,9 +11,10 @@ angle drawn from the angular kernel.  ``simulate_kac`` runs one copy and
 ``simulate_coupled`` two copies under shared randomness through transported
 frames; both hand their copies to one driver loop, which feeds pre-drawn
 random batches to the C event loop in :mod:`kacsim._engine` (one loop for
-one copy or two).  ``step_kac``/``step_coupled`` are single-event python
-references used to cross-check the C loop (and run in its place, with a
-warning, where the C loop cannot be built).
+one copy or two).  ``_collide`` is the python reference for one copy or
+two, in the C loop's arithmetic order, so it reproduces it bit for bit;
+``step_kac``/``step_coupled`` call it for single events (the oracle of the
+C loop) and the engine's fallback on each batch slot.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import _engine
 from .geometry import (complement_unit, orthonormal_to, sample_azimuth_cos,
-                       transport_frames)
+                       sequential_sum, transport_frames)
 
 __all__ = [
     "DegenerateInput",
@@ -101,13 +102,6 @@ class TrajectoryRecord:
 
     def column(self, name):
         return self.columns[name]
-
-    def to_csv(self, path, order=None):
-        names = list(order) if order is not None else sorted(self.columns)
-        header = ",".join(["time"] + names)
-        data = np.column_stack([self.times] + [self.columns[k] for k in names])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
 
 
 def project_to_constraint_sphere(v):
@@ -243,16 +237,6 @@ def make_coupled_state(u, v):
     return CoupledState(u=u, v=v_aligned, pairing=perm)
 
 
-def _draws_kac(n, d, kernel, rng):
-    w = float(rng.standard_exponential())
-    i = int(rng.integers(0, n))
-    j0 = int(rng.integers(0, n - 1))
-    theta = float(kernel.sample(rng))
-    cphi = float(sample_azimuth_cos(d, rng))
-    g = rng.standard_normal(d)
-    return w, i, j0, theta, cphi, g
-
-
 def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
     """Apply one collision event in place; python reference path.
 
@@ -260,92 +244,106 @@ def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
     to replay a recorded stream; otherwise everything comes from ``rng``.
     Returns (new_time, (i, j)) with the collided pair i != j.
     """
-    v = np.asarray(v, dtype=np.float64)
-    n, d = v.shape
-    if rate is None:
-        rate = event_rate(kernel, n)
-    if draws is None:
-        draws = _draws_kac(n, d, kernel, rng)
-    w, i, j0, theta, cphi, g = draws
-    j = j0 + 1 if j0 >= i else j0
-    t = t + w / rate
-    n_hat, r = _unit_of_diff(v[i], v[j])
-    m_hat = orthonormal_to(n_hat)
-    l_hat = complement_unit(g, (n_hat, m_hat))
-    npr = _direction(n_hat, m_hat, l_hat, theta, cphi)
-    # an l_hat off-orthogonal by rounding (g nearly in span(n, m)) would
-    # otherwise leak into the pair energy
-    npr *= 1.0 / np.sqrt(npr @ npr)
-    s = v[i] + v[j]
-    v[i] = 0.5 * (s + r * npr)
-    v[j] = 0.5 * (s - r * npr)
-    return t, (i, j)
-
-
-def _unit_of_diff(a, b):
-    """(a - b)/|a - b| and |a - b|, rounded as the C loop rounds them (a
-    sequential sum of squares, then one reciprocal), since the coupled frame
-    amplifies their rounding.  A zero difference gives e_0."""
-    x = a - b
-    s = 0.0
-    for xk in x.tolist():
-        s += xk * xk
-    r = math.sqrt(s)
-    if r == 0.0:
-        x[:] = 0.0
-        x[0] = 1.0
-        return x, 0.0
-    return x * (1.0 / r), r
-
-
-def _direction(n_hat, m_hat, l_hat, theta, cphi):
-    sphi = np.sqrt(max(0.0, 1.0 - cphi * cphi))
-    return np.cos(theta) * n_hat + np.sin(theta) * (cphi * m_hat + sphi * l_hat)
+    return _step((v,), kernel, rng, t, rate, draws)[:2]
 
 
 def step_coupled(u, v, kernel, rng=None, t=0.0, rate=None, draws=None):
     """Apply one shared-randomness event to both copies, in place.
 
-    Returns (new_time, (i, j), delta_pair, residual, completed) where (i, j)
-    is the collided pair (i != j), delta_pair is the change of
-    |u_i - v_i|^2 + |u_j - v_j|^2 across the event, residual is delta_pair +
-    sin(theta)^2 sin(phi)^2 (|du||dv| - du . dv), a float that vanishes up
-    to rounding on every event, and completed tells whether ``g_sigma``
-    completed the frame of antipodal directions.
+    ``draws`` is step_kac's tuple followed by ``g_sigma``.  Returns
+    (new_time, (i, j), delta_pair, residual, completed) where (i, j) is the
+    collided pair (i != j), delta_pair is the change of |u_i - v_i|^2 +
+    |u_j - v_j|^2 across the event, residual is delta_pair + sin(theta)^2
+    sin(phi)^2 (|du||dv| - du . dv), a float that vanishes up to rounding
+    on every event, and completed tells whether ``g_sigma`` completed the
+    frame of antipodal directions.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n, d = u.shape
+    return _step((u, v), kernel, rng, t, rate, draws)
+
+
+def _step(states, kernel, rng, t, rate, draws):
+    """One event of step_kac or step_coupled through _collide."""
+    states = [np.asarray(x, dtype=np.float64) for x in states]
+    n, d = states[0].shape
     if rate is None:
         rate = event_rate(kernel, n)
     if draws is None:
-        draws = _draws_kac(n, d, kernel, rng) + (rng.standard_normal(d),)
-    w, i, j0, theta, cphi, g_l, g_sigma = draws
+        draws = (float(rng.standard_exponential()), int(rng.integers(0, n)),
+                 int(rng.integers(0, n - 1)), float(kernel.sample(rng)),
+                 float(sample_azimuth_cos(d, rng)),
+                 *(rng.standard_normal(d) for _ in states))
+    w, i, j0, theta, cphi, *gaussians = draws
     j = j0 + 1 if j0 >= i else j0
-    t = t + w / rate
+    delta, residual, completed, _ = _collide(states, i, j, theta, cphi,
+                                             *gaussians)
+    return t + w / rate, (i, j), delta, residual, completed
 
-    n_u, r_u = _unit_of_diff(u[i], u[j])
-    n_v, r_v = _unit_of_diff(v[i], v[j])
-    c = float(n_u @ n_v)
-    m_u, m_v, completed = transport_frames(n_u, n_v, g_sigma)
-    l_hat = complement_unit(g_l, (n_u, m_u))
-    np_u = _direction(n_u, m_u, l_hat, theta, cphi)
-    np_u *= 1.0 / np.sqrt(np_u @ np_u)
-    np_v = _direction(n_v, m_v, l_hat, theta, cphi)
-    np_v *= 1.0 / np.sqrt(np_v @ np_v)
 
-    d_old = float(np.sum((u[i] - v[i]) ** 2) + np.sum((u[j] - v[j]) ** 2))
-    s_u = u[i] + u[j]
-    s_v = v[i] + v[j]
-    u[i] = 0.5 * (s_u + r_u * np_u)
-    u[j] = 0.5 * (s_u - r_u * np_u)
-    v[i] = 0.5 * (s_v + r_v * np_v)
-    v[j] = 0.5 * (s_v - r_v * np_v)
-    d_new = float(np.sum((u[i] - v[i]) ** 2) + np.sum((u[j] - v[j]) ** 2))
+def _unit_of_diff(a, b):
+    """(a - b)/|a - b| and |a - b|; a zero difference gives e_0."""
+    x = a - b
+    r = math.sqrt(sequential_sum(x * x))
+    if r == 0.0:
+        return np.eye(1, x.size)[0], 0.0
+    return x * (1.0 / r), r
+
+
+def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
+    """The collision rule on the pair (i, j) of one copy or two, in place,
+    as ``kac_advance`` computes it; one copy takes the frame of identical
+    directions.  A Gaussian that cannot complete the frame raises
+    GeometryError before any state changes.  Returns (delta_pair, residual,
+    completed, error): the pair distance increment and identity residual
+    (None for one copy), whether ``g_sigma`` completed the frame, and the
+    largest relative pair energy or momentum error over the copies."""
+    axes = [_unit_of_diff(x[i], x[j]) for x in states]   # (n_x, r_x)
+    n_u = axes[0][0]
+    if len(states) == 1:
+        frames, completed = [orthonormal_to(n_u)], False
+    else:
+        n_v = axes[1][0]
+        c = sequential_sum(n_u * n_v)
+        *frames, completed = transport_frames(n_u, n_v, g_sigma)
+    l_hat = complement_unit(g_l, (n_u, frames[0]))
+    sphi = math.sqrt(max(0.0, 1.0 - cphi * cphi))
+    ct, st = math.cos(theta), math.sin(theta)
+
+    old = [(x[i].copy(), x[j].copy()) for x in states]
+    error = 0.0
+    for x, (xi, xj), (n_x, r_x), m_x in zip(states, old, axes, frames):
+        s = xi + xj
+        e_old = sequential_sum(xi * xi + xj * xj)
+        out = ct * n_x + st * (cphi * m_x + sphi * l_hat)
+        # force an exactly unit outgoing direction; an l_hat off-orthogonal
+        # by rounding would otherwise leak into the pair energy
+        out = out * (1.0 / math.sqrt(sequential_sum(out * out)))
+        x[i] = a = 0.5 * (s + r_x * out)
+        x[j] = b = 0.5 * (s - r_x * out)
+        e_new = sequential_sum(a * a + b * b)
+        mom = float(np.max(np.abs((a + b) - s)))
+        error = max(error, abs(e_new - e_old) / (e_old + 1e-300),
+                    mom / (math.sqrt(e_old) + 1e-300))
+    if len(states) == 1:
+        return None, None, completed, error
+    (ui, uj), (vi, vj) = old
+    d_old = sequential_sum((ui - vi) * (ui - vi) + (uj - vj) * (uj - vj))
+    u, v = states
+    ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+    d_new = sequential_sum((ui - vi) * (ui - vi) + (uj - vj) * (uj - vj))
     delta = d_new - d_old
-    sphi2 = max(0.0, 1.0 - cphi * cphi)
-    residual = delta + np.sin(theta) ** 2 * sphi2 * (r_u * r_v - r_u * r_v * c)
-    return t, (i, j), delta, residual, completed
+    r_u, r_v = axes[0][1], axes[1][1]
+    residual = delta + st * st * sphi * sphi * (r_u * r_v - r_u * r_v * c)
+    return delta, residual, completed, error
+
+
+def _reproject(x):
+    """project_to_constraint_sphere in the C loop's order, in place; the
+    public one keeps numpy's order, which the initial states are built by."""
+    mean = np.zeros(x.shape[1])
+    for row in x:
+        mean += row
+    x -= mean / len(x)
+    x *= math.sqrt(len(x) / sequential_sum(x * x))
 
 
 def draw_event_batch(kernel, n, d, rng, size, coupled):
@@ -367,12 +365,7 @@ def draw_event_batch(kernel, n, d, rng, size, coupled):
             jj.astype(np.int64, copy=False), thetas, cphis, gl, gs)
 
 
-def _sample_grid(horizon, sample_dt, sample_times):
-    if sample_times is not None:
-        times = np.array(sorted(set(float(t) for t in sample_times)))
-        if times.size and times[0] < 0:
-            raise ValueError("sample times must be nonnegative")
-        return times
+def _sample_grid(horizon, sample_dt):
     if horizon is None:
         return np.array([])
     if sample_dt is None:
@@ -385,8 +378,8 @@ def _sample_grid(horizon, sample_dt, sample_times):
     return times
 
 
-def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
-              max_events, observables, reproject_every, chunk_size):
+def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
+              observables, reproject_every, chunk_size):
     """Advance one copy or two coupled copies in place, sampling on a grid.
 
     The advance function follows from the number of copies; observables are
@@ -399,7 +392,7 @@ def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
         raise ValueError("need horizon or max_events")
     rate = event_rate(kernel, n)
     budget = np.inf if max_events is None else float(max_events)
-    grid = _sample_grid(horizon, sample_dt, sample_times)
+    grid = _sample_grid(horizon, sample_dt)
     # looked up per call, so a replaced engine attribute takes effect
     advance = _engine.advance_coupled if coupled else _engine.advance_kac
 
@@ -441,7 +434,7 @@ def _simulate(states, kernel, rng, horizon, sample_dt, sample_times,
 
 
 def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
-                 sample_times=None, max_events=None, observables=None,
+                 max_events=None, observables=None,
                  reproject_every=DEFAULT_REPROJECT_EVERY,
                  chunk_size=DEFAULT_CHUNK_SIZE):
     """Run the single-copy dynamics, sampling observables on a time grid.
@@ -457,16 +450,16 @@ def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
     if observables is None:
         observables = {"m2": lambda x: float(np.mean(np.sum(x * x, axis=1))),
                        "m4": lambda x: float(np.mean(np.sum(x * x, axis=1) ** 2))}
-    times, columns, acc = _simulate(
-        (v,), kernel, rng, horizon, sample_dt, sample_times, max_events,
-        observables, reproject_every, chunk_size)
+    times, columns, acc = _simulate((v,), kernel, rng, horizon, sample_dt,
+                                    max_events, observables, reproject_every,
+                                    chunk_size)
     checks = {"n_events": int(acc[4]), "max_conservation_error": float(acc[2])}
     return TrajectoryRecord(times=times, columns=columns, checks=checks,
                             final=v)
 
 
 def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
-                     sample_times=None, max_events=None, observables=None,
+                     max_events=None, observables=None,
                      reproject_every=DEFAULT_REPROJECT_EVERY,
                      chunk_size=DEFAULT_CHUNK_SIZE):
     """Run two copies under shared randomness, sampling joint observables.
@@ -495,9 +488,9 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
             "m2": lambda a, b: float(np.mean(np.sum(b * b, axis=1))),
             "m4": lambda a, b: float(np.mean(np.sum(b * b, axis=1) ** 2)),
         }
-    times, columns, acc = _simulate(
-        (u, v), kernel, rng, horizon, sample_dt, sample_times, max_events,
-        observables, reproject_every, chunk_size)
+    times, columns, acc = _simulate((u, v), kernel, rng, horizon, sample_dt,
+                                    max_events, observables, reproject_every,
+                                    chunk_size)
     checks = {
         "n_events": int(acc[4]),
         "max_residual": float(acc[0]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacsim import analysis, geometry, kernels, system
+from kacsim import _engine, analysis, geometry, kernels, system
 
 UNIFORM = kernels.make_kernel("uniform", theta_min=0.0)
 
@@ -151,18 +151,25 @@ def test_alignment_area_matches_double_sum():
 
 def test_creation_matches_event_decrement():
     """rate x E[- d(msd)] over one shared-randomness event equals the
-    creation functional exactly in expectation."""
+    creation functional exactly in expectation.  Each slot of one drawn
+    batch runs one event of the engine from the same start."""
     rng = np.random.default_rng(85)
     n, d, m = 16, 3, 20_000
     u0 = system.sample_equilibrium(n, d, rng)
     v0 = system.two_temperature_initial(n, d, rng)
     v0, _ = system.align_configurations(u0, v0)
     rate = system.event_rate(UNIFORM, n)
+    exps, ii, jj, thetas, cphis, gl, gs = system.draw_event_batch(
+        UNIFORM, n, d, rng, m, coupled=True)
+    d0 = float(np.sum((u0 - v0) ** 2))
     deltas = np.empty(m)
     for k in range(m):
         u, v = u0.copy(), v0.copy()
-        delta = system.step_coupled(u, v, UNIFORM, rng)[2]
-        deltas[k] = delta / n
+        _engine.advance_coupled(u, v, 0.0, 0.0, np.inf, rate, 1.0, thetas,
+                                cphis, exps, ii, jj, gl, gs, cursor=k,
+                                proj_ctr=0, proj_every=10 ** 9,
+                                acc=np.zeros(8))
+        deltas[k] = (float(np.sum((u - v) ** 2)) - d0) / n
     est = -rate * float(np.mean(deltas))
     se = rate * float(np.std(deltas, ddof=1) / np.sqrt(m))
     assert abs(est - analysis.coupling_creation(u0, v0)) < 4 * se

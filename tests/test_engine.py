@@ -6,7 +6,8 @@ zero relative speed in one copy are compared with ``system.step_coupled``,
 and a sweep of angles near 0 and pi checks the per-event identities on
 both backends.  A single copy (generic pair, pair at rest) is compared
 with ``system.step_kac``; the python fallback is forced and compared with
-the C loop on short runs.
+the C loop on multi-batch runs with reprojection.  The python stepper
+rounds as the C loop does, so every comparison is exact.
 """
 
 import re
@@ -107,9 +108,10 @@ def _assert_deflected(theta, starts, outs):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_c_matches_reference_on_each_branch(branch, d):
-    """Every case obeys the per-event identity (residual, increment and
-    conservation within ATOL, each copy deflected by theta); only the
-    exactly antipodal one completes its plane with g_sigma."""
+    """C and the reference agree bit for bit, and every case obeys the
+    per-event identity (residual, increment and conservation within ATOL,
+    each copy deflected by theta); only the exactly antipodal one completes
+    its plane with g_sigma."""
     rng = np.random.default_rng([d, BRANCHES.index(branch)])
     u, v = _branch_states(branch, d, rng)
     theta, cphi = 1.1, 0.3
@@ -118,18 +120,17 @@ def test_c_matches_reference_on_each_branch(branch, d):
     ur, vr, delta, resid, completed = _reference_coupled_event(
         u, v, 0, 1, theta, cphi, gl, gs)
 
-    np.testing.assert_allclose(uc, ur, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(vc, vr, rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(uc, ur)
+    np.testing.assert_array_equal(vc, vr)
     assert acc[4] == 1.0
     assert acc[2] <= ATOL
     assert isinstance(resid, float)
-    assert abs(resid) <= ATOL and acc[0] <= ATOL
-    np.testing.assert_allclose(acc[1], delta, rtol=0, atol=ATOL)
-    assert delta <= ATOL
+    assert acc[0] == abs(resid) <= ATOL
+    assert acc[1] == delta <= ATOL
     _assert_deflected(theta, (u, v, u, v), (uc, vc, ur, vr))
     if branch == "antipodal_exact":
         assert completed and acc[3] == 1.0
-        np.testing.assert_allclose(acc[5], delta, rtol=0, atol=ATOL)
+        assert acc[5] == delta
     else:
         assert not completed and acc[3] == 0.0
 
@@ -145,8 +146,8 @@ def test_c_matches_reference_on_each_branch(branch, d):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("branch", ["generic", "at_rest"])
 def test_c_matches_reference_on_single_copy(branch, d):
-    """One copy takes the coincident-branch frame; a pair at rest comes
-    back unchanged bit for bit."""
+    """One copy takes the frame of identical directions, bit for bit as
+    the reference does; a pair at rest comes back unchanged."""
     rng = np.random.default_rng([d, 7, len(branch)])
     v = rng.standard_normal((4, d))
     if branch == "at_rest":
@@ -162,7 +163,7 @@ def test_c_matches_reference_on_single_copy(branch, d):
                            draws=(0.25, 0, 0, theta, cphi, gl))
     assert t == 0.75
 
-    np.testing.assert_allclose(vc, vr, rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(vc, vr)
     assert acc[4] == 1.0 and acc[2] <= ATOL
     np.testing.assert_array_equal(acc[[0, 1, 3, 5, 6, 7]], 0.0)
     if branch == "at_rest":
@@ -173,12 +174,13 @@ def test_c_matches_reference_on_single_copy(branch, d):
 
 
 def test_c_thresholds_equal_geometry_constants():
-    """The one shared threshold agrees, and the angle cutoffs the
-    half-angle frame replaced stay gone from both languages."""
+    """The shared thresholds agree, and the angle cutoffs the half-angle
+    frame replaced stay gone from both languages."""
     source = _engine._SOURCE.read_text()
     defines = dict(re.findall(r"^#define (\w+) (\S+)$", source,
                               re.MULTILINE))
     assert float(defines["REORTHO_RATIO"]) == geometry.REORTHO_RATIO
+    assert float(defines["ANNIHILATION_SQ"]) == geometry.ANNIHILATION_SQ
     python_source = Path(geometry.__file__).read_text()
     for name in ("PARALLEL_EPS", "ANTIPODAL_EPS"):
         assert name not in defines and not hasattr(geometry, name)
@@ -228,6 +230,30 @@ def test_kac_rejects_gaussian_along_the_axis(backend):
                             **_one_event_batch(0, 1, 1.2, 0.1, g))
     np.testing.assert_array_equal(v, start)
     assert acc[4] == 0.0
+
+
+@pytest.mark.parametrize("scale, raises", [(0.9, True), (1.1, False)])
+def test_kac_annihilation_threshold(backend, scale, raises):
+    """Both backends refuse a g_l whose projection off span(n, m) has a
+    squared length below geometry.ANNIHILATION_SQ and take one just above
+    it."""
+    rng = np.random.default_rng(44)
+    v = system.sample_equilibrium(4, 3, rng)
+    n_hat = _unit(v[0] - v[1])
+    m_hat = geometry.orthonormal_to(n_hat)
+    l_hat = geometry.complement_unit(rng.standard_normal(3), (n_hat, m_hat))
+    g = 2.0 * n_hat + scale * np.sqrt(geometry.ANNIHILATION_SQ) * l_hat
+    start, acc = v.copy(), np.zeros(8)
+    batch = _one_event_batch(0, 1, 1.2, 0.1, g)
+    args = (v, 0.0, 0.5, np.inf, 1.0, 1.0)
+    kwargs = dict(cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc, **batch)
+    if raises:
+        with pytest.raises(geometry.GeometryError, match="batch slot 0"):
+            _engine.advance_kac(*args, **kwargs)
+        np.testing.assert_array_equal(v, start)
+    else:
+        _engine.advance_kac(*args, **kwargs)
+        assert acc[4] == 1.0 and acc[2] <= ATOL
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -377,10 +403,10 @@ def test_coupled_axis_directions_one_ulp_apart(backend, sign, tilt):
     assert acc[3] == float(sign < 0 and tilt == 0.0)
 
 
-def _short_runs():
+def _short_runs(d):
     rng = np.random.default_rng(11)
-    u = system.sample_equilibrium(12, 3, rng)
-    v = system.two_temperature_initial(12, 3, rng)
+    u = system.sample_equilibrium(12, d, rng)
+    v = system.two_temperature_initial(12, d, rng)
     v, _ = system.align_configurations(u, v)
     coupled = system.simulate_coupled(u, v, UNIFORM, np.random.default_rng(12),
                                       horizon=12.0, sample_dt=2.0,
@@ -397,20 +423,20 @@ def _finals(rec):
 
 def _assert_same_run(a, b):
     for x, y in zip(_finals(a), _finals(b)):
-        np.testing.assert_allclose(x, y, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(a.times, b.times, rtol=1e-12)
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.times, b.times)
+    assert a.checks.keys() == b.checks.keys()
     for key, val in a.checks.items():
-        if key in ("n_events", "antipodal_events"):
-            assert b.checks[key] == val
-        elif not key.endswith("_time"):
-            # the maxima are rounding noise, equal to ATOL; where they are
-            # attained (the *_time keys) differs with the arithmetic order
-            np.testing.assert_allclose(b.checks[key], val, rtol=0, atol=ATOL)
+        assert b.checks[key] == val, key
 
 
 @needs_c
-def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path):
-    coupled_c, single_c = _short_runs()
+# numpy's pairwise sum rounds differently from a sequential one from d = 8 on
+@pytest.mark.parametrize("d", [3, 12])
+def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path, d):
+    """The forced fallback replays the C loop bit for bit: final states,
+    sample times and every check, *_time keys included."""
+    coupled_c, single_c = _short_runs(d)
 
     monkeypatch.setattr(_engine, "_LIB", _engine._LIB)
     monkeypatch.setattr(_engine, "BACKEND", _engine.BACKEND)
@@ -419,7 +445,7 @@ def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path):
         _engine._select_backend(tmp_path / "cache")
     assert _engine.BACKEND == "python" and _engine._LIB is None
 
-    coupled_py, single_py = _short_runs()
+    coupled_py, single_py = _short_runs(d)
     assert coupled_c.checks["n_events"] > 64   # several batches were used
     _assert_same_run(coupled_c, coupled_py)
     _assert_same_run(single_c, single_py)
