@@ -16,7 +16,6 @@ from .system import (
     align_configurations,
     equilibrium_m4,
     event_rate,
-    initial_pairing,
     project_to_constraint_sphere,
     sample_equilibrium,
     simulate_coupled,

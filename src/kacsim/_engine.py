@@ -11,7 +11,8 @@ file), for one copy or two: ``advance_kac`` passes NULL for the second copy
 and its Gaussians, ``advance_coupled`` passes both.  It is loaded through
 ctypes; the shared library is compiled with ``cc`` on first import and
 cached in this package's ``__pycache__`` under a hash of the source, so
-later imports only load it.  If the compiler or the load fails, a
+later imports only load it; a build deletes the libraries of earlier
+sources there.  If the compiler or the load fails, a
 RuntimeWarning names the error and the advance functions run the python
 reference stepper ``system._collide`` on each slot of the same batch
 instead: the same results bit for bit (final states, times and every
@@ -89,7 +90,8 @@ def _library_path(cache_dir):
 
 def _compile(target):
     """Build the library into ``target`` through a private temporary file,
-    so processes that compile at once never load a partial file."""
+    so processes that compile at once never load a partial file, then
+    delete the libraries earlier sources left in the same directory."""
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".engine-",
                                suffix=".so")
@@ -104,6 +106,9 @@ def _compile(target):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in target.parent.glob("_engine_*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 def load_library(cache_dir=_CACHE_DIR):

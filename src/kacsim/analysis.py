@@ -24,7 +24,7 @@ Contents:
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -108,25 +108,13 @@ class InequalityReport:
     rhs: float
     slack: float
     aux: dict = field(default_factory=dict)
-    n_samples: int = 0
-    stderr: float = 0.0
-
-    def to_dict(self):
-        out = asdict(self)
-        out["aux"] = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                      for k, v in self.aux.items()}
-        return out
 
 
 @dataclass
 class MCEstimate:
     value: float
     stderr: float
-    n_samples: int
     aux: dict = field(default_factory=dict)
-
-    def __float__(self):
-        return float(self.value)
 
 
 @dataclass
@@ -275,14 +263,6 @@ class DiscreteCoupledDistribution:
         k = u.shape[0]
         return cls(u, v, np.full(k, 1.0 / k))
 
-    @property
-    def d(self):
-        return self.atoms_u.shape[1]
-
-    @property
-    def n_atoms(self):
-        return self.atoms_u.shape[0]
-
     def mean_u(self):
         return self.weights @ self.atoms_u
 
@@ -303,16 +283,17 @@ class DiscreteCoupledDistribution:
     def mean_dot(self):
         return float(self.weights @ np.einsum("kd,kd->k", self.atoms_u, self.atoms_v))
 
-    def is_centered(self, tol=NORMALIZED_TOL):
-        return (np.max(np.abs(self.mean_u())) <= tol
-                and np.max(np.abs(self.mean_v())) <= tol)
+    def is_centered(self):
+        return (np.max(np.abs(self.mean_u())) <= NORMALIZED_TOL
+                and np.max(np.abs(self.mean_v())) <= NORMALIZED_TOL)
 
-    def is_normalized(self, tol=NORMALIZED_TOL):
-        if not self.is_centered(tol):
+    def is_normalized(self):
+        if not self.is_centered():
             return False
         eu = float(np.trace(self.second_moment("uu")))
         ev = float(np.trace(self.second_moment("vv")))
-        return abs(eu - 1.0) <= tol and abs(ev - 1.0) <= tol
+        return (abs(eu - 1.0) <= NORMALIZED_TOL
+                and abs(ev - 1.0) <= NORMALIZED_TOL)
 
     def normalize(self):
         """Centered copy with unit second moment in each marginal."""
@@ -370,8 +351,7 @@ def fund_inequality_report(dist):
     }
     aux["slack_unhalved"] = aux["rhs_unhalved"] - lhs
     return InequalityReport(name="fundamental_alignment", lhs=lhs, rhs=rhs,
-                            slack=rhs - lhs, aux=aux,
-                            n_samples=dist.n_atoms)
+                            slack=rhs - lhs, aux=aux)
 
 
 def trace_inequality_report(c_uu, c_vv, c_uv):
@@ -524,7 +504,7 @@ def pathwise_weak_inequality(pairs, delta, p=None):
         "degenerate_zero_distance": degenerate,
     }
     return InequalityReport(name="pathwise_weak", lhs=c_val, rhs=rhs,
-                            slack=slack, aux=aux, n_samples=u.shape[0])
+                            slack=slack, aux=aux)
 
 
 def delta4(v, v_star, d=None):
@@ -621,7 +601,7 @@ def wishart_kappa_moment(n, d, p, samples, rng):
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     est = m ** (-1.0 / p)
     se_est = est * se_m / (p * m)
-    return MCEstimate(value=est, stderr=se_est, n_samples=samples,
+    return MCEstimate(value=est, stderr=se_est,
                       aux={"inverse_moment": m, "inverse_moment_stderr": se_m})
 
 

@@ -91,7 +91,6 @@ class ExperimentConfig:
     replicas: int = 100
     delta: float = 0.5
     p: float = 0.0          # 0 means the default 2 / (1 - delta)
-    q: float = 0.0          # 0 means the conjugate of p
     seed: int = 0
     out: str = "out"
     initial_law: str = "two_temperature"
@@ -114,19 +113,16 @@ class ExperimentConfig:
             self.m4_init = default_m4_init(self.d)
 
     def resolved_exponents(self):
-        """(delta, p, q) with the defaults filled in and conjugacy checked."""
+        """(delta, p, q) with p's default filled in and q its conjugate."""
         delta = float(self.delta)
         p = float(self.p)
         if p == 0.0:
             if delta >= 1.0:
                 raise ConfigError("delta >= 1 requires an explicit p")
             p = 2.0 / (1.0 - delta)
-        q = float(self.q)
-        if q == 0.0:
-            q = analysis.conjugate_exponent(p)
-        elif abs(1.0 / p + 1.0 / q - 1.0) > 1e-10:
-            raise ConfigError(f"p = {p} and q = {q} are not conjugate")
-        return delta, p, q
+        if p <= 1.0:
+            raise ConfigError(f"need p > 1, got {p}")
+        return delta, p, analysis.conjugate_exponent(p)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -195,8 +191,8 @@ def validate_config(cfg):
         raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
     if cfg.sample_dt <= 0:
         raise ConfigError(f"sample_dt must be > 0, got {cfg.sample_dt}")
-    if cfg.replicas < 0:
-        raise ConfigError(f"replicas must be >= 0, got {cfg.replicas}")
+    if cfg.replicas < 1:
+        raise ConfigError(f"replicas must be >= 1, got {cfg.replicas}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.initial_law not in INITIAL_LAWS:
@@ -402,21 +398,6 @@ def run_decay_experiment(cfg, out_dir):
     report = {"kind": cfg.kind, "config": asdict(cfg), "constants": constants}
     gamma = analysis.gamma_exponent(delta)
     report["gamma"] = gamma
-
-    if cfg.replicas == 0:
-        m4_0 = cfg.m4_init if cfg.initial_law == "two_temperature" \
-            else equilibrium_m4(cfg.n, cfg.d)
-        _, t_star = analysis.order4_bound(m4_0, cfg.d, 0.0)
-        d0 = 2.0
-        env = analysis.decay_envelope(grid, d0, delta, hc.c_delta_n, t_star)
-        rows = [(t, e, 0, -1, cfg.seed) for t, e in zip(grid, env)]
-        _write_csv(Path(out_dir) / "aggregate.csv",
-                   ("time", "envelope", "n_replicas", "replica", "substream"),
-                   rows)
-        report.update({"t_star": t_star, "envelope_d0": d0, "replicas": 0,
-                       "violations": [], "pass": True})
-        _write_report(out_dir, report)
-        return EXIT_OK
 
     all_cols = {name: [] for name in TRAJECTORY_COLUMNS}
     violations = []

@@ -15,8 +15,11 @@ sets the event rate.  Three families are provided:
 * ``uniform``   -- constant density on [theta_min, pi],
 * ``power_law`` -- density proportional to theta^(-nu-1) on [theta_min, pi].
 
-Sampling uses a tabulated inverse CDF (4096 nodes, log-spaced toward
-theta_min for the power law) with linear interpolation.
+The dirac and uniform normalizations are closed forms; the power law's
+sin^2-weighted mass comes from ``scipy.integrate.quad`` at relative
+tolerance LEVY_QUAD_TOL, imported on first use.  Sampling uses a tabulated
+inverse CDF (4096 nodes, log-spaced toward theta_min for the power law)
+with linear interpolation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "BadAngle",
     "AngularKernel",
     "make_kernel",
-    "adaptive_simpson",
 ]
 
 TABLE_NODES = 4096
@@ -50,36 +52,6 @@ class NonIntegrable(KernelError):
 
 class BadAngle(KernelError):
     """Angle parameter outside its legal range."""
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature of ``f`` on [a, b].
-
-    Subdivides until the local Richardson error estimate is below the
-    tolerance (distributed proportionally to interval length).
-    """
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fb, fm, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        a, b, fa, fb, fm, whole, eps, depth = stack.pop()
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        if depth >= max_depth or abs(err) <= 15.0 * eps:
-            total += left + right + err / 15.0
-        else:
-            stack.append((a, m, fa, fm, flm, left, 0.5 * eps, depth + 1))
-            stack.append((m, b, fm, fb, frm, right, 0.5 * eps, depth + 1))
-    return total
 
 
 @dataclass(frozen=True)
@@ -195,9 +167,12 @@ def make_kernel(family, **params):
             raise NonIntegrable(f"nu = {nu} >= 2: sin^2-weighted mass diverges")
         if nu >= 0.0 and theta_min == 0.0:
             raise NonIntegrable(f"nu = {nu} >= 0 with theta_min = 0: mass diverges")
-        levy_mass = adaptive_simpson(
-            lambda t: np.sin(t) ** 2 * t ** (-nu - 1.0) if t > 0 else 0.0,
-            theta_min, np.pi, tol=LEVY_QUAD_TOL)
+        # imported here, so importing the package or building a uniform or
+        # dirac kernel does not pay for loading scipy.integrate
+        from scipy.integrate import quad
+
+        levy_mass, _ = quad(lambda t: np.sin(t) ** 2 * t ** (-nu - 1.0),
+                            theta_min, np.pi, epsabs=0.0, epsrel=LEVY_QUAD_TOL)
         c = 1.0 / levy_mass
         if theta_min > 0:
             mass = _power_mass(np.pi, theta_min, nu)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _engine
+from . import _engine, assignment
 from .geometry import (complement_unit, orthonormal_to, sample_azimuth_cos,
                        sequential_sum, transport_frames)
 
@@ -44,7 +44,6 @@ __all__ = [
     "equilibrium_m4",
     "substream",
     "substream_seed",
-    "initial_pairing",
     "align_configurations",
     "make_coupled_state",
     "step_kac",
@@ -153,20 +152,20 @@ def default_m4_init(d):
     return 3.0 if lo < 3.0 < hi else 0.5 * (lo + hi)
 
 
-def two_temperature_initial(n, d, rng, m4_target=None, hot_energy=3.0):
+def two_temperature_initial(n, d, rng, m4_target=None):
     """Half hot, half cold Gaussian mixture with a prescribed fourth moment.
 
-    The hot half has per-particle energy ``hot_energy``; the cold energy b
-    solves the quadratic that makes the mixture's normalized fourth moment
-    hit ``m4_target`` in the large-n limit:
+    The hot half has per-particle energy a = 3; the cold energy b solves the
+    quadratic that makes the mixture's normalized fourth moment hit
+    ``m4_target`` in the large-n limit:
 
-        A b^2 - 2 a d m4 b + A a^2 = 0,   A = 2(d + 2) - d m4,  a = hot_energy
+        A b^2 - 2 a d m4 b + A a^2 = 0,   A = 2(d + 2) - d m4
 
     (smaller root, so the cold half really is cold).  The sample is then
     projected onto the constraint sphere.  ``m4_target`` defaults to
     default_m4_init(d).
     """
-    a = float(hot_energy)
+    a = 3.0
     m4 = float(default_m4_init(d) if m4_target is None else m4_target)
     lo, hi = two_temperature_m4_range(d)
     if not (lo < m4 < hi):
@@ -209,24 +208,15 @@ def substream(master_seed, index):
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, index)))
 
 
-def initial_pairing(u, v):
-    """Permutation sigma minimizing the mean squared distance <|u - v o sigma|^2>.
-
-    The minimizer also maximizes the velocity correlation <u . v o sigma>,
-    which is therefore nonnegative (the n cyclic shifts average to zero, so
-    the best of them is already >= 0).
-    """
-    from .assignment import optimal_pairing
-
-    return optimal_pairing(u, v)
-
-
 def align_configurations(u, v):
     """Reorder ``v`` to minimize the summed squared distance to ``u``.
 
-    Returns (v_aligned, permutation) with v_aligned[i] = v[perm[i]].
+    Returns (v_aligned, permutation) with v_aligned[i] = v[perm[i]].  The
+    minimizer also maximizes the velocity correlation <u . v_aligned>,
+    which is therefore nonnegative for centered configurations (the n
+    cyclic shifts average to zero, so the best of them is already >= 0).
     """
-    perm = initial_pairing(u, v)
+    perm = assignment.optimal_pairing(u, v)
     return np.asarray(v, dtype=np.float64)[perm], perm
 
 
@@ -242,8 +232,11 @@ def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
 
     ``draws`` may carry pre-drawn randomness (w, i, j0, theta, cos_phi, g)
     to replay a recorded stream; otherwise everything comes from ``rng``.
-    Returns (new_time, (i, j)) with the collided pair i != j.
+    Returns (new_time, (i, j)) with the collided pair i != j.  ``v`` must
+    be a writeable C-contiguous float64 array (TypeError otherwise), since
+    a converted copy would take the event instead.
     """
+    _engine._state("v", v, 2)
     return _step((v,), kernel, rng, t, rate, draws)[:2]
 
 
@@ -256,14 +249,16 @@ def step_coupled(u, v, kernel, rng=None, t=0.0, rate=None, draws=None):
     |u_j - v_j|^2 across the event, residual is delta_pair + sin(theta)^2
     sin(phi)^2 (|du||dv| - du . dv), a float that vanishes up to rounding
     on every event, and completed tells whether ``g_sigma`` completed the
-    frame of antipodal directions.
+    frame of antipodal directions.  Both states must be arrays as in
+    step_kac.
     """
+    _engine._state("u", u, 2)
+    _engine._state("v", v, 2)
     return _step((u, v), kernel, rng, t, rate, draws)
 
 
 def _step(states, kernel, rng, t, rate, draws):
     """One event of step_kac or step_coupled through _collide."""
-    states = [np.asarray(x, dtype=np.float64) for x in states]
     n, d = states[0].shape
     if rate is None:
         rate = event_rate(kernel, n)
@@ -505,19 +500,17 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
                             final=(u, v))
 
 
-def coupled_run_issues(record, residual_tol=RESIDUAL_TOL,
-                       delta_tol=DELTA_PAIR_TOL,
-                       conservation_tol=CONSERVATION_TOL):
+def coupled_run_issues(record):
     """List of human-readable invariant violations for a coupled run."""
     c = record.checks
     issues = []
-    if c["max_residual"] > residual_tol:
+    if c["max_residual"] > RESIDUAL_TOL:
         issues.append(f"coupling identity residual {c['max_residual']:.3e} "
-                      f"exceeds {residual_tol:.1e}")
-    if c["max_delta_pair"] > delta_tol:
+                      f"exceeds {RESIDUAL_TOL:.1e}")
+    if c["max_delta_pair"] > DELTA_PAIR_TOL:
         issues.append(f"pair distance increased by {c['max_delta_pair']:.3e} "
-                      f"in one event (tol {delta_tol:.1e})")
-    if c["max_conservation_error"] > conservation_tol:
+                      f"in one event (tol {DELTA_PAIR_TOL:.1e})")
+    if c["max_conservation_error"] > CONSERVATION_TOL:
         issues.append(f"pair conservation error {c['max_conservation_error']:.3e} "
-                      f"exceeds {conservation_tol:.1e}")
+                      f"exceeds {CONSERVATION_TOL:.1e}")
     return issues

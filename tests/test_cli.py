@@ -89,17 +89,23 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in err
 
 
-# each passed `kac validate` and then failed `kac run` with a traceback
+# the first eight passed `kac validate` and then failed `kac run` with a
+# traceback
 @pytest.mark.parametrize("extra", [
     pytest.param("m4_init = 4.0\n", id="m4_init_above_range"),
     # the decay constants need delta < 1
     pytest.param("delta = 1.5\np = 3\n", id="delta_above_1"),
     pytest.param("n = 5000\n", id="n_above_pairing_limit"),
     pytest.param("horizon = nan\n", id="horizon_nan"),
-    pytest.param("horizon = inf\nreplicas = 0\n", id="horizon_inf"),
+    pytest.param("horizon = inf\n", id="horizon_inf"),
     pytest.param("sample_dt = nan\n", id="sample_dt_nan"),
     pytest.param("sample_dt = inf\n", id="sample_dt_inf"),
     pytest.param("delta = nan\n", id="delta_nan"),
+    # the exponents need p > 1 (this one raised from analysis)
+    pytest.param("p = 0.5\n", id="p_not_above_1"),
+    # q is the conjugate of p, not a key
+    pytest.param("q = 2\n", id="q_key"),
+    pytest.param("replicas = 0\n", id="replicas_zero"),
 ])
 def test_decay_config_rejected_before_running(tmp_path, capsys, extra):
     path = write_config(tmp_path, DECAY_CFG + extra)
@@ -238,17 +244,6 @@ def test_decay_observables_ignore_call_order():
     np.testing.assert_equal(table(True), (forward, notes))  # nan == nan here
     assert len(notes) == 1 and forward[4]["weak_slack"] == -np.inf
     assert forward[4]["creation"] == cli.analysis.coupling_creation(u, -u)
-
-
-def test_decay_zero_replicas_envelope_only(tmp_path):
-    path = write_config(tmp_path, DECAY_CFG + "replicas = 0\n")
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path),
-                     "--out", str(out)]) == cli.EXIT_OK
-    assert (out / "aggregate.csv").is_file()
-    assert not (out / "trajectory_0.csv").exists()
-    report = json.loads((out / "report.json").read_text())
-    assert report["replicas"] == 0
 
 
 def test_decay_sample_checks_flag_violations():

@@ -468,3 +468,14 @@ def test_library_builds_into_an_empty_cache(tmp_path):
     assert built == [_engine._library_path(tmp_path).name]
     for name, argtypes in _engine._SIGNATURES.items():
         assert tuple(getattr(lib, name).argtypes) == argtypes
+
+
+@needs_c
+def test_build_removes_stale_libraries(tmp_path):
+    """A library left by an earlier source is deleted when a new one is
+    built; other files in the cache stay."""
+    (tmp_path / "_engine_0000000000000000.so").write_bytes(b"old")
+    (tmp_path / "other.pyc").write_bytes(b"keep")
+    _engine.load_library(tmp_path)
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert built == sorted([_engine._library_path(tmp_path).name, "other.pyc"])

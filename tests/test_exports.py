@@ -1,8 +1,13 @@
 """Every name a kacsim module exports must exist, so deleting a function
-cannot leave a stale ``__all__`` entry behind."""
+cannot leave a stale ``__all__`` entry behind; importing the package must
+stay cheap."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +24,29 @@ def test_exports_resolve(name):
                if not hasattr(module, x)]
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
     exec(f"from {name} import *", {})
+
+
+def test_import_and_uniform_run_load_no_scipy():
+    """Importing the package and running a uniform-kernel coupled run loads
+    no scipy module, so the start-up stays cheap; only a power-law kernel
+    brings in scipy.integrate."""
+    code = """
+import sys
+import numpy as np
+import kacsim
+from kacsim import kernels, system
+k = kernels.make_kernel("uniform", theta_min=0.0)
+rng = np.random.default_rng(0)
+u = system.sample_equilibrium(8, 3, rng)
+v = system.sample_equilibrium(8, 3, rng)
+system.simulate_coupled(u, v, k, rng, max_events=64, chunk_size=64)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+kernels.make_kernel("power_law", nu=-0.5, theta_min=0.0)
+print("scipy.integrate" in sys.modules)
+"""
+    src = str(Path(kacsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

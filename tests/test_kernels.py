@@ -134,10 +134,3 @@ def test_density_vanishes_below_cutoff():
     k = kernels.make_kernel("uniform", theta_min=0.5)
     assert k.density(0.3) == 0.0
     assert k.density(0.5001) > 0.0
-
-
-def test_adaptive_simpson_matches_quad():
-    f = lambda t: np.sin(t) ** 2 * np.exp(-t)
-    mine = kernels.adaptive_simpson(f, 0.0, np.pi)
-    ref, _ = integrate.quad(f, 0.0, np.pi)
-    np.testing.assert_allclose(mine, ref, atol=1e-10)

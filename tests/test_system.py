@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacsim import _engine, assignment, kernels, system
+from kacsim import _engine, kernels, system
 
 UNIFORM = kernels.make_kernel("uniform", theta_min=0.0)
 
@@ -126,6 +126,25 @@ def test_step_kac_zero_angle_is_identity():
     draws = (0.5, 1, 3, 0.0, 0.3, rng.standard_normal(3))
     system.step_kac(v, UNIFORM, rng, draws=draws)
     np.testing.assert_allclose(v, before, atol=1e-14)
+
+
+@pytest.mark.parametrize("convert", [
+    pytest.param(lambda x: x.astype(np.float32), id="float32"),
+    pytest.param(lambda x: x.tolist(), id="nested_list"),
+])
+def test_steppers_refuse_a_state_they_would_copy(convert):
+    """The event would update a converted copy and leave the caller's state
+    as it was, so each stepper raises TypeError for either copy."""
+    u, rng = kac_sphere_point(8, 3, 60)
+    v = u.copy()
+    bad = convert(u)
+    with pytest.raises(TypeError, match="v must be"):
+        system.step_kac(bad, UNIFORM, rng)
+    with pytest.raises(TypeError, match="u must be"):
+        system.step_coupled(bad, v, UNIFORM, rng)
+    with pytest.raises(TypeError, match="v must be"):
+        system.step_coupled(u, bad, UNIFORM, rng)
+    np.testing.assert_array_equal(u, v)
 
 
 def test_step_coupled_identical_copies_stay_identical():
@@ -306,24 +325,17 @@ def test_coupled_run_issues_flags_bad_checks():
     assert issues and "residual" in issues[0]
 
 
-def test_initial_pairing_nonnegative_correlation():
+def test_align_configurations_nonnegative_correlation():
     rng = np.random.default_rng(74)
     for k in range(20):
         u = system.sample_equilibrium(24, 3, rng)
         v = system.sample_equilibrium(24, 3, rng)
-        perm = system.initial_pairing(u, v)
-        corr = float(np.mean(np.sum(u * v[perm], axis=1)))
+        v_aligned, perm = system.align_configurations(u, v)
+        np.testing.assert_array_equal(v_aligned, v[perm])
+        corr = float(np.mean(np.sum(u * v_aligned, axis=1)))
         assert corr >= -1e-12
         # matching maximizes correlation, so it beats the raw slot order
         assert corr >= float(np.mean(np.sum(u * v, axis=1))) - 1e-12
-
-
-def test_initial_pairing_matches_assignment():
-    rng = np.random.default_rng(75)
-    u = rng.standard_normal((6, 3))
-    v = rng.standard_normal((6, 3))
-    np.testing.assert_array_equal(system.initial_pairing(u, v),
-                                  assignment.optimal_pairing(u, v))
 
 
 def test_max_events_budget():
