@@ -44,6 +44,7 @@ from .analysis import (
     pair_statistics,
     pathwise_weak_inequality,
     trace_inequality_report,
+    weak_exponents,
     wishart_kappa_moment,
 )
 

@@ -356,3 +356,74 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
     ctr[1] = proj_ctr;
     return status;
 }
+
+/* x^e for x >= 0: k >= 0 is e as an integer, raised by repeated squaring;
+ * k < 0 takes pow. */
+static double power(double x, double e, int64_t k)
+{
+    if (k < 0)
+        return pow(x, e);
+    double r = 1.0;
+    for (;;) {
+        if (k & 1)
+            r *= x;
+        k >>= 1;
+        if (!k)
+            return r;
+        x *= x;
+    }
+}
+
+/* e as an integer when it is one exactly (and at most 1024), else -1. */
+static int64_t integer_exponent(double e)
+{
+    return (e >= 0.0 && e <= 1024.0 && e == floor(e)) ? (int64_t)e : -1;
+}
+
+/* Sums over all ordered pairs (i, j), weighted by w_i w_j, of
+ *   out[0] |du|^(2a)        out[1] |dv|^(2b)
+ *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
+ * with du = u_i - u_j, dv = v_i - v_j; u, v are (n, d), w is (n,).  One
+ * loop over i < j in O(1) extra memory: the terms are symmetric in (i, j)
+ * and vanish on the diagonal for a, b > 0.  A NULL v fills out[0] only. */
+int kac_pair_sums(const double *u, const double *v, const double *w,
+                  int64_t n, int64_t d, double a, double b, double *out)
+{
+    int64_t ka = integer_exponent(a), kb = integer_exponent(b);
+    double tot[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t i = 0; i < n; i++) {
+        const double *ui = u + i * d, *vi = v ? v + i * d : NULL;
+        double row[4] = {0.0, 0.0, 0.0, 0.0};
+        for (int64_t j = i + 1; j < n; j++) {
+            const double *uj = u + j * d;
+            double uu = 0.0, vv = 0.0, uv = 0.0;
+            if (v) {
+                const double *vj = v + j * d;
+                for (int64_t k = 0; k < d; k++) {
+                    double du = ui[k] - uj[k], dv = vi[k] - vj[k];
+                    uu += du * du;
+                    vv += dv * dv;
+                    uv += du * dv;
+                }
+            } else {
+                for (int64_t k = 0; k < d; k++) {
+                    double du = ui[k] - uj[k];
+                    uu += du * du;
+                }
+            }
+            double wj = w[j];
+            row[0] += wj * power(uu, a, ka);
+            if (!v)
+                continue;
+            double uuvv = uu * vv;
+            row[1] += wj * power(vv, b, kb);
+            row[2] += wj * (sqrt(uuvv) - uv);
+            row[3] += wj * (uuvv - uv * uv);
+        }
+        for (int m = 0; m < 4; m++)
+            tot[m] += w[i] * row[m];
+    }
+    for (int m = 0; m < (v ? 4 : 1); m++)
+        out[m] = 2.0 * tot[m];
+    return 0;
+}

@@ -1,4 +1,5 @@
-"""One event loop for the single and the coupled collision dynamics.
+"""The compiled kernels: one event loop for the single and the coupled
+collision dynamics, and one pass over the particle pairs.
 
 The drivers in :mod:`kacsim.system` pre-draw batches of randomness with a
 numpy Generator and hand them to the advance functions below, which consume
@@ -18,6 +19,13 @@ reference stepper ``system._collide`` on each slot of the same batch
 instead: the same results bit for bit (final states, times and every
 accumulator slot), about a thousand times slower.  ``BACKEND`` names the
 active engine, ``"c"`` or ``"python"``.
+
+The pair pass is ``kac_pair_sums``, behind ``pair_sums``: the weighted
+sums over all particle pairs that ``analysis.pair_statistics`` records
+(two pair moments, the creation integrand and the alignment area), in one
+i < j loop and O(N) memory.  Integral exponents are raised by repeated
+squaring, others by ``pow``.  On the python backend ``analysis`` sums its
+numpy pair matrices instead, which agree up to rounding, not bit for bit.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -77,6 +85,7 @@ _SIGNATURES = {
     "kac_advance": (_ptr, _ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
                     _ptr, _i64, _ptr, _ptr),
+    "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _ptr),
 }
 
 
@@ -284,3 +293,32 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
             proj_ctr = 0
         t_next = t + float(exps[cursor]) / rate
         cursor += 1
+
+
+def pair_sums(u, v, w, a, b):
+    """The weighted pair sums of ``kac_pair_sums`` on the C backend.
+
+    Returns a float64 array of 4: sums over all ordered pairs (i, j),
+    weighted by w_i w_j, of |du|^(2a), |dv|^(2b), |du||dv| - du.dv and
+    |du|^2 |dv|^2 - (du.dv)^2, with du = u_i - u_j and dv = v_i - v_j.
+    With ``v`` None only the first is computed and the others are nan.
+    The sums assume a, b > 0 (``analysis.pair_statistics`` checks); on the
+    python backend ``analysis`` sums its numpy pair matrices instead.
+    """
+    if _LIB is None:
+        raise RuntimeError("the C pair pass is unavailable on the python "
+                           "backend")
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if v is not None:
+        v = np.ascontiguousarray(v, dtype=np.float64)
+    if (u.ndim != 2 or w.shape != u.shape[:1]
+            or (v is not None and v.shape != u.shape)):
+        raise ValueError(f"pair sums need u (n, d), v None or (n, d) and w "
+                         f"(n,); got {u.shape}, "
+                         f"{None if v is None else v.shape}, {w.shape}")
+    out = np.full(4, np.nan)
+    n, d = u.shape
+    _LIB.kac_pair_sums(u.ctypes.data, None if v is None else v.ctypes.data,
+                       w.ctypes.data, n, d, a, b, out.ctypes.data)
+    return out

@@ -9,8 +9,14 @@ take an explicit Generator.
 Contents:
 
 * spectral quantities: ``max_eigenvalue``, ``kappa``;
-* the two-copy pair pass ``pair_statistics``, whose ``PairStatistics`` the
-  pair functionals read, and the coupling creation ``coupling_creation``;
+* the pair pass ``pair_statistics`` over one copy or two: a
+  ``PairStatistics`` record of weighted pair sums (the pair moments at the
+  exponents the caller asks for, ``weak_exponents`` giving those of the
+  weak bound, the creation integrand and the alignment area) that every
+  pair functional reads.  It is one C loop in O(N) memory
+  (``_engine.pair_sums``); the numpy N x N matrices of ``_pair_matrices``
+  are its test oracle and its stand-in on the python backend.  Also the
+  coupling creation ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
 * Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
@@ -25,10 +31,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from . import _engine
 from .system import check_configuration, sample_equilibrium
 
 __all__ = [
@@ -47,6 +53,7 @@ __all__ = [
     "max_eigenvalue",
     "kappa",
     "pair_statistics",
+    "weak_exponents",
     "coupling_creation",
     "fund_inequality_report",
     "trace_inequality_report",
@@ -183,45 +190,102 @@ def kappa(s):
     return float(1.0 / np.sum(spectrum[:-1]))
 
 
-def _pair_sq_dists(x):
-    """Matrix of |x_i - x_j|^2 over all ordered pairs, clipped at 0."""
-    sq = np.einsum("id,id->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _pair_matrices(u, v=None):
+    """|u_i - u_j|^2, |v_i - v_j|^2 and (u_i - u_j).(v_i - v_j) over all
+    ordered pairs, as N x N matrices (squares clipped at 0, diagonals
+    exactly 0; the last two are None when ``v`` is None).
+
+    The readable oracle of the C pair pass, and its stand-in on the python
+    backend; nothing else builds pair matrices.
+    """
+    def zero_diagonal(m):
+        np.fill_diagonal(m, 0.0)
+        return m
+
+    def sq_dists(x):
+        sq = np.einsum("id,id->i", x, x)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        return zero_diagonal(np.maximum(d2, 0.0, out=d2))
+
+    if v is None:
+        return sq_dists(u), None, None
+    g = u @ v.T
+    dg = np.einsum("id,id->i", u, v)
+    return (sq_dists(u), sq_dists(v),
+            zero_diagonal(dg[:, None] + dg[None, :] - g - g.T))
+
+
+def _pair_sums(u, v, w, a, b):
+    """The four sums of ``_engine.pair_sums``: the C pass, or on the python
+    backend the same sums over ``_pair_matrices``."""
+    if _engine._LIB is not None:
+        return _engine.pair_sums(u, v, w, a, b)
+    d2u, d2v, dots = _pair_matrices(u, v)
+    out = np.full(4, np.nan)
+    out[0] = w @ d2u ** a @ w
+    if v is not None:
+        out[1] = w @ d2v ** b @ w
+        out[2] = w @ (np.sqrt(d2u) * np.sqrt(d2v) - dots) @ w
+        out[3] = w @ (d2u * d2v - dots * dots) @ w
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PairStatistics:
-    """All-ordered-pairs matrices of a coupled configuration (u, v).
+    """Weighted sums over all ordered pairs (i, j) of a coupled
+    configuration (u, v), from one pass.
 
-    ``d2u``, ``d2v``: |u_i - u_j|^2, |v_i - v_j|^2 (clipped at 0); ``dots``:
-    (u_i - u_j).(v_i - v_j).  Built only by ``pair_statistics``.
+    With du = u_i - u_j, dv = v_i - v_j and weights w_i w_j:
+    ``moment_u`` sums |du|^(2a), ``moment_v`` |dv|^(2b), ``gap``
+    |du||dv| - du.dv and ``area`` |du|^2 |dv|^2 - (du.dv)^2.  A single
+    copy (``v`` None) has only ``moment_u``; the rest are nan.  Built only
+    by ``pair_statistics``.
     """
 
     u: np.ndarray
     v: np.ndarray
-    d2u: np.ndarray
-    d2v: np.ndarray
-    dots: np.ndarray
+    weights: np.ndarray
+    a: float
+    b: float
+    moment_u: float
+    moment_v: float
+    gap: float
+    area: float
 
     def creation(self):
         """Coupling creation (d-2)/(2d-2) <|du||dv| - du.dv>_N."""
         d = self.u.shape[1]
-        integ = np.sqrt(self.d2u) * np.sqrt(self.d2v) - self.dots
-        return (d - 2.0) / (2.0 * d - 2.0) * float(np.mean(integ))
+        return (d - 2.0) / (2.0 * d - 2.0) * self.gap
 
 
-def pair_statistics(u, v):
-    """The one pass that builds the pair matrices of two copies."""
+def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
+    """The one pair pass over a configuration u, or two copies (u, v).
+
+    ``a`` and ``b`` are the exponents of the pair moments
+    <|u-u*|^(2a)>, <|v-v*|^(2b)> (both > 0); ``weights`` default to 1/N
+    each, which makes every sum the average over the N^2 ordered pairs.
+    Runs the C pass (``_engine.pair_sums``) in O(N) memory, or on the
+    python backend the numpy matrices of ``_pair_matrices``.
+    """
     u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 2:
-        raise BadParams(f"configurations differ in shape: {u.shape} vs {v.shape}")
-    g = u @ v.T
-    dg = np.einsum("id,id->i", u, v)
-    return PairStatistics(u, v, _pair_sq_dists(u), _pair_sq_dists(v),
-                          dg[:, None] + dg[None, :] - g - g.T)
+    if u.ndim != 2:
+        raise BadParams(f"configuration must be (N, d), got shape {u.shape}")
+    if v is not None:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != u.shape:
+            raise BadParams(
+                f"configurations differ in shape: {u.shape} vs {v.shape}")
+    a, b = float(a), float(b)
+    if not (a > 0.0 and b > 0.0):
+        raise BadParams(f"pair moment exponents must be positive, got {a}, {b}")
+    n = u.shape[0]
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise BadParams(f"need one weight per particle, got {weights.shape}")
+    sums = _pair_sums(u, v, weights, a, b)
+    return PairStatistics(u, v, weights, a, b, *(float(x) for x in sums))
 
 
 def coupling_creation(u, v):
@@ -241,6 +305,8 @@ class DiscreteCoupledDistribution:
     atoms_u: np.ndarray
     atoms_v: np.ndarray
     weights: np.ndarray
+    _pairs: PairStatistics = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         self.atoms_u = np.asarray(self.atoms_u, dtype=np.float64)
@@ -306,15 +372,25 @@ class DiscreteCoupledDistribution:
             raise BadParams("cannot normalize a marginal with zero energy")
         return DiscreteCoupledDistribution(u / np.sqrt(eu), v / np.sqrt(ev), w)
 
-    @cached_property
-    def pairs(self):
-        """Pair statistics of the atoms, built on first use and then kept."""
-        return pair_statistics(self.atoms_u, self.atoms_v)
+    def pairs(self, exponents=None):
+        """The pair pass over the atoms, kept for later calls.
+
+        Built with the pair-moment exponents ``exponents`` = (a, b),
+        default (1, 1), and built again only when other exponents are asked
+        for; ``exponents`` None takes the kept pass whatever its exponents,
+        as the gap and the area do not depend on them.
+        """
+        kept = self._pairs
+        if kept is None or (exponents is not None
+                            and (kept.a, kept.b) != tuple(exponents)):
+            kept = self._pairs = pair_statistics(
+                self.atoms_u, self.atoms_v, *(exponents or (1.0, 1.0)),
+                weights=self.weights)
+        return kept
 
     def alignment_area(self):
         """E(|U-U*|^2 |V-V*|^2 - ((U-U*).(V-V*))^2), exact K^2 sum."""
-        w, p = self.weights, self.pairs
-        return float(w @ (p.d2u * p.d2v - p.dots * p.dots) @ w)
+        return self.pairs().area
 
 
 def fund_inequality_report(dist):
@@ -448,28 +524,52 @@ def holder_constants(delta, p, d):
     return HolderConstants(delta=delta, p=p, q=q, k1=k1, k2=k2)
 
 
+def _weak_p(delta, p):
+    """p as given, or its default 2/(1 - delta), which needs delta < 1."""
+    if delta <= 0:
+        raise BadParams(f"need delta > 0, got {delta}")
+    if p is not None:
+        return float(p)
+    if delta >= 1.0:
+        raise BadParams("delta >= 1 needs an explicit p")
+    return 2.0 / (1.0 - delta)
+
+
+def weak_exponents(delta, p=None):
+    """Exponents (p(1+delta), q(1+delta)) of the pair moments
+    <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N that
+    ``pathwise_weak_inequality`` reads: pass them to ``pair_statistics``.
+    ``p`` defaults to 2/(1 - delta), q is its conjugate."""
+    delta = float(delta)
+    p = _weak_p(delta, p)
+    return p * (1.0 + delta), conjugate_exponent(p) * (1.0 + delta)
+
+
 def pathwise_weak_inequality(pairs, delta, p=None):
     """Check the weak alignment bound on one constrained pair state.
 
-    ``pairs`` is the ``pair_statistics`` of the state (u, v).  c(u, v) built
-    from k1, the smaller kappa, and the two pair moments
+    ``pairs`` is the ``pair_statistics`` of the state (u, v), taken at the
+    exponents ``weak_exponents(delta, p)`` with equal weights.  c(u, v)
+    built from k1, the smaller kappa, and the two pair moments
     <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N must not exceed half
     the coupling creation divided by the pair distance to the power
     1 + 1/(2 delta).  Requires nonnegative velocity correlation.  The
     coincident case u = v is 0/0 and is returned flagged with nan sides.
     """
-    if not isinstance(pairs, PairStatistics):
+    if not isinstance(pairs, PairStatistics) or pairs.v is None:
         raise BadParams("expected the PairStatistics of a pair state")
     u, v = pairs.u, pairs.v
     check_configuration(u)
     check_configuration(v)
     delta = float(delta)
-    if delta <= 0:
-        raise BadParams(f"need delta > 0, got {delta}")
-    if p is None:
-        if delta >= 1.0:
-            raise BadParams("delta >= 1 needs an explicit p")
-        p = 2.0 / (1.0 - delta)
+    p = _weak_p(delta, p)
+    exponents = weak_exponents(delta, p)
+    if (pairs.a, pairs.b) != exponents:
+        raise BadParams(f"pair moments taken at exponents ({pairs.a}, "
+                        f"{pairs.b}); the bound reads them at {exponents}")
+    if np.any(pairs.weights != pairs.weights[0]):
+        raise BadParams("the weak bound averages over particles; the pair "
+                        "statistics need equal weights")
     hc = holder_constants(delta, p, u.shape[1])
     p, q = hc.p, hc.q
 
@@ -480,8 +580,7 @@ def pathwise_weak_inequality(pairs, delta, p=None):
     kap_u = kappa(u.T @ u / u.shape[0])
     kap_v = kappa(v.T @ v / v.shape[0])
     kbar = min(kap_u, kap_v)
-    mom_u = float(np.mean(pairs.d2u ** (p * (1.0 + delta))))
-    mom_v = float(np.mean(pairs.d2v ** (q * (1.0 + delta))))
+    mom_u, mom_v = pairs.moment_u, pairs.moment_v
     c_val = (hc.k1 * kbar ** (-1.0 - 1.0 / (2.0 * delta))
              * mom_u ** (-1.0 / (2.0 * p * delta))
              * mom_v ** (-1.0 / (2.0 * q * delta)))
@@ -648,8 +747,8 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
     for s in range(samples):
         conf = sample_equilibrium(n, d, rng)
         kap = kappa(conf.T @ conf / n)
-        pairs = float(np.mean((_pair_sq_dists(conf) / 2.0) ** m_pair))
-        xs[s] = kap ** m_kappa * pairs
+        moment = pair_statistics(conf, a=m_pair).moment_u * 0.5 ** m_pair
+        xs[s] = kap ** m_kappa * moment
     m = float(np.mean(xs))
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     expo = 1.0 / (2.0 * p * delta)

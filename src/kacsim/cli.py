@@ -311,9 +311,11 @@ def _decay_observables(delta, p, notes):
     names = ("mean_sq_distance", "m2", "m4", "creation", "fund_lhs",
              "fund_rhs", "corr", "weak_slack")
     kept = {"unread": set()}
+    exponents = analysis.weak_exponents(delta, p)
 
     def row(a, b):
         dist = analysis.DiscreteCoupledDistribution.from_configurations(a, b)
+        pairs = dist.pairs(exponents)
         try:
             fund = analysis.fund_inequality_report(dist)
             fund_lhs, fund_rhs = fund.lhs, fund.rhs
@@ -321,11 +323,11 @@ def _decay_observables(delta, p, notes):
             notes.append(f"fundamental inequality degenerate: {exc}")
             fund_lhs, fund_rhs = 1.0, np.inf
         try:
-            weak = analysis.pathwise_weak_inequality(dist.pairs, delta, p)
+            weak = analysis.pathwise_weak_inequality(pairs, delta, p)
             creation, weak_slack = weak.aux["creation"], weak.slack
         except analysis.PreconditionFailed as exc:
             notes.append(f"weak inequality precondition failed: {exc}")
-            creation, weak_slack = dist.pairs.creation(), -np.inf
+            creation, weak_slack = pairs.creation(), -np.inf
         return {"mean_sq_distance": float(np.mean(np.sum((a - b) ** 2, axis=1))),
                 "m2": float(np.mean(np.sum(b * b, axis=1))),
                 "m4": float(np.mean(np.sum(b * b, axis=1) ** 2)),
@@ -542,6 +544,7 @@ def _random_constrained_pair(cfg, rng):
 def run_inequality_sweep(cfg, out_dir):
     """Randomized slack sweep; exit 1 when any inequality is violated."""
     delta, p, _ = cfg.resolved_exponents()
+    exponents = analysis.weak_exponents(delta, p)
     rows = []
     mins = {}
     max_area_residual = 0.0
@@ -581,7 +584,8 @@ def run_inequality_sweep(cfg, out_dir):
         u, v = _random_constrained_pair(cfg, rng)
         dist = analysis.DiscreteCoupledDistribution.from_configurations(u, v)
         note("configuration", "pathwise_weak",
-             analysis.pathwise_weak_inequality(dist.pairs, delta, p), k, stream)
+             analysis.pathwise_weak_inequality(dist.pairs(exponents), delta, p),
+             k, stream)
         note("configuration", "fundamental_alignment",
              analysis.fund_inequality_report(dist), k, stream)
 
@@ -709,10 +713,12 @@ def _run_equilibrium_check(cfg, out_dir):
         violations.append(
             f"equilibrium m4 {mean:.8g} is {abs(mean - exact) / se:.1f} se "
             f"away from the exact value {exact:.8g}")
-    if abs(mean - limit) > 0.01 * limit:
+    # the exact finite-n value itself sits below the large-n one (1.05%
+    # at n = 64, d = 3), so only a gap beyond that plus 4 se is flagged
+    if abs(mean - limit) > abs(exact - limit) + 4.0 * se:
         violations.append(
-            f"equilibrium m4 {mean:.8g} deviates from the large-n value "
-            f"{limit:.8g} by more than 1%")
+            f"equilibrium m4 {mean:.8g} is further from the large-n value "
+            f"{limit:.8g} than the exact value {exact:.8g} plus 4 se")
     _write_csv(Path(out_dir) / "moments.csv",
                ("n", "d", "m4_mean", "m4_se", "m4_exact", "m4_limit",
                 "replica", "substream"),

@@ -117,23 +117,78 @@ def test_creation_zero_for_identical_copies():
 
 
 def test_pair_statistics_matches_double_loops():
+    """The numpy oracle's matrices, and the pass's sums on both backends,
+    against plain loops over the ordered pairs."""
     rng = np.random.default_rng(80)
     u, v = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
-    pairs = analysis.pair_statistics(u, v)
     d2u, d2v, dots, integ = (np.empty((7, 7)) for _ in range(4))
     for i in range(7):
         for j in range(7):
             du, dv = u[i] - u[j], v[i] - v[j]
             d2u[i, j], d2v[i, j], dots[i, j] = du @ du, dv @ dv, du @ dv
             integ[i, j] = np.sqrt(du @ du) * np.sqrt(dv @ dv) - du @ dv
-    np.testing.assert_allclose(pairs.d2u, d2u, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pairs.d2v, d2v, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pairs.dots, dots, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(analysis.coupling_creation(u, v),
-                               (4 - 2.0) / (2.0 * 4 - 2.0) * integ.mean(),
-                               rtol=1e-12, atol=0)
+    for got, want in zip(analysis._pair_matrices(u, v), (d2u, d2v, dots)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert analysis._pair_matrices(u)[1:] == (None, None)
+    want = [np.mean(d2u ** 3), np.mean(d2v ** 1.5), np.mean(integ),
+            np.mean(d2u * d2v - dots * dots)]
+    for pairs in _both_backends(u, v, 3.0, 1.5):
+        got = [pairs.moment_u, pairs.moment_v, pairs.gap, pairs.area]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pairs.creation(),
+                                   (4 - 2.0) / (2.0 * 4 - 2.0) * integ.mean(),
+                                   rtol=1e-12, atol=0)
     with pytest.raises(analysis.BadParams):
         analysis.pair_statistics(u, v[:6])
+    for a, b in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(analysis.BadParams):
+            analysis.pair_statistics(u, v, a, b)
+    with pytest.raises(analysis.BadParams):
+        analysis.pair_statistics(u, v, weights=np.ones(6) / 6)
+
+
+def _both_backends(*args, **kwargs):
+    """``pair_statistics`` by the C pass (when loaded), then by the numpy
+    matrices of the python backend."""
+    out = []
+    if _engine.BACKEND == "c":
+        out.append(analysis.pair_statistics(*args, **kwargs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_LIB", None)
+        out.append(analysis.pair_statistics(*args, **kwargs))
+    return out
+
+
+# 2/(1 - 0.9) (1 + 0.9): the default p at delta = 0.9 is 20.000000000000004
+NEAR_38 = analysis.weak_exponents(0.9)[0]
+
+
+@pytest.mark.skipif(_engine.BACKEND != "c", reason="the C pass is not loaded")
+@pytest.mark.parametrize("exponents", [(6.0, 2.0), (4.5, 1.5), (NEAR_38, 2.0)],
+                         ids=["integral", "half", "near38"])
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (7, 3), (64, 5), (33, 32)])
+def test_pair_pass_matches_matrix_oracle(n, d, exponents):
+    """The C sums against the numpy matrices within 1e-12 relative: two
+    copies at uniform and Dirichlet weights, a single copy (NULL v), and
+    identical copies, whose gap and area vanish."""
+    assert NEAR_38 != 38.0
+    rng = np.random.default_rng(n * 100 + d)
+    u, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    names = ("moment_u", "moment_v", "gap", "area")
+    for w in (None, rng.dirichlet(np.ones(n))):
+        c, py = _both_backends(u, v, *exponents, weights=w)
+        for name in names:
+            np.testing.assert_allclose(getattr(c, name), getattr(py, name),
+                                       rtol=1e-12, atol=0, err_msg=name)
+        c, py = _both_backends(u, None, exponents[0], weights=w)
+        assert c.moment_u == pytest.approx(py.moment_u, rel=1e-12, abs=0)
+        assert all(np.isnan(getattr(x, name)) for x in (c, py)
+                   for name in names[1:])
+        c, py = _both_backends(u, u.copy(), *exponents, weights=w)
+        assert c.moment_u == pytest.approx(py.moment_u, rel=1e-12, abs=0)
+        assert c.gap == 0.0 and c.area == 0.0
+        r2 = c.moment_u ** (1.0 / exponents[0])    # a typical |du|^2
+        assert abs(py.gap) <= 1e-13 * r2 and abs(py.area) <= 1e-13 * r2 * r2
 
 
 def test_alignment_area_matches_double_sum():
@@ -146,7 +201,12 @@ def test_alignment_area_matches_double_sum():
             du, dv = u[k] - u[m], v[k] - v[m]
             total += w[k] * w[m] * ((du @ du) * (dv @ dv) - (du @ dv) ** 2)
     np.testing.assert_allclose(dist.alignment_area(), total, rtol=1e-12, atol=0)
-    assert dist.pairs is dist.pairs     # built once, then kept
+    kept = dist.pairs()
+    assert dist.pairs() is kept     # built once, then kept
+    assert dist.pairs((1.0, 1.0)) is kept
+    again = dist.pairs((2.0, 3.0))   # other exponents: a new pass, kept
+    assert again is not kept and dist.pairs() is again
+    assert again.area == kept.area
 
 
 def test_creation_matches_event_decrement():
@@ -275,7 +335,8 @@ def test_pathwise_weak_inequality_random_states():
         v = system.sample_equilibrium(32, 3, rng)
         v, _ = system.align_configurations(u, v)
         rep = analysis.pathwise_weak_inequality(
-            analysis.pair_statistics(u, v), delta=0.5)
+            analysis.pair_statistics(u, v, *analysis.weak_exponents(0.5)),
+            delta=0.5)
         assert rep.slack >= -1e-10
         assert rep.aux["correlation"] >= -1e-12
         # the decay runner's creation column reads this value
@@ -285,7 +346,9 @@ def test_pathwise_weak_inequality_random_states():
 def test_pathwise_weak_degenerate_and_errors():
     rng = np.random.default_rng(92)
     u = system.sample_equilibrium(16, 3, rng)
-    pairs = analysis.pair_statistics
+    def pairs(a, b):
+        return analysis.pair_statistics(a, b, *analysis.weak_exponents(0.5))
+
     rep = analysis.pathwise_weak_inequality(pairs(u, u.copy()), delta=0.5)
     assert rep.aux["degenerate_zero_distance"]
     assert np.isnan(rep.rhs)
@@ -295,6 +358,16 @@ def test_pathwise_weak_degenerate_and_errors():
         analysis.pathwise_weak_inequality(pairs(u, u), delta=1.5)  # needs explicit p
     with pytest.raises(analysis.BadParams):
         analysis.pathwise_weak_inequality(u, 0.5)  # raw arrays, not pairs
+    with pytest.raises(analysis.BadParams):  # moments at other exponents
+        analysis.pathwise_weak_inequality(
+            analysis.pair_statistics(u, u.copy()), delta=0.5)
+    with pytest.raises(analysis.BadParams):  # a single copy
+        analysis.pathwise_weak_inequality(
+            analysis.pair_statistics(u, None, 6.0), delta=0.5)
+    with pytest.raises(analysis.BadParams):  # unequal weights
+        analysis.pathwise_weak_inequality(analysis.pair_statistics(
+            u, u.copy(), 6.0, 2.0, weights=np.arange(1.0, 17.0) / 136.0),
+            delta=0.5)
 
 
 def test_conjugate_exponent():

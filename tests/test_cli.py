@@ -196,17 +196,17 @@ def test_decay_identical_initial_law(tmp_path):
 
 
 def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
-    """One pair_statistics call per decay sample, also for a negatively
-    correlated state, whose weak report fails and whose creation is read
-    from the same pass."""
+    """One fused pair pass per decay sample and per k_main sample, also for
+    a negatively correlated state, whose weak report fails and whose
+    creation is read from the same pass."""
     calls = []
-    build = cli.analysis.pair_statistics
+    build = cli.analysis._pair_sums
 
-    def counting(u, v):
+    def counting(*args):
         calls.append(1)
-        return build(u, v)
+        return build(*args)
 
-    monkeypatch.setattr(cli.analysis, "pair_statistics", counting)
+    monkeypatch.setattr(cli.analysis, "_pair_sums", counting)
     path = write_config(tmp_path, DECAY_CFG)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path),
@@ -214,7 +214,8 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     samples = sum(len((out / f"trajectory_{r}.csv").read_text().split()) - 1
                   for r in range(3))
     assert samples == 3 * 5
-    assert len(calls) == samples
+    constant_samples = cli.load_config(path).constant_samples
+    assert len(calls) == samples + constant_samples
 
     calls.clear()
     u = cli.sample_equilibrium(12, 3, np.random.default_rng(8))
@@ -223,6 +224,59 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
            cli._decay_observables(0.5, 4.0, notes).items()}
     assert len(calls) == 1
     assert len(notes) == 1 and row["weak_slack"] == -np.inf
+
+
+DEFAULT_SHAPE_DECAY = """
+kind = decay
+n = 256
+d = 3
+horizon = 1.0
+replicas = 2
+constant_samples = 10
+seed = 11
+"""
+
+
+def _run_columns(tmp_path, name):
+    path = write_config(tmp_path, DEFAULT_SHAPE_DECAY)
+    out = tmp_path / name
+    code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    tables = {f.name: np.loadtxt(f, delimiter=",", skiprows=1)
+              for f in sorted(out.glob("*.csv"))}
+    return code, report, tables
+
+
+@pytest.mark.skipif(cli.analysis._engine.BACKEND != "c",
+                    reason="the C pair pass is not loaded")
+def test_decay_pair_pass_never_falls_back_to_numpy(tmp_path, monkeypatch):
+    """On the C backend a decay run at the default shape and k_main never
+    build the numpy pair matrices; with the library forced off, the same
+    run (python stepper and matrices) gives the same pass flag and every
+    column and constant within 1e-12 relative."""
+    def refuse(*args):
+        raise AssertionError("numpy pair matrices built on the C backend")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.analysis, "_pair_matrices", refuse)
+        code_c, report_c, tables_c = _run_columns(tmp_path, "c")
+        cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 5,
+                                     np.random.default_rng(1))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.analysis._engine, "_LIB", None)
+        mp.setattr(cli.analysis._engine, "BACKEND", "python")
+        code_py, report_py, tables_py = _run_columns(tmp_path, "py")
+
+    assert code_c == code_py == cli.EXIT_OK
+    assert report_c["pass"] is report_py["pass"] is True
+    assert tables_c.keys() == tables_py.keys() and "aggregate.csv" in tables_c
+    for name, table in tables_c.items():
+        np.testing.assert_allclose(table, tables_py[name], rtol=1e-12,
+                                   atol=0, err_msg=name)
+    for key, val in report_c["constants"].items():
+        assert val == pytest.approx(report_py["constants"][key], rel=1e-12,
+                                    abs=0), key
+    assert report_c["engine_checks"] == report_py["engine_checks"]
 
 
 def test_decay_observables_ignore_call_order():
@@ -298,3 +352,20 @@ def test_support_studies_run(tmp_path):
         assert (out / csv_name).is_file()
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True, kind
+
+
+def test_equilibrium_check_allows_the_finite_n_gap(tmp_path):
+    """At n = 64, d = 3 the exact m4 = 315/191 sits 1.05% below the
+    large-n value 5/3; correct sampling must pass."""
+    assert abs(system.equilibrium_m4(64, 3) - 315.0 / 191.0) < 1e-15
+    path = write_config(tmp_path, "kind = equilibrium-check\nn = 64\n"
+                                  "d = 3\nseed = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True and not report["violations"]
+    res = report["results"]
+    assert abs(res["m4_mean"] - res["m4_exact"]) <= 4.0 * res["m4_se"]
+    # a flat 1% band around the limit would reject the exact value itself
+    assert abs(res["m4_limit"] - res["m4_exact"]) > 0.01 * res["m4_limit"]

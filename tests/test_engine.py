@@ -7,7 +7,9 @@ and a sweep of angles near 0 and pi checks the per-event identities on
 both backends.  A single copy (generic pair, pair at rest) is compared
 with ``system.step_kac``; the python fallback is forced and compared with
 the C loop on multi-batch runs with reprojection.  The python stepper
-rounds as the C loop does, so every comparison is exact.
+rounds as the C loop does, so every comparison is exact.  The pair pass
+``pair_sums`` is checked against closed forms here and against the numpy
+pair matrices in test_analysis.
 """
 
 import re
@@ -449,6 +451,45 @@ def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path, d):
     assert coupled_c.checks["n_events"] > 64   # several batches were used
     _assert_same_run(coupled_c, coupled_py)
     _assert_same_run(single_c, single_py)
+
+
+@needs_c
+@pytest.mark.parametrize("d", [3, 7])
+def test_pair_sums_closed_forms(d):
+    """kac_pair_sums at a = b = 1 gives 2 (sum w|x|^2 - |sum w x|^2) in
+    each copy, and at a = 2 the double loop; a NULL v fills only out[0];
+    exponents 2 and 2 + 1 ulp (repeated squaring and pow) agree to
+    rounding."""
+    rng = np.random.default_rng(d)
+    u, v = rng.standard_normal((9, d)), rng.standard_normal((9, d))
+    w = rng.dirichlet(np.ones(9))
+    out = _engine.pair_sums(u, v, w, 1.0, 1.0)
+    for x, got in ((u, out[0]), (v, out[1])):
+        want = 2.0 * (w @ np.sum(x * x, axis=1) - np.sum((w @ x) ** 2))
+        assert got == pytest.approx(want, rel=1e-13)
+    loop = sum(w[i] * w[j] * np.sum((u[i] - u[j]) ** 2) ** 2
+               for i in range(9) for j in range(9))
+    single = _engine.pair_sums(u, None, w, 2.0, 1.0)
+    assert single[0] == pytest.approx(loop, rel=1e-13)
+    assert np.isnan(single[1:]).all()
+    ulp = _engine.pair_sums(u, v, w, np.nextafter(2.0, 3.0), 2.0)
+    np.testing.assert_allclose(ulp, _engine.pair_sums(u, v, w, 2.0, 2.0),
+                               rtol=1e-13)
+
+
+@needs_c
+def test_pair_sums_reject_mismatched_shapes():
+    u, w = np.zeros((4, 3)), np.ones(4) / 4
+    for args in ((u[0], None, w[:3]), (u, u[:3], w), (u, u.T, w),
+                 (u, None, w[:3])):
+        with pytest.raises(ValueError, match="pair sums need"):
+            _engine.pair_sums(*args, 1.0, 1.0)
+
+
+def test_pair_sums_need_the_library(monkeypatch):
+    monkeypatch.setattr(_engine, "_LIB", None)
+    with pytest.raises(RuntimeError, match="python backend"):
+        _engine.pair_sums(np.zeros((2, 3)), None, np.ones(2) / 2, 1.0, 1.0)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
