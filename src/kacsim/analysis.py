@@ -9,14 +9,17 @@ take an explicit Generator.
 Contents:
 
 * spectral quantities: ``max_eigenvalue``, ``kappa``;
-* the pair pass ``pair_statistics`` over one copy or two: a
-  ``PairStatistics`` record of weighted pair sums (the pair moments at the
-  exponents the caller asks for, ``weak_exponents`` giving those of the
-  weak bound, the creation integrand and the alignment area) that every
-  pair functional reads.  It is one C loop in O(N) memory
-  (``_engine.pair_sums``); the numpy N x N matrices of ``_pair_matrices``
-  are its test oracle and its stand-in on the python backend.  Also the
-  coupling creation ``coupling_creation``;
+* the moment record ``pair_statistics`` of one sample, a configuration u
+  or a coupled pair (u, v): a ``PairStatistics`` holding the weighted pair
+  sums of one pass (the pair moments at the exponents the caller asks for,
+  ``weak_exponents`` giving those of the weak bound, the creation integrand
+  and the alignment area), the means, the second-moment matrices, E U.V,
+  E|U - V|^2 and kappa of each marginal, computed once.  The fundamental,
+  area and weak reports and ``k_main_estimate`` read it, and the sweep
+  hands its matrices to the trace report.  The pass is one C loop in O(N)
+  memory (``_engine.pair_sums``); the numpy N x N matrices of
+  ``_pair_matrices`` are its test oracle and its stand-in on the python
+  backend.  Also the coupling creation ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
 * Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -230,16 +234,26 @@ def _pair_sums(u, v, w, a, b):
     return out
 
 
+def _moment(x, y, w):
+    """Weighted second-moment matrix sum_k w_k x_k y_k^T."""
+    return (x * w[:, None]).T @ y
+
+
 @dataclass(frozen=True, eq=False)
 class PairStatistics:
-    """Weighted sums over all ordered pairs (i, j) of a coupled
-    configuration (u, v), from one pass.
+    """The moment record of one sample: a configuration u, or a coupled
+    pair (u, v), under weights w.  Built only by ``pair_statistics``.
 
-    With du = u_i - u_j, dv = v_i - v_j and weights w_i w_j:
-    ``moment_u`` sums |du|^(2a), ``moment_v`` |dv|^(2b), ``gap``
-    |du||dv| - du.dv and ``area`` |du|^2 |dv|^2 - (du.dv)^2.  A single
-    copy (``v`` None) has only ``moment_u``; the rest are nan.  Built only
-    by ``pair_statistics``.
+    Pair sums over all ordered pairs (i, j), weighted w_i w_j, from one
+    pass; with du = u_i - u_j and dv = v_i - v_j, ``moment_u`` sums
+    |du|^(2a), ``moment_v`` |dv|^(2b), ``gap`` |du||dv| - du.dv and
+    ``area`` |du|^2 |dv|^2 - (du.dv)^2.  One-point moments: the means
+    ``mean_u``, ``mean_v``, the second-moment matrices ``c_uu`` = E U U^T,
+    ``c_vv`` and the cross block ``c_uv`` = E U V^T, ``mean_dot`` = E U.V
+    and ``mean_sq_distance`` = E|U - V|^2, summed directly.  ``kappa_u``
+    and ``kappa_v`` are kappa of C_UU and C_VV, computed on first read.  A
+    single copy (``v`` None) has only the u entries; the others are None,
+    or nan for the scalars.
     """
 
     u: np.ndarray
@@ -251,21 +265,37 @@ class PairStatistics:
     moment_v: float
     gap: float
     area: float
+    mean_u: np.ndarray
+    c_uu: np.ndarray
+    mean_v: np.ndarray
+    c_vv: np.ndarray
+    c_uv: np.ndarray
+    mean_dot: float
+    mean_sq_distance: float
 
     def creation(self):
         """Coupling creation (d-2)/(2d-2) <|du||dv| - du.dv>_N."""
         d = self.u.shape[1]
         return (d - 2.0) / (2.0 * d - 2.0) * self.gap
 
+    @cached_property
+    def kappa_u(self):
+        return kappa(self.c_uu)
+
+    @cached_property
+    def kappa_v(self):
+        return kappa(self.c_vv)
+
 
 def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
-    """The one pair pass over a configuration u, or two copies (u, v).
+    """The moment record of a configuration u, or two copies (u, v).
 
     ``a`` and ``b`` are the exponents of the pair moments
     <|u-u*|^(2a)>, <|v-v*|^(2b)> (both > 0); ``weights`` default to 1/N
-    each, which makes every sum the average over the N^2 ordered pairs.
-    Runs the C pass (``_engine.pair_sums``) in O(N) memory, or on the
-    python backend the numpy matrices of ``_pair_matrices``.
+    each, which makes every sum the average over the N (or N^2 ordered
+    pair) terms.  The pair sums come from one pass: the C loop
+    (``_engine.pair_sums``) in O(N) memory, or on the python backend the
+    numpy matrices of ``_pair_matrices``.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
@@ -284,8 +314,16 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise BadParams(f"need one weight per particle, got {weights.shape}")
-    sums = _pair_sums(u, v, weights, a, b)
-    return PairStatistics(u, v, weights, a, b, *(float(x) for x in sums))
+    joint = (None, None, None, np.nan, np.nan)
+    if v is not None:
+        du = u - v
+        joint = (weights @ v, _moment(v, v, weights), _moment(u, v, weights),
+                 float(weights @ np.einsum("id,id->i", u, v)),
+                 float(weights @ np.einsum("id,id->i", du, du)))
+    return PairStatistics(
+        u, v, weights, a, b,
+        *(float(x) for x in _pair_sums(u, v, weights, a, b)),
+        weights @ u, _moment(u, u, weights), *joint)
 
 
 def coupling_creation(u, v):
@@ -305,8 +343,6 @@ class DiscreteCoupledDistribution:
     atoms_u: np.ndarray
     atoms_v: np.ndarray
     weights: np.ndarray
-    _pairs: PairStatistics = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __post_init__(self):
         self.atoms_u = np.asarray(self.atoms_u, dtype=np.float64)
@@ -329,87 +365,61 @@ class DiscreteCoupledDistribution:
         k = u.shape[0]
         return cls(u, v, np.full(k, 1.0 / k))
 
-    def mean_u(self):
-        return self.weights @ self.atoms_u
-
-    def mean_v(self):
-        return self.weights @ self.atoms_v
-
     def second_moment(self, which):
         """Weighted second-moment matrix: 'uu', 'vv', or the cross 'uv'."""
-        w = self.weights
-        if which == "uu":
-            return (self.atoms_u * w[:, None]).T @ self.atoms_u
-        if which == "vv":
-            return (self.atoms_v * w[:, None]).T @ self.atoms_v
-        if which == "uv":
-            return (self.atoms_u * w[:, None]).T @ self.atoms_v
-        raise BadParams(f"unknown moment block {which!r}")
-
-    def mean_dot(self):
-        return float(self.weights @ np.einsum("kd,kd->k", self.atoms_u, self.atoms_v))
-
-    def is_centered(self):
-        return (np.max(np.abs(self.mean_u())) <= NORMALIZED_TOL
-                and np.max(np.abs(self.mean_v())) <= NORMALIZED_TOL)
-
-    def is_normalized(self):
-        if not self.is_centered():
-            return False
-        eu = float(np.trace(self.second_moment("uu")))
-        ev = float(np.trace(self.second_moment("vv")))
-        return (abs(eu - 1.0) <= NORMALIZED_TOL
-                and abs(ev - 1.0) <= NORMALIZED_TOL)
+        blocks = {"uu": (self.atoms_u, self.atoms_u),
+                  "vv": (self.atoms_v, self.atoms_v),
+                  "uv": (self.atoms_u, self.atoms_v)}
+        if which not in blocks:
+            raise BadParams(f"unknown moment block {which!r}")
+        return _moment(*blocks[which], self.weights)
 
     def normalize(self):
         """Centered copy with unit second moment in each marginal."""
-        u = self.atoms_u - self.mean_u()
-        v = self.atoms_v - self.mean_v()
         w = self.weights
+        u = self.atoms_u - w @ self.atoms_u
+        v = self.atoms_v - w @ self.atoms_v
         eu = float(w @ np.einsum("kd,kd->k", u, u))
         ev = float(w @ np.einsum("kd,kd->k", v, v))
         if eu <= 0.0 or ev <= 0.0:
             raise BadParams("cannot normalize a marginal with zero energy")
         return DiscreteCoupledDistribution(u / np.sqrt(eu), v / np.sqrt(ev), w)
 
-    def pairs(self, exponents=None):
-        """The pair pass over the atoms, kept for later calls.
-
-        Built with the pair-moment exponents ``exponents`` = (a, b),
-        default (1, 1), and built again only when other exponents are asked
-        for; ``exponents`` None takes the kept pass whatever its exponents,
-        as the gap and the area do not depend on them.
-        """
-        kept = self._pairs
-        if kept is None or (exponents is not None
-                            and (kept.a, kept.b) != tuple(exponents)):
-            kept = self._pairs = pair_statistics(
-                self.atoms_u, self.atoms_v, *(exponents or (1.0, 1.0)),
-                weights=self.weights)
-        return kept
-
-    def alignment_area(self):
-        """E(|U-U*|^2 |V-V*|^2 - ((U-U*).(V-V*))^2), exact K^2 sum."""
-        return self.pairs().area
+    def pair_statistics(self, a=1.0, b=1.0):
+        """The moment record of the law: ``pair_statistics`` over the
+        atoms under the law's weights."""
+        return pair_statistics(self.atoms_u, self.atoms_v, a, b, self.weights)
 
 
-def fund_inequality_report(dist):
+def _check_pair_record(pairs):
+    if not isinstance(pairs, PairStatistics) or pairs.v is None:
+        raise BadParams("expected the PairStatistics of a pair state")
+
+
+def _centered(pairs):
+    return (np.max(np.abs(pairs.mean_u)) <= NORMALIZED_TOL
+            and np.max(np.abs(pairs.mean_v)) <= NORMALIZED_TOL)
+
+
+def fund_inequality_report(pairs):
     """Check 1 - (E U.V)^2 <= (kappa_bar / 2) E(|dU|^2 |dV|^2 - (dU.dV)^2).
 
-    ``kappa_bar`` is the smaller kappa of the two marginal second-moment
-    matrices; the distribution must be normalized.  The factor 1/2 is the
+    ``pairs`` is the ``pair_statistics`` of a coupled law (at any pair
+    moment exponents), which must be normalized: centered, with unit
+    energy in each marginal.  ``kappa_bar`` is the smaller kappa of the two
+    marginal second-moment matrices.  The factor 1/2 is the
     equality-attaining constant (strongly isotropic co-linear two-radius
     couplings saturate it); the unhalved variant is also reported in aux.
     """
-    if not isinstance(dist, DiscreteCoupledDistribution):
-        raise BadParams("expected a DiscreteCoupledDistribution")
-    if not dist.is_normalized():
+    _check_pair_record(pairs)
+    if not (_centered(pairs)
+            and abs(float(np.trace(pairs.c_uu)) - 1.0) <= NORMALIZED_TOL
+            and abs(float(np.trace(pairs.c_vv)) - 1.0) <= NORMALIZED_TOL):
         raise PreconditionFailed("distribution must be centered with unit energy")
-    kap_u = kappa(dist.second_moment("uu"))
-    kap_v = kappa(dist.second_moment("vv"))
+    kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
     kbar = min(kap_u, kap_v)
-    area = dist.alignment_area()
-    md = dist.mean_dot()
+    area = pairs.area
+    md = pairs.mean_dot
     lhs = 1.0 - md * md
     if np.isinf(kbar):
         if lhs > 1e-12:
@@ -455,7 +465,7 @@ def trace_inequality_report(c_uu, c_vv, c_uv):
                             aux=aux)
 
 
-def area_decomposition(dist):
+def area_decomposition(pairs):
     """Exact three-term split of the pair alignment area.
 
     total = 2 E(|U|^2 |V|^2 - (U.V)^2)                    [pointwise, >= 0]
@@ -463,29 +473,26 @@ def area_decomposition(dist):
           + 2 (Tr C_UU Tr C_VV - (Tr C_UV)^2
                - Tr(C_UU C_VV) + Tr(C_UV C_VU))            [trace]
 
-    for any centered coupled law; the residual against the direct K^2 sum
-    is reported and stays below 1e-11.
+    for any centered coupled law, read from its ``pair_statistics``
+    ``pairs``; the residual against the direct pair sum is reported and
+    stays below 1e-11.
     """
-    if not isinstance(dist, DiscreteCoupledDistribution):
-        raise BadParams("expected a DiscreteCoupledDistribution")
-    if not dist.is_centered():
+    _check_pair_record(pairs)
+    if not _centered(pairs):
         raise PreconditionFailed("distribution must be centered")
-    w = dist.weights
-    u, v = dist.atoms_u, dist.atoms_v
+    w, u, v = pairs.weights, pairs.u, pairs.v
     uu = np.einsum("kd,kd->k", u, u)
     vv = np.einsum("kd,kd->k", v, v)
     uv = np.einsum("kd,kd->k", u, v)
     term1 = 2.0 * float(w @ (uu * vv - uv * uv))
-    c_uu = dist.second_moment("uu")
-    c_vv = dist.second_moment("vv")
-    c_uv = dist.second_moment("uv")
+    c_uu, c_vv, c_uv = pairs.c_uu, pairs.c_vv, pairs.c_uv
     m = c_uv - c_uv.T
     term2 = float(np.sum(m * m))
     term3 = 2.0 * (float(np.trace(c_uu)) * float(np.trace(c_vv))
                    - float(np.trace(c_uv)) ** 2
                    - float(np.trace(c_uu @ c_vv))
                    + float(np.sum(c_uv * c_uv)))
-    total = dist.alignment_area()
+    total = pairs.area
     return AreaDecomposition(term_pointwise=term1, term_antisym=term2,
                              term_trace=term3, total=total,
                              residual=total - (term1 + term2 + term3))
@@ -524,28 +531,18 @@ def holder_constants(delta, p, d):
     return HolderConstants(delta=delta, p=p, q=q, k1=k1, k2=k2)
 
 
-def _weak_p(delta, p):
-    """p as given, or its default 2/(1 - delta), which needs delta < 1."""
-    if delta <= 0:
-        raise BadParams(f"need delta > 0, got {delta}")
-    if p is not None:
-        return float(p)
-    if delta >= 1.0:
-        raise BadParams("delta >= 1 needs an explicit p")
-    return 2.0 / (1.0 - delta)
-
-
-def weak_exponents(delta, p=None):
+def weak_exponents(delta, p):
     """Exponents (p(1+delta), q(1+delta)) of the pair moments
     <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N that
     ``pathwise_weak_inequality`` reads: pass them to ``pair_statistics``.
-    ``p`` defaults to 2/(1 - delta), q is its conjugate."""
+    q is the conjugate of p."""
     delta = float(delta)
-    p = _weak_p(delta, p)
-    return p * (1.0 + delta), conjugate_exponent(p) * (1.0 + delta)
+    if delta <= 0:
+        raise BadParams(f"need delta > 0, got {delta}")
+    return float(p) * (1.0 + delta), conjugate_exponent(p) * (1.0 + delta)
 
 
-def pathwise_weak_inequality(pairs, delta, p=None):
+def pathwise_weak_inequality(pairs, delta, p):
     """Check the weak alignment bound on one constrained pair state.
 
     ``pairs`` is the ``pair_statistics`` of the state (u, v), taken at the
@@ -556,13 +553,9 @@ def pathwise_weak_inequality(pairs, delta, p=None):
     1 + 1/(2 delta).  Requires nonnegative velocity correlation.  The
     coincident case u = v is 0/0 and is returned flagged with nan sides.
     """
-    if not isinstance(pairs, PairStatistics) or pairs.v is None:
-        raise BadParams("expected the PairStatistics of a pair state")
-    u, v = pairs.u, pairs.v
-    check_configuration(u)
-    check_configuration(v)
-    delta = float(delta)
-    p = _weak_p(delta, p)
+    _check_pair_record(pairs)
+    check_configuration(pairs.u)
+    check_configuration(pairs.v)
     exponents = weak_exponents(delta, p)
     if (pairs.a, pairs.b) != exponents:
         raise BadParams(f"pair moments taken at exponents ({pairs.a}, "
@@ -570,15 +563,14 @@ def pathwise_weak_inequality(pairs, delta, p=None):
     if np.any(pairs.weights != pairs.weights[0]):
         raise BadParams("the weak bound averages over particles; the pair "
                         "statistics need equal weights")
-    hc = holder_constants(delta, p, u.shape[1])
-    p, q = hc.p, hc.q
+    hc = holder_constants(delta, p, pairs.u.shape[1])
+    delta, p, q = hc.delta, hc.p, hc.q
 
-    corr = float(np.mean(np.einsum("id,id->i", u, v)))
+    corr = pairs.mean_dot
     if corr < -CORRELATION_TOL:
         raise PreconditionFailed(f"velocity correlation {corr:.3e} is negative")
-    dist = float(np.mean(np.sum((u - v) ** 2, axis=1)))
-    kap_u = kappa(u.T @ u / u.shape[0])
-    kap_v = kappa(v.T @ v / v.shape[0])
+    dist = pairs.mean_sq_distance
+    kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
     kbar = min(kap_u, kap_v)
     mom_u, mom_v = pairs.moment_u, pairs.moment_v
     c_val = (hc.k1 * kbar ** (-1.0 - 1.0 / (2.0 * delta))
@@ -746,9 +738,9 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
     xs = np.empty(samples)
     for s in range(samples):
         conf = sample_equilibrium(n, d, rng)
-        kap = kappa(conf.T @ conf / n)
-        moment = pair_statistics(conf, a=m_pair).moment_u * 0.5 ** m_pair
-        xs[s] = kap ** m_kappa * moment
+        pairs = pair_statistics(conf, a=m_pair)
+        moment = pairs.moment_u * 0.5 ** m_pair
+        xs[s] = pairs.kappa_u ** m_kappa * moment
     m = float(np.mean(xs))
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     expo = 1.0 / (2.0 * p * delta)

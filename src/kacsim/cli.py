@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import _engine, analysis
 from .assignment import MAX_ASSIGNMENT_SIZE
 from .kernels import KernelError, make_kernel
 from .system import (
@@ -301,51 +301,48 @@ TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
 
 
 def _decay_observables(delta, p, notes):
-    """Observable closures for one coupled replica, in column order.
+    """Observable closures for one coupled replica, one per trajectory
+    column, in column order.
 
-    A sample's columns share one row, built from one pair pass by whichever
-    closure is called first and kept against copies of the state; a column
-    called again, or on another state, gets a new row.  ``corr`` is turned
+    The sampler hands every closure of a sample the same fresh read-only
+    snapshot of (u, v) (see ``system.simulate_coupled``).  The first closure
+    to see a snapshot builds the sample's row from one ``pair_statistics``
+    record; the others find the same arrays (``is``) and read that row.
+    ``min_corr`` reads the sample's correlation, which the runner turns
     into the running minimum after the run.
     """
-    names = ("mean_sq_distance", "m2", "m4", "creation", "fund_lhs",
-             "fund_rhs", "corr", "weak_slack")
-    kept = {"unread": set()}
     exponents = analysis.weak_exponents(delta, p)
+    kept = {"states": (None, None)}
 
-    def row(a, b):
-        dist = analysis.DiscreteCoupledDistribution.from_configurations(a, b)
-        pairs = dist.pairs(exponents)
+    def row(u, v):
+        pairs = analysis.pair_statistics(u, v, *exponents)
         try:
-            fund = analysis.fund_inequality_report(dist)
+            fund = analysis.fund_inequality_report(pairs)
             fund_lhs, fund_rhs = fund.lhs, fund.rhs
         except analysis.RhsInfinite as exc:
             notes.append(f"fundamental inequality degenerate: {exc}")
             fund_lhs, fund_rhs = 1.0, np.inf
         try:
-            weak = analysis.pathwise_weak_inequality(pairs, delta, p)
-            creation, weak_slack = weak.aux["creation"], weak.slack
+            weak_slack = analysis.pathwise_weak_inequality(pairs, delta, p).slack
         except analysis.PreconditionFailed as exc:
             notes.append(f"weak inequality precondition failed: {exc}")
-            creation, weak_slack = pairs.creation(), -np.inf
-        return {"mean_sq_distance": float(np.mean(np.sum((a - b) ** 2, axis=1))),
-                "m2": float(np.mean(np.sum(b * b, axis=1))),
-                "m4": float(np.mean(np.sum(b * b, axis=1) ** 2)),
-                "creation": creation, "fund_lhs": fund_lhs, "fund_rhs": fund_rhs,
-                "corr": float(np.mean(np.sum(a * b, axis=1))),
+            weak_slack = -np.inf
+        sq = np.sum(v * v, axis=1)
+        return {"mean_sq_distance": pairs.mean_sq_distance,
+                "m2": float(np.mean(sq)), "m4": float(np.mean(sq * sq)),
+                "creation": pairs.creation(), "fund_lhs": fund_lhs,
+                "fund_rhs": fund_rhs, "min_corr": pairs.mean_dot,
                 "weak_slack": weak_slack}
 
     def column(name):
-        def read(a, b):
-            if (name not in kept["unread"] or not np.array_equal(kept["a"], a)
-                    or not np.array_equal(kept["b"], b)):
-                kept.update(a=a.copy(), b=b.copy(), row=row(a, b),
-                            unread=set(names))
-            kept["unread"].discard(name)
+        def read(u, v):
+            kept_u, kept_v = kept["states"]
+            if u is not kept_u or v is not kept_v:
+                kept.update(states=(u, v), row=row(u, v))
             return kept["row"][name]
         return read
 
-    return {name: column(name) for name in names}
+    return {name: column(name) for name in TRAJECTORY_COLUMNS}
 
 
 def _initial_copies(cfg, rng):
@@ -367,7 +364,7 @@ def _decay_sample_checks(times, columns):
         issues.append(
             f"mean squared distance increased by {steps[k]:.3e} between "
             f"t = {times[k]:.6g} and t = {times[k + 1]:.6g}")
-    corr_min = float(np.min(columns["corr"]))
+    corr_min = float(np.min(columns["min_corr"]))
     if corr_min < -CORR_TOL:
         issues.append(f"velocity correlation dipped to {corr_min:.3e}")
     slack = columns["weak_slack"]
@@ -414,7 +411,7 @@ def run_decay_experiment(cfg, out_dir):
         traj = simulate_coupled(u0, v0a, kern, rng, horizon=cfg.horizon,
                                 sample_dt=cfg.sample_dt, observables=obs)
         cols = dict(traj.columns)
-        cols["min_corr"] = np.minimum.accumulate(cols["corr"])
+        cols["min_corr"] = np.minimum.accumulate(cols["min_corr"])
 
         issues = coupled_run_issues(traj)
         issues += _decay_sample_checks(traj.times, cols)
@@ -514,13 +511,14 @@ def _equality_cases(cfg, rng):
     d = cfg.d
     cases = []
 
-    rep = analysis.fund_inequality_report(_two_radius_equality(d))
+    rep = analysis.fund_inequality_report(
+        _two_radius_equality(d).pair_statistics())
     cases.append(("fund_two_radius", rep))
 
     x = rng.standard_normal((2 * d + 2, d))
     dist = analysis.DiscreteCoupledDistribution.from_configurations(x, x.copy())
-    cases.append(("fund_identity_coupling",
-                  analysis.fund_inequality_report(dist.normalize())))
+    cases.append(("fund_identity_coupling", analysis.fund_inequality_report(
+        dist.normalize().pair_statistics())))
 
     eye = np.eye(d) / d
     cases.append(("trace_independent",
@@ -564,15 +562,14 @@ def run_inequality_sweep(cfg, out_dir):
     stream = substream_seed(cfg.seed, 0)
     rng = substream(cfg.seed, 0)
     for k in range(cfg.n_discrete):
-        dist = _random_discrete(rng, cfg.d)
+        pairs = _random_discrete(rng, cfg.d).pair_statistics()
         note("discrete", "fundamental_alignment",
-             analysis.fund_inequality_report(dist), k, stream)
+             analysis.fund_inequality_report(pairs), k, stream)
         note("discrete", "trace",
-             analysis.trace_inequality_report(dist.second_moment("uu"),
-                                              dist.second_moment("vv"),
-                                              dist.second_moment("uv")),
+             analysis.trace_inequality_report(pairs.c_uu, pairs.c_vv,
+                                              pairs.c_uv),
              k, stream)
-        dec = analysis.area_decomposition(dist)
+        dec = analysis.area_decomposition(pairs)
         max_area_residual = max(max_area_residual, abs(dec.residual))
         if abs(dec.residual) > AREA_RESIDUAL_TOL:
             violations.append(
@@ -582,12 +579,11 @@ def run_inequality_sweep(cfg, out_dir):
     rng = substream(cfg.seed, 1)
     for k in range(cfg.n_config):
         u, v = _random_constrained_pair(cfg, rng)
-        dist = analysis.DiscreteCoupledDistribution.from_configurations(u, v)
+        pairs = analysis.pair_statistics(u, v, *exponents)
         note("configuration", "pathwise_weak",
-             analysis.pathwise_weak_inequality(dist.pairs(exponents), delta, p),
-             k, stream)
+             analysis.pathwise_weak_inequality(pairs, delta, p), k, stream)
         note("configuration", "fundamental_alignment",
-             analysis.fund_inequality_report(dist), k, stream)
+             analysis.fund_inequality_report(pairs), k, stream)
 
     stream = substream_seed(cfg.seed, 2)
     equality = []
@@ -794,6 +790,7 @@ def main(argv=None):
         print(json.dumps(_jsonable(asdict(cfg)), indent=2, sort_keys=True))
         return EXIT_OK
 
+    print(f"kac run: engine backend {_engine.BACKEND}", flush=True)
     code = run_experiment(cfg, cfg.out)
     status = "ok" if code == EXIT_OK else "INVARIANT VIOLATION"
     print(f"{cfg.kind}: {status} (outputs in {cfg.out})")

@@ -377,9 +377,11 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
               observables, reproject_every, chunk_size):
     """Advance one copy or two coupled copies in place, sampling on a grid.
 
-    The advance function follows from the number of copies; observables are
-    called with the copies as positional arguments.  Returns (times,
-    columns, acc) with the accumulator laid out as in :mod:`kacsim._engine`.
+    The advance function follows from the number of copies.  At each
+    sample every observable is called with the same fresh read-only
+    snapshot of the copies as positional arguments, so observables may
+    share work by the arrays' identity.  Returns (times, columns, acc) with
+    the accumulator laid out as in :mod:`kacsim._engine`.
     """
     coupled = len(states) == 2
     n, d = states[0].shape
@@ -400,8 +402,11 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
 
     def record(at):
         out_t.append(at)
+        snapshot = [x.copy() for x in states]
+        for x in snapshot:
+            x.flags.writeable = False
         for name, fn in observables.items():
-            cols[name].append(fn(*states))
+            cols[name].append(fn(*snapshot))
 
     targets = list(grid) if grid.size else [np.inf]
     stopped = False
@@ -438,7 +443,8 @@ def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
     least one must be given).  Pending event times are preserved across
     sampling stops, so the sampled path is a true skeleton of one
     realization.  ``observables`` maps column names to functions of the
-    configuration; default columns are m2 and m4.
+    configuration, each called at a sample with the same fresh read-only
+    snapshot; default columns are m2 and m4.
     """
     v = np.array(v, dtype=np.float64)
     check_configuration(v)
@@ -461,8 +467,10 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
 
     ``u`` may also be a CoupledState (then ``v`` must be None).  Otherwise
     ``u`` and ``v`` must already be slot-aligned (see align_configurations).
-    Observables are functions of (u, v); defaults record the mean squared
-    pair distance, the velocity correlation, and the second copy's m2/m4.
+    Observables are functions of (u, v), each called at a sample with the
+    same fresh read-only snapshot of both copies; defaults record the mean
+    squared pair distance, the velocity correlation, and the second copy's
+    m2/m4.
     Engine check statistics (identity residual, pair distance monotonicity,
     conservation) are accumulated in ``checks``.
     """

@@ -138,6 +138,24 @@ def test_pair_statistics_matches_double_loops():
         np.testing.assert_allclose(pairs.creation(),
                                    (4 - 2.0) / (2.0 * 4 - 2.0) * integ.mean(),
                                    rtol=1e-12, atol=0)
+    w = rng.dirichlet(np.ones(7))
+    rec = analysis.pair_statistics(u, v, weights=w)
+    want = {"mean_u": 0.0, "mean_v": 0.0, "c_uu": 0.0, "c_vv": 0.0,
+            "c_uv": 0.0, "mean_dot": 0.0, "mean_sq_distance": 0.0}
+    for k in range(7):
+        for name, term in (("mean_u", u[k]), ("mean_v", v[k]),
+                           ("c_uu", np.outer(u[k], u[k])),
+                           ("c_vv", np.outer(v[k], v[k])),
+                           ("c_uv", np.outer(u[k], v[k])),
+                           ("mean_dot", u[k] @ v[k]),
+                           ("mean_sq_distance", (u[k] - v[k]) @ (u[k] - v[k]))):
+            want[name] = want[name] + w[k] * term
+    for name, value in want.items():
+        np.testing.assert_allclose(getattr(rec, name), value, rtol=1e-12,
+                                   atol=1e-15, err_msg=name)
+    single = analysis.pair_statistics(u, weights=w)
+    np.testing.assert_array_equal(single.c_uu, rec.c_uu)
+    assert single.c_vv is None and np.isnan(single.mean_sq_distance)
     with pytest.raises(analysis.BadParams):
         analysis.pair_statistics(u, v[:6])
     for a, b in ((0.0, 1.0), (1.0, -2.0)):
@@ -160,7 +178,7 @@ def _both_backends(*args, **kwargs):
 
 
 # 2/(1 - 0.9) (1 + 0.9): the default p at delta = 0.9 is 20.000000000000004
-NEAR_38 = analysis.weak_exponents(0.9)[0]
+NEAR_38 = analysis.weak_exponents(0.9, 2.0 / (1.0 - 0.9))[0]
 
 
 @pytest.mark.skipif(_engine.BACKEND != "c", reason="the C pass is not loaded")
@@ -200,13 +218,9 @@ def test_alignment_area_matches_double_sum():
         for m in range(9):
             du, dv = u[k] - u[m], v[k] - v[m]
             total += w[k] * w[m] * ((du @ du) * (dv @ dv) - (du @ dv) ** 2)
-    np.testing.assert_allclose(dist.alignment_area(), total, rtol=1e-12, atol=0)
-    kept = dist.pairs()
-    assert dist.pairs() is kept     # built once, then kept
-    assert dist.pairs((1.0, 1.0)) is kept
-    again = dist.pairs((2.0, 3.0))   # other exponents: a new pass, kept
-    assert again is not kept and dist.pairs() is again
-    assert again.area == kept.area
+    pairs = dist.pair_statistics()
+    np.testing.assert_allclose(pairs.area, total, rtol=1e-12, atol=0)
+    assert dist.pair_statistics(2.0, 3.0).area == pairs.area
 
 
 def test_creation_matches_event_decrement():
@@ -249,8 +263,11 @@ def test_discrete_distribution_validation():
 def test_normalize_centers_and_scales():
     rng = np.random.default_rng(86)
     dist = random_discrete(rng, normalized=False)
-    norm = dist.normalize()
-    assert norm.is_normalized()
+    pairs = dist.normalize().pair_statistics()
+    for mean in (pairs.mean_u, pairs.mean_v):
+        assert np.max(np.abs(mean)) <= 1e-12
+    for c in (pairs.c_uu, pairs.c_vv):
+        assert abs(np.trace(c) - 1.0) <= 1e-12
 
 
 def test_fund_inequality_identity_coupling():
@@ -258,7 +275,7 @@ def test_fund_inequality_identity_coupling():
     axes = np.concatenate([np.eye(d), -np.eye(d)]) / 1.0
     dist = analysis.DiscreteCoupledDistribution(axes, axes,
                                                 np.full(2 * d, 1 / (2 * d)))
-    rep = analysis.fund_inequality_report(dist)
+    rep = analysis.fund_inequality_report(dist.pair_statistics())
     assert abs(rep.lhs) < 1e-14
     assert abs(rep.rhs) < 1e-14
     assert rep.aux["kappa_u"] == pytest.approx(d / (d - 1.0), rel=1e-12)
@@ -267,22 +284,27 @@ def test_fund_inequality_identity_coupling():
 def test_fund_inequality_random_instances():
     rng = np.random.default_rng(87)
     for _ in range(300):
-        rep = analysis.fund_inequality_report(random_discrete(rng))
+        rep = analysis.fund_inequality_report(
+            random_discrete(rng).pair_statistics())
         assert rep.slack >= -1e-10
         assert rep.aux["slack_unhalved"] >= rep.slack - 1e-15
 
 
 def test_fund_inequality_equality_case():
     for d in (3, 5, 8):
-        rep = analysis.fund_inequality_report(two_radius_equality_case(d))
+        rep = analysis.fund_inequality_report(
+            two_radius_equality_case(d).pair_statistics())
         assert rep.lhs > 0.1
         assert abs(rep.slack) < 1e-10
 
 
 def test_fund_inequality_requires_normalization():
     rng = np.random.default_rng(88)
+    dist = random_discrete(rng, normalized=False)
     with pytest.raises(analysis.PreconditionFailed):
-        analysis.fund_inequality_report(random_discrete(rng, normalized=False))
+        analysis.fund_inequality_report(dist.pair_statistics())
+    with pytest.raises(analysis.BadParams):  # the law, not its record
+        analysis.fund_inequality_report(dist.normalize())
 
 
 def test_fund_inequality_rank_one_infinite_rhs():
@@ -293,7 +315,7 @@ def test_fund_inequality_rank_one_infinite_rhs():
     w = np.full(4, 0.25)
     with pytest.raises(analysis.RhsInfinite):
         analysis.fund_inequality_report(
-            analysis.DiscreteCoupledDistribution(u, v, w))
+            analysis.DiscreteCoupledDistribution(u, v, w).pair_statistics())
 
 
 def test_trace_inequality_random_psd():
@@ -319,7 +341,7 @@ def test_area_decomposition_exact():
     rng = np.random.default_rng(90)
     for _ in range(100):
         dist = random_discrete(rng, k=15)
-        dec = analysis.area_decomposition(dist)
+        dec = analysis.area_decomposition(dist.pair_statistics())
         assert abs(dec.residual) < 1e-11
         assert dec.term_pointwise >= 0.0
         assert dec.term_antisym >= 0.0
@@ -335,8 +357,8 @@ def test_pathwise_weak_inequality_random_states():
         v = system.sample_equilibrium(32, 3, rng)
         v, _ = system.align_configurations(u, v)
         rep = analysis.pathwise_weak_inequality(
-            analysis.pair_statistics(u, v, *analysis.weak_exponents(0.5)),
-            delta=0.5)
+            analysis.pair_statistics(u, v, *analysis.weak_exponents(0.5, 4.0)),
+            delta=0.5, p=4.0)
         assert rep.slack >= -1e-10
         assert rep.aux["correlation"] >= -1e-12
         # the decay runner's creation column reads this value
@@ -347,27 +369,27 @@ def test_pathwise_weak_degenerate_and_errors():
     rng = np.random.default_rng(92)
     u = system.sample_equilibrium(16, 3, rng)
     def pairs(a, b):
-        return analysis.pair_statistics(a, b, *analysis.weak_exponents(0.5))
+        return analysis.pair_statistics(a, b, *analysis.weak_exponents(0.5, 4.0))
 
-    rep = analysis.pathwise_weak_inequality(pairs(u, u.copy()), delta=0.5)
+    rep = analysis.pathwise_weak_inequality(pairs(u, u.copy()), 0.5, 4.0)
     assert rep.aux["degenerate_zero_distance"]
     assert np.isnan(rep.rhs)
     with pytest.raises(analysis.PreconditionFailed):
-        analysis.pathwise_weak_inequality(pairs(u, -u), delta=0.5)
+        analysis.pathwise_weak_inequality(pairs(u, -u), 0.5, 4.0)
     with pytest.raises(analysis.BadParams):
-        analysis.pathwise_weak_inequality(pairs(u, u), delta=1.5)  # needs explicit p
+        analysis.pathwise_weak_inequality(pairs(u, u), 0.0, 4.0)  # delta <= 0
     with pytest.raises(analysis.BadParams):
-        analysis.pathwise_weak_inequality(u, 0.5)  # raw arrays, not pairs
+        analysis.pathwise_weak_inequality(u, 0.5, 4.0)  # raw arrays, not pairs
     with pytest.raises(analysis.BadParams):  # moments at other exponents
         analysis.pathwise_weak_inequality(
-            analysis.pair_statistics(u, u.copy()), delta=0.5)
+            analysis.pair_statistics(u, u.copy()), 0.5, 4.0)
     with pytest.raises(analysis.BadParams):  # a single copy
         analysis.pathwise_weak_inequality(
-            analysis.pair_statistics(u, None, 6.0), delta=0.5)
+            analysis.pair_statistics(u, None, 6.0), 0.5, 4.0)
     with pytest.raises(analysis.BadParams):  # unequal weights
         analysis.pathwise_weak_inequality(analysis.pair_statistics(
             u, u.copy(), 6.0, 2.0, weights=np.arange(1.0, 17.0) / 136.0),
-            delta=0.5)
+            0.5, 4.0)
 
 
 def test_conjugate_exponent():

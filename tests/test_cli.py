@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -195,6 +196,15 @@ def test_decay_identical_initial_law(tmp_path):
     assert max(msd) == 0.0
 
 
+def snapshot(*states):
+    """Fresh read-only copies of the states, as the sampler hands them to
+    the observables of one sample."""
+    out = tuple(np.array(x) for x in states)
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     """One fused pair pass per decay sample and per k_main sample, also for
     a negatively correlated state, whose weak report fails and whose
@@ -220,7 +230,8 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     calls.clear()
     u = cli.sample_equilibrium(12, 3, np.random.default_rng(8))
     notes = []
-    row = {name: read(u, -u) for name, read in
+    state = snapshot(u, -u)
+    row = {name: read(*state) for name, read in
            cli._decay_observables(0.5, 4.0, notes).items()}
     assert len(calls) == 1
     assert len(notes) == 1 and row["weak_slack"] == -np.inf
@@ -279,23 +290,81 @@ def test_decay_pair_pass_never_falls_back_to_numpy(tmp_path, monkeypatch):
     assert report_c["engine_checks"] == report_py["engine_checks"]
 
 
+def test_each_sample_builds_one_record(tmp_path, monkeypatch):
+    """A default-shape decay sample makes one pair pass and two kappa
+    evaluations (one per marginal, shared by the fundamental and weak
+    reports); a sweep instance makes one pass and two kappa shared by its
+    reports; a k_main_estimate sample makes one pass and one kappa."""
+    calls = collections.Counter()
+
+    def count(name):
+        func = getattr(cli.analysis, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+        monkeypatch.setattr(cli.analysis, name, counted)
+
+    count("_pair_sums")
+    count("kappa")
+    code, report, tables = _run_columns(tmp_path, "decay")
+    samples = sum(len(t) for name, t in tables.items()
+                  if name.startswith("trajectory_"))
+    constants = report["config"]["constant_samples"]
+    assert code == cli.EXIT_OK and samples == 2 * 3
+    assert calls == {"_pair_sums": samples + constants,
+                     "kappa": 2 * samples + constants}
+
+    def sweep(n_discrete, n_config):
+        calls.clear()
+        cfg = cli.ExperimentConfig(kind="inequalities", n=16, seed=3,
+                                   n_discrete=n_discrete, n_config=n_config)
+        assert cli.run_inequality_sweep(cfg, tmp_path) == cli.EXIT_OK
+        return np.array([calls["_pair_sums"], calls["kappa"]])
+
+    fixed = sweep(0, 0)     # the equality cases
+    assert list(sweep(4, 0) - fixed) == [4, 2 * 4]
+    assert list(sweep(0, 3) - fixed) == [3, 2 * 3]
+
+    calls.clear()
+    cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 5,
+                                 np.random.default_rng(1))
+    assert calls == {"_pair_sums": 5, "kappa": 5}
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_run_names_the_engine_first(tmp_path, capsys, monkeypatch, backend):
+    monkeypatch.setattr(cli._engine, "BACKEND", backend)
+    path = write_config(tmp_path, "kind = equilibrium-check\nn = 64\n"
+                                  "d = 3\nseed = 4\nsamples = 200\n")
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"kac run: engine backend {backend}"
+
+
 def test_decay_observables_ignore_call_order():
     rng = np.random.default_rng(6)
     u = cli.sample_equilibrium(12, 3, rng)
     v, _ = cli.align_configurations(u, cli.sample_equilibrium(12, 3, rng))
     # a repeated state, a coincident pair, and a negatively correlated
-    # one (its weak report fails and adds a note)
+    # one (its weak report fails and adds a note), each sample a fresh
+    # snapshot as the sampler makes them
     states = [(u, v), (u, v), (v, u), (u, u.copy()), (u, -u)]
 
     def table(reverse):
         notes = []
         obs = cli._decay_observables(0.5, 4.0, notes)
         names = list(obs)[::-1] if reverse else list(obs)
-        rows = [{name: obs[name](a, b) for name in names} for a, b in states]
+        rows = []
+        for state in states:
+            frozen = snapshot(*state)
+            rows.append({name: obs[name](*frozen) for name in names})
         return rows, notes
 
     forward, notes = table(False)
     np.testing.assert_equal(table(True), (forward, notes))  # nan == nan here
+    assert forward[1] == forward[0]
     assert len(notes) == 1 and forward[4]["weak_slack"] == -np.inf
     assert forward[4]["creation"] == cli.analysis.coupling_creation(u, -u)
 
@@ -304,7 +373,7 @@ def test_decay_sample_checks_flag_violations():
     times = np.array([0.0, 1.0, 2.0])
     columns = {
         "mean_sq_distance": np.array([1.0, 0.5, 0.9]),
-        "corr": np.array([0.1, 0.2, -0.5]),
+        "min_corr": np.array([0.1, 0.1, -0.5]),
         "weak_slack": np.array([np.nan, 0.2, -1.0]),
     }
     issues = cli._decay_sample_checks(times, columns)

@@ -312,6 +312,34 @@ def test_simulate_coupled_checks_and_monotonicity():
     assert coupled_ok(rec)
 
 
+def test_observables_share_one_read_only_snapshot_per_sample():
+    """Every observable of a sample gets the same fresh read-only copies of
+    the states, equal to the states at the sample time."""
+    rng = np.random.default_rng(73)
+    u0 = system.sample_equilibrium(16, 3, rng)
+    v0 = system.sample_equilibrium(16, 3, rng)
+    seen = {"a": [], "b": []}
+
+    def keep(name):
+        def observe(u, v):
+            seen[name].append((u, v))
+            assert not (u.flags.writeable or v.flags.writeable)
+            return 0.0
+        return observe
+
+    rec = system.simulate_coupled(u0, v0, UNIFORM, rng, horizon=1.0,
+                                  sample_dt=0.5, observables={
+                                      "a": keep("a"), "b": keep("b")})
+    assert len(seen["a"]) == len(seen["b"]) == 3
+    for (ua, va), (ub, vb) in zip(seen["a"], seen["b"]):
+        assert ua is ub and va is vb
+    assert len({id(x) for pair in seen["a"] for x in pair}) == 6
+    final_u, final_v = rec.final
+    np.testing.assert_array_equal(seen["a"][-1][0], final_u)
+    np.testing.assert_array_equal(seen["a"][-1][1], final_v)
+    np.testing.assert_array_equal(seen["a"][0][0], u0)
+
+
 def coupled_ok(rec):
     return not system.coupled_run_issues(rec)
 
