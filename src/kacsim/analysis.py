@@ -385,10 +385,10 @@ class DiscreteCoupledDistribution:
             raise BadParams("cannot normalize a marginal with zero energy")
         return DiscreteCoupledDistribution(u / np.sqrt(eu), v / np.sqrt(ev), w)
 
-    def pair_statistics(self, a=1.0, b=1.0):
+    def pair_statistics(self):
         """The moment record of the law: ``pair_statistics`` over the
         atoms under the law's weights."""
-        return pair_statistics(self.atoms_u, self.atoms_v, a, b, self.weights)
+        return pair_statistics(self.atoms_u, self.atoms_v, weights=self.weights)
 
 
 def _check_pair_record(pairs):

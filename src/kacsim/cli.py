@@ -296,6 +296,8 @@ def _write_report(out_dir, report):
     (Path(out_dir) / "report.json").write_text(text + "\n")
 
 
+# The sampled min_corr column holds each sample's raw correlation E U.V;
+# run_decay_experiment takes its running minimum before checking or writing.
 TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
                       "fund_lhs", "fund_rhs", "min_corr", "weak_slack")
 
@@ -308,11 +310,11 @@ def _decay_observables(delta, p, notes):
     snapshot of (u, v) (see ``system.simulate_coupled``).  The first closure
     to see a snapshot builds the sample's row from one ``pair_statistics``
     record; the others find the same arrays (``is``) and read that row.
-    ``min_corr`` reads the sample's correlation, which the runner turns
-    into the running minimum after the run.
+    The sampled ``min_corr`` column holds the raw correlation E U.V, not a
+    minimum, until the runner takes its running minimum after the run.
     """
     exponents = analysis.weak_exponents(delta, p)
-    kept = {"states": (None, None)}
+    kept = {}
 
     def row(u, v):
         pairs = analysis.pair_statistics(u, v, *exponents)
@@ -336,9 +338,8 @@ def _decay_observables(delta, p, notes):
 
     def column(name):
         def read(u, v):
-            kept_u, kept_v = kept["states"]
-            if u is not kept_u or v is not kept_v:
-                kept.update(states=(u, v), row=row(u, v))
+            if kept.get("u") is not u or kept.get("v") is not v:
+                kept.update(u=u, v=v, row=row(u, v))
             return kept["row"][name]
         return read
 

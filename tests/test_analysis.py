@@ -220,7 +220,7 @@ def test_alignment_area_matches_double_sum():
             total += w[k] * w[m] * ((du @ du) * (dv @ dv) - (du @ dv) ** 2)
     pairs = dist.pair_statistics()
     np.testing.assert_allclose(pairs.area, total, rtol=1e-12, atol=0)
-    assert dist.pair_statistics(2.0, 3.0).area == pairs.area
+    assert analysis.pair_statistics(u, v, 2.0, 3.0, w).area == pairs.area
 
 
 def test_creation_matches_event_decrement():
