@@ -1,4 +1,5 @@
-/* One event loop for one copy or two coupled copies.
+/* One event loop for one copy or two coupled copies, and one pass over the
+ * particle pairs.
  *
  * kac_advance runs the coupled dynamics on u and v, or Kac's dynamics on u
  * alone when v is NULL (gs is then not read).  Loaded through ctypes by
@@ -6,7 +7,13 @@
  * system._collide spells the same arithmetic in python operation for
  * operation, so the python fallback replays this loop bit for bit.  Build
  * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
- * changes the rounding.
+ * changes the rounding; -fno-math-errno only lets sqrt be the instruction.
+ *
+ * kac_pair_sums runs vector lanes over consecutive j's, on x86-64 in a
+ * clone built for AVX2 that the loader picks at run time (no -march flag,
+ * so one library serves every CPU).  The lane-order rule: each lane does
+ * the operations of the scalar loop in its order, and the lanes are summed
+ * in j order, so the sums are the same bit for bit with lanes or without.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -380,21 +387,165 @@ static int64_t integer_exponent(double e)
     return (e >= 0.0 && e <= 1024.0 && e == floor(e)) ? (int64_t)e : -1;
 }
 
+/* The pair pass takes the j's after i LANES at a time, in two vectors of VW
+ * doubles each.  The helpers take vectors through pointers: a vector passed
+ * by value would change the calling convention with the ISA (gcc's
+ * -Wpsabi). */
+#define VW 4
+#define LANES (2 * VW)
+typedef double vec __attribute__((vector_size(VW * sizeof(double))));
+#define LANE_INLINE static inline __attribute__((always_inline))
+
+LANE_INLINE void vec_load(vec *x, const double *p)
+{
+    memcpy(x, p, sizeof *x);
+}
+
+LANE_INLINE void vec_sqrt(vec *x)
+{
+    for (int l = 0; l < VW; l++)
+        (*x)[l] = sqrt((*x)[l]);
+}
+
+/* power() on every lane of x0 and x1, in place: the same squaring
+ * sequence on each lane, or pow lane by lane. */
+LANE_INLINE void vec_power(vec *x0, vec *x1, double e, int64_t k)
+{
+    if (k < 0) {
+        for (int l = 0; l < VW; l++) {
+            (*x0)[l] = pow((*x0)[l], e);
+            (*x1)[l] = pow((*x1)[l], e);
+        }
+        return;
+    }
+    vec r0 = {0.0}, r1 = {0.0};
+    r0 += 1.0;
+    r1 += 1.0;
+    for (;;) {
+        if (k & 1) {
+            r0 *= *x0;
+            r1 *= *x1;
+        }
+        k >>= 1;
+        if (!k)
+            break;
+        *x0 *= *x0;
+        *x1 *= *x1;
+    }
+    *x0 = r0;
+    *x1 = r1;
+}
+
+/* *row += w_j t_j for the lanes in j order, as the scalar loop sums. */
+LANE_INLINE void vec_add(double *row, const vec *w, const vec *t)
+{
+    vec x = *w * *t;
+    for (int l = 0; l < VW; l++)
+        *row += x[l];
+}
+
+/* On x86-64 the pass is built for AVX2 and for the baseline ISA, and the
+ * loader picks the AVX2 build on CPUs that have it.  The lanes run only
+ * there: in the baseline build the vectors are wider than the ISA's, and
+ * gcc then keeps them in memory, which made the lane loop slower than the
+ * scalar one.  Elsewhere the pass is the scalar loop. */
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define PAIR_CLONES __attribute__((target_clones("avx2", "default")))
+#define LANES_NATIVE() __builtin_cpu_supports("avx2")
+#endif
+#endif
+#ifndef PAIR_CLONES
+#define PAIR_CLONES
+#define LANES_NATIVE() 0
+#endif
+
 /* Sums over all ordered pairs (i, j), weighted by w_i w_j, of
  *   out[0] |du|^(2a)        out[1] |dv|^(2b)
  *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
- * with du = u_i - u_j, dv = v_i - v_j; u, v are (n, d), w is (n,).  One
- * loop over i < j in O(1) extra memory: the terms are symmetric in (i, j)
- * and vanish on the diagonal for a, b > 0.  A NULL v fills out[0] only. */
+ * with du = u_i - u_j, dv = v_i - v_j; u, v are (n, d), w is (n,) and work
+ * (2 n d,).  One loop over i < j, with no memory beyond work: the terms are
+ * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
+ * fills out[0] only.
+ *
+ * With lanes, the j's after i go LANES at a time through vectors that read
+ * the transposed (d, n) copies of u and v in work, and the last ones one at
+ * a time.  Each lane does the scalar loop's operations in its order (uu, vv
+ * and uv summed from 0 over k, the same squaring sequence, sqrt(uu vv) - uv
+ * and uu vv - uv^2), the lanes are added to the row sums in j order and the
+ * rows to the totals in i order.  So the outputs are the same bit for bit
+ * with or without lanes. */
+PAIR_CLONES
 int kac_pair_sums(const double *u, const double *v, const double *w,
-                  int64_t n, int64_t d, double a, double b, double *out)
+                  int64_t n, int64_t d, double a, double b, double *out,
+                  double *work)
 {
     int64_t ka = integer_exponent(a), kb = integer_exponent(b);
+    int lanes = LANES_NATIVE();
+    double *ut = work, *vt = work + n * d;
+    for (int64_t i = 0; lanes && i < n; i++)
+        for (int64_t k = 0; k < d; k++) {
+            ut[k * n + i] = u[i * d + k];
+            if (v)
+                vt[k * n + i] = v[i * d + k];
+        }
     double tot[4] = {0.0, 0.0, 0.0, 0.0};
     for (int64_t i = 0; i < n; i++) {
         const double *ui = u + i * d, *vi = v ? v + i * d : NULL;
         double row[4] = {0.0, 0.0, 0.0, 0.0};
-        for (int64_t j = i + 1; j < n; j++) {
+        int64_t j = i + 1;
+        for (; lanes && j + LANES <= n; j += LANES) {
+            vec uu0 = {0.0}, vv0 = {0.0}, uv0 = {0.0};
+            vec uu1 = {0.0}, vv1 = {0.0}, uv1 = {0.0};
+            vec x0, x1, y0, y1, w0, w1;
+            for (int64_t k = 0; k < d; k++) {
+                const double *uk = ut + k * n + j, *vk = vt + k * n + j;
+                vec_load(&x0, uk);
+                vec_load(&x1, uk + VW);
+                x0 = ui[k] - x0;
+                x1 = ui[k] - x1;
+                uu0 += x0 * x0;
+                uu1 += x1 * x1;
+                if (!v)
+                    continue;
+                vec_load(&y0, vk);
+                vec_load(&y1, vk + VW);
+                y0 = vi[k] - y0;
+                y1 = vi[k] - y1;
+                vv0 += y0 * y0;
+                vv1 += y1 * y1;
+                uv0 += x0 * y0;
+                uv1 += x1 * y1;
+            }
+            vec_load(&w0, w + j);
+            vec_load(&w1, w + j + VW);
+            x0 = uu0;
+            x1 = uu1;
+            vec_power(&x0, &x1, a, ka);
+            vec_add(&row[0], &w0, &x0);
+            vec_add(&row[0], &w1, &x1);
+            if (!v)
+                continue;
+            y0 = vv0;
+            y1 = vv1;
+            vec_power(&y0, &y1, b, kb);
+            vec_add(&row[1], &w0, &y0);
+            vec_add(&row[1], &w1, &y1);
+            vec uuvv0 = uu0 * vv0, uuvv1 = uu1 * vv1;
+            x0 = uuvv0;
+            x1 = uuvv1;
+            vec_sqrt(&x0);
+            vec_sqrt(&x1);
+            x0 -= uv0;
+            x1 -= uv1;
+            vec_add(&row[2], &w0, &x0);
+            vec_add(&row[2], &w1, &x1);
+            x0 = uuvv0 - uv0 * uv0;
+            x1 = uuvv1 - uv1 * uv1;
+            vec_add(&row[3], &w0, &x0);
+            vec_add(&row[3], &w1, &x1);
+        }
+        for (; j < n; j++) {
             const double *uj = u + j * d;
             double uu = 0.0, vv = 0.0, uv = 0.0;
             if (v) {

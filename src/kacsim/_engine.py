@@ -24,8 +24,14 @@ The pair pass is ``kac_pair_sums``, behind ``pair_sums``: the weighted
 sums over all particle pairs that ``analysis.pair_statistics`` records
 (two pair moments, the creation integrand and the alignment area), in one
 i < j loop and O(N) memory.  Integral exponents are raised by repeated
-squaring, others by ``pow``.  On the python backend ``analysis`` sums its
-numpy pair matrices instead, which agree up to rounding, not bit for bit.
+squaring, others by ``pow``.  On x86-64 CPUs with AVX2 the loop takes 8
+j's at a time in vector lanes, reading transposed copies of the states
+from a work buffer that ``pair_sums`` allocates; each lane rounds as the
+scalar loop does and the lanes are summed in j order, so the sums are the
+same bit for bit on every CPU.  The library carries an AVX2 and a baseline
+build of the pass and picks one when it is loaded.  On the python backend
+``analysis`` sums its numpy pair matrices instead, which agree up to
+rounding, not bit for bit.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -75,8 +81,10 @@ _SOURCE = Path(__file__).with_name("_engine.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off keeps the compiler from fusing a*b + c, so the
-# arithmetic rounds exactly as the python reference spells it
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# arithmetic rounds exactly as the python reference spells it;
+# -fno-math-errno lets sqrt compile to the instruction (in the pair pass's
+# lanes, the vector one), which rounds the same
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
@@ -85,8 +93,16 @@ _SIGNATURES = {
     "kac_advance": (_ptr, _ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
                     _ptr, _i64, _ptr, _ptr),
-    "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _ptr),
+    "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _ptr, _ptr),
 }
+_BYTES = ctypes.c_char * 0
+
+
+def _address(x):
+    """A pointer argument to a C-contiguous array: a ctypes view of its
+    buffer, about 0.6 us, or for a read-only array (which ctypes cannot
+    view) numpy's ``ctypes.data``, about 2 us."""
+    return _BYTES.from_buffer(x) if x.flags.writeable else x.ctypes.data
 
 
 def _library_path(cache_dir):
@@ -236,15 +252,15 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
     if _LIB is None:
         return _python_advance(states, t, t_next, t_stop, rate, max_events,
                                batch, cursor, proj_ctr, proj_every, acc)
-    v, gs = ((states[1].ctypes.data, batch[6].ctypes.data) if coupled
+    v, gs = ((_address(states[1]), _address(batch[6])) if coupled
              else (None, None))
-    clock = np.array([t, t_next], dtype=np.float64)
-    ctr = np.array([cursor, proj_ctr], dtype=np.int64)
-    work = np.empty(9 * d)
+    # ctypes arrays pass to the loop as they are and read back as floats
+    clock = (ctypes.c_double * 2)(t, t_next)
+    ctr = (ctypes.c_int64 * 2)(cursor, proj_ctr)
     status = _LIB.kac_advance(
-        states[0].ctypes.data, v, n, d, clock.ctypes.data, t_stop, rate,
-        max_events, *(a.ctypes.data for a in batch[:6]), gs, nb,
-        ctr.ctypes.data, proj_every, acc.ctypes.data, work.ctypes.data)
+        _address(states[0]), v, n, d, clock, t_stop, rate, max_events,
+        *map(_address, batch[:6]), gs, nb, ctr, proj_every, _address(acc),
+        (ctypes.c_double * (9 * d))())
     return _finish(clock, ctr, status)
 
 
@@ -319,6 +335,7 @@ def pair_sums(u, v, w, a, b):
                          f"{None if v is None else v.shape}, {w.shape}")
     out = np.full(4, np.nan)
     n, d = u.shape
-    _LIB.kac_pair_sums(u.ctypes.data, None if v is None else v.ctypes.data,
-                       w.ctypes.data, n, d, a, b, out.ctypes.data)
+    _LIB.kac_pair_sums(_address(u), None if v is None else _address(v),
+                       _address(w), n, d, a, b, _address(out),
+                       _address(np.empty(2 * n * d)))
     return out

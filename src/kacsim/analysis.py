@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from .system import check_configuration, sample_equilibrium
+from .system import DegenerateInput, InvariantViolation, sample_equilibrium
 
 __all__ = [
     "AnalysisError",
@@ -401,6 +401,13 @@ def _centered(pairs):
             and np.max(np.abs(pairs.mean_v)) <= NORMALIZED_TOL)
 
 
+def _normalized(pairs):
+    """Both copies centered with unit energy, the constraint sphere."""
+    return (_centered(pairs)
+            and abs(float(np.trace(pairs.c_uu)) - 1.0) <= NORMALIZED_TOL
+            and abs(float(np.trace(pairs.c_vv)) - 1.0) <= NORMALIZED_TOL)
+
+
 def fund_inequality_report(pairs):
     """Check 1 - (E U.V)^2 <= (kappa_bar / 2) E(|dU|^2 |dV|^2 - (dU.dV)^2).
 
@@ -412,9 +419,7 @@ def fund_inequality_report(pairs):
     couplings saturate it); the unhalved variant is also reported in aux.
     """
     _check_pair_record(pairs)
-    if not (_centered(pairs)
-            and abs(float(np.trace(pairs.c_uu)) - 1.0) <= NORMALIZED_TOL
-            and abs(float(np.trace(pairs.c_vv)) - 1.0) <= NORMALIZED_TOL):
+    if not _normalized(pairs):
         raise PreconditionFailed("distribution must be centered with unit energy")
     kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
     kbar = min(kap_u, kap_v)
@@ -550,12 +555,15 @@ def pathwise_weak_inequality(pairs, delta, p):
     built from k1, the smaller kappa, and the two pair moments
     <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N must not exceed half
     the coupling creation divided by the pair distance to the power
-    1 + 1/(2 delta).  Requires nonnegative velocity correlation.  The
-    coincident case u = v is 0/0 and is returned flagged with nan sides.
+    1 + 1/(2 delta).  Both copies must lie on the constraint sphere (the
+    record's means and energies within 1e-10, else InvariantViolation), and
+    the velocity correlation must be nonnegative.  The coincident case
+    u = v is 0/0 and is returned flagged with nan sides.
     """
     _check_pair_record(pairs)
-    check_configuration(pairs.u)
-    check_configuration(pairs.v)
+    n, d = pairs.u.shape
+    if n < 2 or d < 3:
+        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {(n, d)}")
     exponents = weak_exponents(delta, p)
     if (pairs.a, pairs.b) != exponents:
         raise BadParams(f"pair moments taken at exponents ({pairs.a}, "
@@ -563,7 +571,13 @@ def pathwise_weak_inequality(pairs, delta, p):
     if np.any(pairs.weights != pairs.weights[0]):
         raise BadParams("the weak bound averages over particles; the pair "
                         "statistics need equal weights")
-    hc = holder_constants(delta, p, pairs.u.shape[1])
+    if not _normalized(pairs):
+        raise InvariantViolation(
+            "constraint violation: means "
+            f"{np.max(np.abs(pairs.mean_u)):.3e}, "
+            f"{np.max(np.abs(pairs.mean_v)):.3e}, energies "
+            f"{np.trace(pairs.c_uu):.17g}, {np.trace(pairs.c_vv):.17g}")
+    hc = holder_constants(delta, p, d)
     delta, p, q = hc.delta, hc.p, hc.q
 
     corr = pairs.mean_dot

@@ -392,6 +392,29 @@ def test_pathwise_weak_degenerate_and_errors():
             0.5, 4.0)
 
 
+def test_pathwise_weak_rejects_states_off_the_sphere():
+    """The record's means and energies must be those of the constraint
+    sphere, as check_configuration asks of the states."""
+    rng = np.random.default_rng(93)
+    u = system.sample_equilibrium(16, 3, rng)
+    v = system.sample_equilibrium(16, 3, rng)
+    def weak(a, b):
+        return analysis.pathwise_weak_inequality(analysis.pair_statistics(
+            a, b, *analysis.weak_exponents(0.5, 4.0)), 0.5, 4.0)
+
+    weak(u, v)
+    for a, b in ((u, 1.5 * v), (u * (1 + 1e-9), v), (u, v + 1e-9),
+                 (u + 0.1, v)):
+        with pytest.raises(system.InvariantViolation):
+            weak(a, b)
+        with pytest.raises(system.InvariantViolation):
+            weak(b, a)
+    with pytest.raises(system.DegenerateInput):
+        weak(u[:, :2], v[:, :2])
+    with pytest.raises(system.DegenerateInput):
+        weak(u[:1], v[:1])
+
+
 def test_conjugate_exponent():
     assert analysis.conjugate_exponent(2.0) == 2.0
     np.testing.assert_allclose(analysis.conjugate_exponent(4.0), 4.0 / 3.0)

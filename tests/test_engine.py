@@ -477,6 +477,135 @@ def test_pair_sums_closed_forms(d):
                                rtol=1e-13)
 
 
+# float.hex of pair_sums on _golden_inputs(n, d): the four coupled sums at
+# (a, b), the single-copy sum at b, and for d = 3 the four sums of u with
+# itself under equal weights at (a, a), with a and b drawn in turn from
+# _GOLDEN_EXPONENTS.  Written down from the scalar loop alone (the lanes
+# switched off); the lanes must give them bit for bit.
+_GOLDEN_EXPONENTS = (1.0, 2.0, 6.0, 19.0, 1.5, 2.0000000000000004,
+                     38.00000000000001)
+_GOLDEN = {
+    (2, 3): (
+        '0x1.7117a00000000p-7', '0x1.afe65dc0a3c81p-36', '0x1.5a6fa46ebb4f2p-10',
+        '0x1.fbf7d3afa0000p-9', '0x1.052eded50fa38p+57', '0x1.7117a00000000p+2',
+        '0x1.7117a00000000p+2', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (2, 5): (
+        '0x1.0d3544f3c8000p-3', '0x1.6c509a04627d6p-11', '0x1.33c34204cf8b3p-9',
+        '0x1.1af097eeb0000p-7', '0x1.3c249b4611a10p-5',
+    ),
+    (2, 32): (
+        '0x1.401a52c1c70f8p+29', '0x1.4296861f8c808p-1', '0x1.208cc2abe929fp-5',
+        '0x1.15dc283434200p+1', '0x1.13cc13a16b20ap+3',
+    ),
+    (7, 3): (
+        '0x1.d117acadff662p+58', '0x1.c10c2deeffabfp+73', '0x1.74bef5be629bap-3',
+        '0x1.0eb84f4393d00p-1', '0x1.a579c791e0cccp+125', '0x1.30eb523414ae7p+64',
+        '0x1.30eb523414ae7p+64', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (7, 5): (
+        '0x1.50380987e6ed2p-1', '0x1.b79541c000000p-3', '0x1.bfd3853ac1664p-3',
+        '0x1.b27a9620c4500p-1', '0x1.0579e10000000p-2',
+    ),
+    (7, 32): (
+        '0x1.41a4f69d42e0ap+8', '0x1.00ab4d0808f41p+5', '0x1.2a4120179917dp+1',
+        '0x1.8b3a3a321571ep+6', '0x1.41a4f69d42e00p+8',
+    ),
+    (8, 3): (
+        '0x1.0b83e704b748ap+150', '0x1.b13ad6d7ec234p+5', '0x1.ddcd1bcbb0d01p-3',
+        '0x1.6639678b40e00p-1', '0x1.5d4159984143cp+17', '0x1.ac0665fb6f15ep+153',
+        '0x1.ac0665fb6f15ep+153', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (8, 5): (
+        '0x1.ecbe3f0000000p-2', '0x1.116cabd324bd1p+40', '0x1.3d6144ba82fcfp-2',
+        '0x1.78e1c67879900p+0', '0x1.9dbc457e04296p+73',
+    ),
+    (8, 32): (
+        '0x1.a86fcea69d0ccp+8', '0x1.25a9dde3efa7cp+3', '0x1.9254c3eab4839p+1',
+        '0x1.06bed3ac5cf07p+7', '0x1.947e3ce27b2bfp+5',
+    ),
+    (9, 3): (
+        '0x1.d0a6dc3363d86p+22', '0x1.4b3de5763ea83p-1', '0x1.7b34de05915ccp-2',
+        '0x1.72798cdcae700p+0', '0x1.c0ea08880dc0ap+3', '0x1.00c15cf357249p+26',
+        '0x1.00c15cf357249p+26', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (9, 5): (
+        '0x1.bae7afe399938p+105', '0x1.dd48502868eedp+91', '0x1.2bb628f4252e7p-1',
+        '0x1.4b8c8f1d37900p+2', '0x1.f2ba742712f7dp+219',
+    ),
+    (9, 32): (
+        '0x1.9cace1669f75ap+6', '0x1.5cc59fb000000p+1', '0x1.2d9fb4fc370e6p+2',
+        '0x1.bb8c612cca513p+7', '0x1.57f9de5800000p+3',
+    ),
+    (17, 3): (
+        '0x1.872d2db719547p+5', '0x1.7622d688ee070p+1', '0x1.585d95aabccd5p+0',
+        '0x1.6f85282a8c700p+2', '0x1.872d2db719540p+5', '0x1.72e93dd7567abp+6',
+        '0x1.72e93dd7567abp+6', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (17, 5): (
+        '0x1.f3100b21f2515p+219', '0x1.7f39abf078339p+11', '0x1.4d466e223a632p+1',
+        '0x1.5575bee87c9c0p+4', '0x1.bd54edeff8614p+28',
+    ),
+    (17, 32): (
+        '0x1.802d8a9a00000p+5', '0x1.3b55f25acab71p+87', '0x1.6163b7f870a09p+4',
+        '0x1.f376bd7e9e6dfp+9', '0x1.0226089728e82p+138',
+    ),
+    (256, 3): (
+        '0x1.88721767aa108p+13', '0x1.bc4818fce7755p+8', '0x1.d4b8e41fcbdf3p+8',
+        '0x1.624c6a4e9ccbbp+10', '0x1.c24e79fa81bb2p+11', '0x1.608cb32c4da74p+6',
+        '0x1.608cb32c4da74p+6', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (256, 5): (
+        '0x1.371cfa3c68ebdp+33', '0x1.ca0876061b993p+10', '0x1.9fe7f0de1c280p+9',
+        '0x1.25c6fad06664cp+12', '0x1.e4d6fad38f238p+14',
+    ),
+    (256, 32): (
+        '0x1.4a895b94855bbp+146', '0x1.b9f936142bab1p+222', '0x1.6fdeb6146a337p+12',
+        '0x1.c89addc43d6b7p+17', '0x1.ab5a4a82ee1e6p+299',
+    ),
+    (257, 3): (
+        '0x1.c44ced48cf6ccp+11', '0x1.13c5078590000p+8', '0x1.d7c94ac2d1295p+8',
+        '0x1.6427009faeb06p+10', '0x1.15d67c3698000p+10', '0x1.93c9b7fdc56a8p+4',
+        '0x1.93c9b7fdc56a8p+4', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (257, 5): (
+        '0x1.e70bdd84cf487p+14', '0x1.cd8427a771795p+10', '0x1.a259906c9a97bp+9',
+        '0x1.27ab18b500156p+12', '0x1.e70bdd84cf47dp+14',
+    ),
+    (257, 32): (
+        '0x1.ab5a4a872d7e4p+299', '0x1.608e0ecd54c96p+34', '0x1.71b4a0062be13p+12',
+        '0x1.cb1af0bac0cfap+17', '0x1.6682c33e68aaep+46',
+    ),
+}
+
+
+def _golden_inputs(n, d):
+    """Dyadic entries (exact on every platform), two rows coincident from
+    n = 3 on, unequal weights."""
+    i, k = np.arange(n)[:, None], np.arange(d)[None, :]
+    u = ((i * 7919 + k * 104729 + i * k * 31) % 1009 - 504) / 256.0
+    v = ((i * 6151 + k * 3571 + i * k * 17) % 997 - 498) / 512.0
+    if n > 2:
+        u[n - 1], v[n - 1] = u[1], v[1]
+    return u, v, (1 + np.arange(n) % 5) / 64.0
+
+
+@needs_c
+def test_pair_sums_golden():
+    """n below, at and past multiples of the 8-wide lane blocks, integral
+    exponents (repeated squaring) and others (pow), single and coupled
+    passes, coincident rows and u == v: equal to the scalar loop's sums."""
+    for idx, ((n, d), want) in enumerate(_GOLDEN.items()):
+        a = _GOLDEN_EXPONENTS[idx % 7]
+        b = _GOLDEN_EXPONENTS[(idx + 3) % 7]
+        u, v, w = _golden_inputs(n, d)
+        got = [*_engine.pair_sums(u, v, w, a, b),
+               _engine.pair_sums(u, None, w, b, 1.0)[0]]
+        if d == 3:
+            got += list(_engine.pair_sums(u, u, np.full(n, 1.0 / n), a, a))
+        assert [float(x).hex() for x in got] == list(want), (n, d)
+
+
 @needs_c
 def test_pair_sums_reject_mismatched_shapes():
     u, w = np.zeros((4, 3)), np.ones(4) / 4
@@ -493,11 +622,13 @@ def test_pair_sums_need_the_library(monkeypatch):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-def test_c_source_is_warning_clean():
-    """A variable left unused or a mismatched type fails the build here."""
+def test_c_source_is_warning_clean(tmp_path):
+    """A variable left unused, a mismatched type, or a warning raised only
+    when optimizing or building a clone fails the build here: the library's
+    own flags, compiled to an object."""
     proc = subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-         "-fsyntax-only", str(_engine._SOURCE)],
+        ["cc", *_engine._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+         "-o", str(tmp_path / "engine.o"), str(_engine._SOURCE)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
