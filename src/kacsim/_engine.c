@@ -9,11 +9,12 @@
  * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
  * changes the rounding; -fno-math-errno only lets sqrt be the instruction.
  *
- * kac_pair_sums runs vector lanes over consecutive j's, on x86-64 in a
- * clone built for AVX2 that the loader picks at run time (no -march flag,
- * so one library serves every CPU).  The lane-order rule: each lane does
- * the operations of the scalar loop in its order, and the lanes are summed
- * in j order, so the sums are the same bit for bit with lanes or without.
+ * kac_pair_sums runs over a stack of configurations, and within one it
+ * runs vector lanes that each own a row i, on x86-64 in a clone built for
+ * AVX2 that the loader picks at run time (no -march flag, so one library
+ * serves every CPU).  The lane-order rule: each lane does the operations
+ * of the scalar loop in its order and adds to its row in j order, so the
+ * sums are the same bit for bit with lanes or without.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -387,9 +388,9 @@ static int64_t integer_exponent(double e)
     return (e >= 0.0 && e <= 1024.0 && e == floor(e)) ? (int64_t)e : -1;
 }
 
-/* The pair pass takes the j's after i LANES at a time, in two vectors of VW
- * doubles each.  The helpers take vectors through pointers: a vector passed
- * by value would change the calling convention with the ISA (gcc's
+/* The pair pass takes LANES rows i at a time, in two vectors of VW doubles
+ * each.  The helpers take vectors through pointers: a vector passed by
+ * value would change the calling convention with the ISA (gcc's
  * -Wpsabi). */
 #define VW 4
 #define LANES (2 * VW)
@@ -436,12 +437,117 @@ LANE_INLINE void vec_power(vec *x0, vec *x1, double e, int64_t k)
     *x1 = r1;
 }
 
-/* *row += w_j t_j for the lanes in j order, as the scalar loop sums. */
-LANE_INLINE void vec_add(double *row, const vec *w, const vec *t)
+/* row[0..3] += w_j times the four terms of the pair (i, j), one pair at a
+ * time; a single copy (vi NULL) adds to row[0] only. */
+LANE_INLINE void pair_terms(const double *ui, const double *vi,
+                            const double *uj, const double *vj, double wj,
+                            int64_t d, double a, double b, int64_t ka,
+                            int64_t kb, double *row)
 {
-    vec x = *w * *t;
-    for (int l = 0; l < VW; l++)
-        *row += x[l];
+    double uu = 0.0, vv = 0.0, uv = 0.0;
+    if (vi) {
+        for (int64_t k = 0; k < d; k++) {
+            double du = ui[k] - uj[k], dv = vi[k] - vj[k];
+            uu += du * du;
+            vv += dv * dv;
+            uv += du * dv;
+        }
+    } else {
+        for (int64_t k = 0; k < d; k++) {
+            double du = ui[k] - uj[k];
+            uu += du * du;
+        }
+    }
+    row[0] += wj * power(uu, a, ka);
+    if (!vi)
+        return;
+    double uuvv = uu * vv;
+    row[1] += wj * power(vv, b, kb);
+    row[2] += wj * (sqrt(uuvv) - uv);
+    row[3] += wj * (uuvv - uv * uv);
+}
+
+/* pair_terms for the rows i0 .. i0 + LANES - 1 against every j from
+ * i0 + LANES on: lane l holds row i0 + l, and the j's stream through in
+ * order, so each lane adds to its row in j order.  rows[l] carries row
+ * i0 + l in and out.  The rows are read from (d, LANES) tiles in work
+ * (2 LANES d,), one cache line per coordinate: transposed (d, n) copies
+ * would put the d loads of a power-of-two n, such as 2048, in one cache
+ * set. */
+LANE_INLINE void row_lanes(const double *u, const double *v, const double *w,
+                           int64_t n, int64_t d, int64_t i0, double a,
+                           double b, int64_t ka, int64_t kb,
+                           double rows[LANES][4], double *work)
+{
+    double *ut = work, *vt = work + LANES * d;
+    for (int l = 0; l < LANES; l++)
+        for (int64_t k = 0; k < d; k++) {
+            ut[k * LANES + l] = u[(i0 + l) * d + k];
+            if (v)
+                vt[k * LANES + l] = v[(i0 + l) * d + k];
+        }
+    double by_sum[4][LANES];
+    for (int l = 0; l < LANES; l++)
+        for (int m = 0; m < 4; m++)
+            by_sum[m][l] = rows[l][m];
+    vec r[4][2];
+    for (int m = 0; m < 4; m++) {
+        vec_load(&r[m][0], by_sum[m]);
+        vec_load(&r[m][1], by_sum[m] + VW);
+    }
+    for (int64_t j = i0 + LANES; j < n; j++) {
+        const double *uj = u + j * d, *vj = v ? v + j * d : NULL;
+        vec uu0 = {0.0}, vv0 = {0.0}, uv0 = {0.0};
+        vec uu1 = {0.0}, vv1 = {0.0}, uv1 = {0.0};
+        vec x0, x1, y0, y1;
+        for (int64_t k = 0; k < d; k++) {
+            vec_load(&x0, ut + k * LANES);
+            vec_load(&x1, ut + k * LANES + VW);
+            x0 -= uj[k];
+            x1 -= uj[k];
+            uu0 += x0 * x0;
+            uu1 += x1 * x1;
+            if (!v)
+                continue;
+            vec_load(&y0, vt + k * LANES);
+            vec_load(&y1, vt + k * LANES + VW);
+            y0 -= vj[k];
+            y1 -= vj[k];
+            vv0 += y0 * y0;
+            vv1 += y1 * y1;
+            uv0 += x0 * y0;
+            uv1 += x1 * y1;
+        }
+        double wj = w[j];
+        x0 = uu0;
+        x1 = uu1;
+        vec_power(&x0, &x1, a, ka);
+        r[0][0] += wj * x0;
+        r[0][1] += wj * x1;
+        if (!v)
+            continue;
+        y0 = vv0;
+        y1 = vv1;
+        vec_power(&y0, &y1, b, kb);
+        r[1][0] += wj * y0;
+        r[1][1] += wj * y1;
+        vec uuvv0 = uu0 * vv0, uuvv1 = uu1 * vv1;
+        x0 = uuvv0;
+        x1 = uuvv1;
+        vec_sqrt(&x0);
+        vec_sqrt(&x1);
+        r[2][0] += wj * (x0 - uv0);
+        r[2][1] += wj * (x1 - uv1);
+        r[3][0] += wj * (uuvv0 - uv0 * uv0);
+        r[3][1] += wj * (uuvv1 - uv1 * uv1);
+    }
+    for (int m = 0; m < 4; m++) {
+        memcpy(by_sum[m], &r[m][0], sizeof r[m][0]);
+        memcpy(by_sum[m] + VW, &r[m][1], sizeof r[m][1]);
+    }
+    for (int l = 0; l < LANES; l++)
+        for (int m = 0; m < 4; m++)
+            rows[l][m] = by_sum[m][l];
 }
 
 /* On x86-64 the pass is built for AVX2 and for the baseline ISA, and the
@@ -460,121 +566,59 @@ LANE_INLINE void vec_add(double *row, const vec *w, const vec *t)
 #define LANES_NATIVE() 0
 #endif
 
-/* Sums over all ordered pairs (i, j), weighted by w_i w_j, of
+/* For each of s configurations (u, v) of a stack, sums over all ordered
+ * pairs (i, j), weighted by w_i w_j, of
  *   out[0] |du|^(2a)        out[1] |dv|^(2b)
  *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
- * with du = u_i - u_j, dv = v_i - v_j; u, v are (n, d), w is (n,) and work
- * (2 n d,).  One loop over i < j, with no memory beyond work: the terms are
- * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
- * fills out[0] only.
+ * with du = u_i - u_j, dv = v_i - v_j; u, v are (s, n, d), w is (n,) and
+ * shared, out is (s, 4) and work (2 LANES d,) = (16 d,).  One
+ * loop over i < j per configuration, with no memory beyond work: the terms
+ * are symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL
+ * v fills out[0] of each configuration only.
  *
- * With lanes, the j's after i go LANES at a time through vectors that read
- * the transposed (d, n) copies of u and v in work, and the last ones one at
- * a time.  Each lane does the scalar loop's operations in its order (uu, vv
- * and uv summed from 0 over k, the same squaring sequence, sqrt(uu vv) - uv
- * and uu vv - uv^2), the lanes are added to the row sums in j order and the
- * rows to the totals in i order.  So the outputs are the same bit for bit
- * with or without lanes. */
+ * With lanes, the rows go LANES at a time through vectors, lane l owning
+ * row i0 + l and reading the block's rows from transposed tiles in work;
+ * the rows left at the end go one at a time.  In a block, the j's before
+ * i0 + LANES are added one pair at a time first, then the lanes stream
+ * every later j in order.  Each lane does the scalar loop's operations in
+ * its order (uu, vv and uv summed from 0 over k, the same squaring
+ * sequence, sqrt(uu vv) - uv and uu vv - uv^2), every row is summed in j
+ * order and the rows are added to the totals in i order.  So the outputs
+ * are the same bit for bit with or without lanes. */
 PAIR_CLONES
 int kac_pair_sums(const double *u, const double *v, const double *w,
-                  int64_t n, int64_t d, double a, double b, double *out,
-                  double *work)
+                  int64_t s, int64_t n, int64_t d, double a, double b,
+                  double *out, double *work)
 {
     int64_t ka = integer_exponent(a), kb = integer_exponent(b);
     int lanes = LANES_NATIVE();
-    double *ut = work, *vt = work + n * d;
-    for (int64_t i = 0; lanes && i < n; i++)
-        for (int64_t k = 0; k < d; k++) {
-            ut[k * n + i] = u[i * d + k];
-            if (v)
-                vt[k * n + i] = v[i * d + k];
+    for (int64_t c = 0; c < s; c++, u += n * d, v = v ? v + n * d : NULL,
+                 out += 4) {
+        double tot[4] = {0.0, 0.0, 0.0, 0.0};
+        int64_t i = 0;
+        for (; lanes && i + LANES < n; i += LANES) {
+            double rows[LANES][4] = {{0.0}};
+            for (int l = 0; l < LANES; l++)
+                for (int64_t j = i + l + 1; j < i + LANES; j++)
+                    pair_terms(u + (i + l) * d, v ? v + (i + l) * d : NULL,
+                               u + j * d, v ? v + j * d : NULL, w[j], d, a,
+                               b, ka, kb, rows[l]);
+            row_lanes(u, v, w, n, d, i, a, b, ka, kb, rows, work);
+            for (int l = 0; l < LANES; l++)
+                for (int m = 0; m < 4; m++)
+                    tot[m] += w[i + l] * rows[l][m];
         }
-    double tot[4] = {0.0, 0.0, 0.0, 0.0};
-    for (int64_t i = 0; i < n; i++) {
-        const double *ui = u + i * d, *vi = v ? v + i * d : NULL;
-        double row[4] = {0.0, 0.0, 0.0, 0.0};
-        int64_t j = i + 1;
-        for (; lanes && j + LANES <= n; j += LANES) {
-            vec uu0 = {0.0}, vv0 = {0.0}, uv0 = {0.0};
-            vec uu1 = {0.0}, vv1 = {0.0}, uv1 = {0.0};
-            vec x0, x1, y0, y1, w0, w1;
-            for (int64_t k = 0; k < d; k++) {
-                const double *uk = ut + k * n + j, *vk = vt + k * n + j;
-                vec_load(&x0, uk);
-                vec_load(&x1, uk + VW);
-                x0 = ui[k] - x0;
-                x1 = ui[k] - x1;
-                uu0 += x0 * x0;
-                uu1 += x1 * x1;
-                if (!v)
-                    continue;
-                vec_load(&y0, vk);
-                vec_load(&y1, vk + VW);
-                y0 = vi[k] - y0;
-                y1 = vi[k] - y1;
-                vv0 += y0 * y0;
-                vv1 += y1 * y1;
-                uv0 += x0 * y0;
-                uv1 += x1 * y1;
-            }
-            vec_load(&w0, w + j);
-            vec_load(&w1, w + j + VW);
-            x0 = uu0;
-            x1 = uu1;
-            vec_power(&x0, &x1, a, ka);
-            vec_add(&row[0], &w0, &x0);
-            vec_add(&row[0], &w1, &x1);
-            if (!v)
-                continue;
-            y0 = vv0;
-            y1 = vv1;
-            vec_power(&y0, &y1, b, kb);
-            vec_add(&row[1], &w0, &y0);
-            vec_add(&row[1], &w1, &y1);
-            vec uuvv0 = uu0 * vv0, uuvv1 = uu1 * vv1;
-            x0 = uuvv0;
-            x1 = uuvv1;
-            vec_sqrt(&x0);
-            vec_sqrt(&x1);
-            x0 -= uv0;
-            x1 -= uv1;
-            vec_add(&row[2], &w0, &x0);
-            vec_add(&row[2], &w1, &x1);
-            x0 = uuvv0 - uv0 * uv0;
-            x1 = uuvv1 - uv1 * uv1;
-            vec_add(&row[3], &w0, &x0);
-            vec_add(&row[3], &w1, &x1);
+        for (; i < n; i++) {
+            const double *ui = u + i * d, *vi = v ? v + i * d : NULL;
+            double row[4] = {0.0, 0.0, 0.0, 0.0};
+            for (int64_t j = i + 1; j < n; j++)
+                pair_terms(ui, vi, u + j * d, v ? v + j * d : NULL, w[j], d,
+                           a, b, ka, kb, row);
+            for (int m = 0; m < 4; m++)
+                tot[m] += w[i] * row[m];
         }
-        for (; j < n; j++) {
-            const double *uj = u + j * d;
-            double uu = 0.0, vv = 0.0, uv = 0.0;
-            if (v) {
-                const double *vj = v + j * d;
-                for (int64_t k = 0; k < d; k++) {
-                    double du = ui[k] - uj[k], dv = vi[k] - vj[k];
-                    uu += du * du;
-                    vv += dv * dv;
-                    uv += du * dv;
-                }
-            } else {
-                for (int64_t k = 0; k < d; k++) {
-                    double du = ui[k] - uj[k];
-                    uu += du * du;
-                }
-            }
-            double wj = w[j];
-            row[0] += wj * power(uu, a, ka);
-            if (!v)
-                continue;
-            double uuvv = uu * vv;
-            row[1] += wj * power(vv, b, kb);
-            row[2] += wj * (sqrt(uuvv) - uv);
-            row[3] += wj * (uuvv - uv * uv);
-        }
-        for (int m = 0; m < 4; m++)
-            tot[m] += w[i] * row[m];
+        for (int m = 0; m < (v ? 4 : 1); m++)
+            out[m] = 2.0 * tot[m];
     }
-    for (int m = 0; m < (v ? 4 : 1); m++)
-        out[m] = 2.0 * tot[m];
     return 0;
 }

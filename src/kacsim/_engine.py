@@ -23,15 +23,17 @@ active engine, ``"c"`` or ``"python"``.
 The pair pass is ``kac_pair_sums``, behind ``pair_sums``: the weighted
 sums over all particle pairs that ``analysis.pair_statistics`` records
 (two pair moments, the creation integrand and the alignment area), in one
-i < j loop and O(N) memory.  Integral exponents are raised by repeated
-squaring, others by ``pow``.  On x86-64 CPUs with AVX2 the loop takes 8
-j's at a time in vector lanes, reading transposed copies of the states
-from a work buffer that ``pair_sums`` allocates; each lane rounds as the
-scalar loop does and the lanes are summed in j order, so the sums are the
-same bit for bit on every CPU.  The library carries an AVX2 and a baseline
-build of the pass and picks one when it is loaded.  On the python backend
-``analysis`` sums its numpy pair matrices instead, which agree up to
-rounding, not bit for bit.
+i < j loop and O(N) memory, for one configuration or a stack of them in
+one call.  Integral exponents are raised by repeated squaring, others by
+``pow``.  On x86-64 CPUs with AVX2 the loop takes 8 rows i at a time in
+vector lanes, one row per lane, reading the rows from a small transposed
+tile in a work buffer that ``pair_sums`` allocates; the j's stream
+through in order, the few j's inside a block of rows go one pair at a
+time first, and each lane rounds as the scalar loop does, so every row
+is summed in j order and the sums are the same bit for bit on every CPU.
+The library carries an AVX2 and a baseline build of the pass and picks
+one when it is loaded.  On the python backend ``analysis`` sums its numpy
+pair matrices instead, which agree up to rounding, not bit for bit.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -93,9 +95,12 @@ _SIGNATURES = {
     "kac_advance": (_ptr, _ptr, _i64, _i64, _ptr, _f64, _f64, _f64,
                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
                     _ptr, _i64, _ptr, _ptr),
-    "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _ptr, _ptr),
+    "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr,
+                      _ptr),
 }
 _BYTES = ctypes.c_char * 0
+# kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each
+_PAIR_WORK = 16
 
 
 def _address(x):
@@ -318,8 +323,11 @@ def pair_sums(u, v, w, a, b):
     weighted by w_i w_j, of |du|^(2a), |dv|^(2b), |du||dv| - du.dv and
     |du|^2 |dv|^2 - (du.dv)^2, with du = u_i - u_j and dv = v_i - v_j.
     With ``v`` None only the first is computed and the others are nan.
-    The sums assume a, b > 0 (``analysis.pair_statistics`` checks); on the
-    python backend ``analysis`` sums its numpy pair matrices instead.
+    A stack ``u`` of shape (s, n, d) (and ``v`` alike) gives an (s, 4)
+    array from one call, each row equal to the call on its configuration;
+    the weights are shared.  The sums assume a, b > 0
+    (``analysis.pair_statistics`` checks); on the python backend
+    ``analysis`` sums its numpy pair matrices instead.
     """
     if _LIB is None:
         raise RuntimeError("the C pair pass is unavailable on the python "
@@ -328,14 +336,14 @@ def pair_sums(u, v, w, a, b):
     w = np.ascontiguousarray(w, dtype=np.float64)
     if v is not None:
         v = np.ascontiguousarray(v, dtype=np.float64)
-    if (u.ndim != 2 or w.shape != u.shape[:1]
+    if (u.ndim not in (2, 3) or w.shape != u.shape[-2:-1]
             or (v is not None and v.shape != u.shape)):
-        raise ValueError(f"pair sums need u (n, d), v None or (n, d) and w "
-                         f"(n,); got {u.shape}, "
+        raise ValueError(f"pair sums need u (n, d) or (s, n, d), v None or "
+                         f"shaped as u and w (n,); got {u.shape}, "
                          f"{None if v is None else v.shape}, {w.shape}")
-    out = np.full(4, np.nan)
-    n, d = u.shape
+    out = np.full(u.shape[:-2] + (4,), np.nan)
+    n, d = u.shape[-2:]
     _LIB.kac_pair_sums(_address(u), None if v is None else _address(v),
-                       _address(w), n, d, a, b, _address(out),
-                       _address(np.empty(2 * n * d)))
+                       _address(w), out.size // 4, n, d, a, b, _address(out),
+                       _address(np.empty(_PAIR_WORK * d)))
     return out

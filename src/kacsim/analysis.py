@@ -15,11 +15,12 @@ Contents:
   ``weak_exponents`` giving those of the weak bound, the creation integrand
   and the alignment area), the means, the second-moment matrices, E U.V,
   E|U - V|^2 and kappa of each marginal, computed once.  The fundamental,
-  area and weak reports and ``k_main_estimate`` read it, and the sweep
-  hands its matrices to the trace report.  The pass is one C loop in O(N)
-  memory (``_engine.pair_sums``); the numpy N x N matrices of
-  ``_pair_matrices`` are its test oracle and its stand-in on the python
-  backend.  Also the coupling creation ``coupling_creation``;
+  area and weak reports read it, and the sweep hands its matrices to the
+  trace report.  The pass is one C loop in O(N) memory
+  (``_engine.pair_sums``), which also runs over a stack of samples; the
+  numpy N x N matrices of ``_pair_matrices`` are its test oracle and its
+  stand-in on the python backend.  Also the coupling creation
+  ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
 * Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from .system import DegenerateInput, InvariantViolation, sample_equilibrium
+from .system import DegenerateInput, InvariantViolation, equilibrium_blocks
 
 __all__ = [
     "AnalysisError",
@@ -179,19 +180,33 @@ def kappa(s):
     Ranges over [d/(d-1), +inf]; returns +inf when the top eigenvalue
     reaches 1 (rank-1 alignment).  The complementary mass 1 - lambda_max is
     evaluated as the sum of the non-top eigenvalues, which avoids the
-    cancellation of the direct subtraction.
+    cancellation of the direct subtraction.  A stack S of shape (..., d, d)
+    gives an array of its kappas from one eigenvalue call, each equal to
+    kappa of its matrix alone; the first matrix that fails a check raises
+    what it would raise alone.
     """
-    s = _as_matrix(s)
-    tr = float(np.trace(s))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise PreconditionFailed(f"kappa needs unit trace, got {tr:.12g}")
-    scale = 1.0 + np.max(np.abs(s))
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL * scale:
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise BadParams(f"S must be square, got shape {s.shape}")
+    lead = s.shape[:-2]
+    s_t = s.swapaxes(-1, -2)
+    tr = s.trace(axis1=-2, axis2=-1)
+    bad_trace = abs(tr - 1.0) > TRACE_TOL
+    scale = 1.0 + abs(s).reshape(lead + (-1,)).max(axis=-1)
+    asym = abs(s - s_t).reshape(lead + (-1,)).max(axis=-1)
+    bad = bad_trace | (asym > SYMMETRY_TOL * scale)
+    if bad.any():
+        first = np.unravel_index(bad.argmax(), lead)
+        if bad_trace[first]:
+            raise PreconditionFailed(
+                f"kappa needs unit trace, got {float(tr[first]):.12g}")
         raise BadParams("matrix is not symmetric within tolerance")
-    spectrum = np.linalg.eigvalsh(0.5 * (s + s.T))
-    if spectrum[-1] >= 1.0 - RANK_DEFECT_TOL:
-        return np.inf
-    return float(1.0 / np.sum(spectrum[:-1]))
+    spectrum = np.linalg.eigvalsh(0.5 * (s + s_t))
+    rest = spectrum[..., :-1].sum(axis=-1)
+    # rank one (+inf) where the top eigenvalue reaches 1, without dividing
+    out = np.divide(1.0, rest, out=np.full(lead, np.inf),
+                    where=~(spectrum[..., -1] >= 1.0 - RANK_DEFECT_TOL))
+    return float(out) if not lead else out
 
 
 def _pair_matrices(u, v=None):
@@ -220,10 +235,19 @@ def _pair_matrices(u, v=None):
 
 
 def _pair_sums(u, v, w, a, b):
-    """The four sums of ``_engine.pair_sums``: the C pass, or on the python
-    backend the same sums over ``_pair_matrices``."""
+    """The four sums of ``_engine.pair_sums``, also over a stack (s, n, d):
+    the C pass, or on the python backend the same sums over
+    ``_pair_matrices``, one configuration at a time."""
     if _engine._LIB is not None:
         return _engine.pair_sums(u, v, w, a, b)
+    if u.ndim == 2:
+        return _matrix_sums(u, v, w, a, b)
+    vs = [None] * len(u) if v is None else v
+    return np.array([_matrix_sums(x, y, w, a, b)
+                     for x, y in zip(u, vs)]).reshape(len(u), 4)
+
+
+def _matrix_sums(u, v, w, a, b):
     d2u, d2v, dots = _pair_matrices(u, v)
     out = np.full(4, np.nan)
     out[0] = w @ d2u ** a @ w
@@ -235,8 +259,9 @@ def _pair_sums(u, v, w, a, b):
 
 
 def _moment(x, y, w):
-    """Weighted second-moment matrix sum_k w_k x_k y_k^T."""
-    return (x * w[:, None]).T @ y
+    """Weighted second-moment matrix sum_k w_k x_k y_k^T, also over stacks
+    (..., n, d) of x and y."""
+    return np.swapaxes(x * w[:, None], -1, -2) @ y
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +276,10 @@ class PairStatistics:
     ``mean_u``, ``mean_v``, the second-moment matrices ``c_uu`` = E U U^T,
     ``c_vv`` and the cross block ``c_uv`` = E U V^T, ``mean_dot`` = E U.V
     and ``mean_sq_distance`` = E|U - V|^2, summed directly.  ``kappa_u``
-    and ``kappa_v`` are kappa of C_UU and C_VV, computed on first read.  A
-    single copy (``v`` None) has only the u entries; the others are None,
-    or nan for the scalars.
+    and ``kappa_v`` are kappa of C_UU and C_VV, from one call on first
+    read, and ``normalized`` tells whether both copies lie on the
+    constraint sphere.  A single copy (``v`` None) has only the u entries;
+    the others are None, or nan for the scalars.
     """
 
     u: np.ndarray
@@ -279,12 +305,25 @@ class PairStatistics:
         return (d - 2.0) / (2.0 * d - 2.0) * self.gap
 
     @cached_property
+    def _kappas(self):
+        if self.v is None:
+            return kappa(self.c_uu), np.nan
+        return tuple(kappa(np.stack((self.c_uu, self.c_vv))).tolist())
+
+    @property
     def kappa_u(self):
-        return kappa(self.c_uu)
+        return self._kappas[0]
+
+    @property
+    def kappa_v(self):
+        return self._kappas[1]
 
     @cached_property
-    def kappa_v(self):
-        return kappa(self.c_vv)
+    def normalized(self):
+        """Both copies centered with unit energy, the constraint sphere."""
+        return (_centered(self)
+                and abs(float(self.c_uu.trace()) - 1.0) <= NORMALIZED_TOL
+                and abs(float(self.c_vv.trace()) - 1.0) <= NORMALIZED_TOL)
 
 
 def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
@@ -320,10 +359,9 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
         joint = (weights @ v, _moment(v, v, weights), _moment(u, v, weights),
                  float(weights @ np.einsum("id,id->i", u, v)),
                  float(weights @ np.einsum("id,id->i", du, du)))
-    return PairStatistics(
-        u, v, weights, a, b,
-        *(float(x) for x in _pair_sums(u, v, weights, a, b)),
-        weights @ u, _moment(u, u, weights), *joint)
+    return PairStatistics(u, v, weights, a, b,
+                          *_pair_sums(u, v, weights, a, b).tolist(),
+                          weights @ u, _moment(u, u, weights), *joint)
 
 
 def coupling_creation(u, v):
@@ -397,15 +435,8 @@ def _check_pair_record(pairs):
 
 
 def _centered(pairs):
-    return (np.max(np.abs(pairs.mean_u)) <= NORMALIZED_TOL
-            and np.max(np.abs(pairs.mean_v)) <= NORMALIZED_TOL)
-
-
-def _normalized(pairs):
-    """Both copies centered with unit energy, the constraint sphere."""
-    return (_centered(pairs)
-            and abs(float(np.trace(pairs.c_uu)) - 1.0) <= NORMALIZED_TOL
-            and abs(float(np.trace(pairs.c_vv)) - 1.0) <= NORMALIZED_TOL)
+    return (abs(pairs.mean_u).max() <= NORMALIZED_TOL
+            and abs(pairs.mean_v).max() <= NORMALIZED_TOL)
 
 
 def fund_inequality_report(pairs):
@@ -419,7 +450,7 @@ def fund_inequality_report(pairs):
     couplings saturate it); the unhalved variant is also reported in aux.
     """
     _check_pair_record(pairs)
-    if not _normalized(pairs):
+    if not pairs.normalized:
         raise PreconditionFailed("distribution must be centered with unit energy")
     kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
     kbar = min(kap_u, kap_v)
@@ -568,10 +599,10 @@ def pathwise_weak_inequality(pairs, delta, p):
     if (pairs.a, pairs.b) != exponents:
         raise BadParams(f"pair moments taken at exponents ({pairs.a}, "
                         f"{pairs.b}); the bound reads them at {exponents}")
-    if np.any(pairs.weights != pairs.weights[0]):
+    if (pairs.weights != pairs.weights[0]).any():
         raise BadParams("the weak bound averages over particles; the pair "
                         "statistics need equal weights")
-    if not _normalized(pairs):
+    if not pairs.normalized:
         raise InvariantViolation(
             "constraint violation: means "
             f"{np.max(np.abs(pairs.mean_u)):.3e}, "
@@ -697,11 +728,11 @@ def wishart_kappa_moment(n, d, p, samples, rng):
     if n - 2.0 * p / (d - 1.0) <= d:
         raise BadParams(
             f"n = {n} too small for moment order p = {p} in dimension {d}")
-    xs = np.empty(samples)
-    for s in range(samples):
-        conf = sample_equilibrium(n, d, rng)
-        lam = float(np.linalg.eigvalsh(conf.T @ conf / n)[-1])
-        xs[s] = (1.0 - lam) ** (-p)
+    xs = []
+    for confs in equilibrium_blocks(n, d, samples, rng):
+        lams = np.linalg.eigvalsh(np.swapaxes(confs, -1, -2) @ confs / n)
+        # python floats: numpy's vectorized power can round unlike libm pow
+        xs += [(1.0 - lam) ** (-p) for lam in lams[:, -1].tolist()]
     m = float(np.mean(xs))
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     est = m ** (-1.0 / p)
@@ -734,7 +765,9 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
         ((d-1)/d)^(1+1/(2 delta)) E(|G_d|^(2p(1+delta)))^(-1/(2 p delta)),
 
     is returned alongside for convergence checks.  A MomentBlowup warning
-    flags parameter choices whose kappa-moment is not integrable.
+    flags parameter choices whose kappa-moment is not integrable.  The
+    samples are drawn in the blocks of ``system.equilibrium_blocks``; the
+    estimate is the same bit for bit as one sample at a time.
     """
     delta = float(delta)
     if not (0.0 < delta < 1.0):
@@ -749,12 +782,16 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
         warnings.warn(
             f"kappa moment of order {m_kappa:.3g} is outside the integrable "
             f"regime at n = {n}, d = {d}", MomentBlowup)
-    xs = np.empty(samples)
-    for s in range(samples):
-        conf = sample_equilibrium(n, d, rng)
-        pairs = pair_statistics(conf, a=m_pair)
-        moment = pairs.moment_u * 0.5 ** m_pair
-        xs[s] = pairs.kappa_u ** m_kappa * moment
+    # per block of samples: one stacked moment product, one kappa call and
+    # one pair pass; the powers stay python floats, because numpy's
+    # vectorized power can round unlike libm pow
+    w = np.full(n, 1.0 / n)
+    xs = []
+    for confs in equilibrium_blocks(n, d, samples, rng):
+        kappas = kappa(_moment(confs, confs, w)).tolist()
+        moments = _pair_sums(confs, None, w, m_pair, 1.0)[:, 0].tolist()
+        xs += [k ** m_kappa * (mom * 0.5 ** m_pair)
+               for k, mom in zip(kappas, moments)]
     m = float(np.mean(xs))
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     expo = 1.0 / (2.0 * p * delta)

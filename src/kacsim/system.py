@@ -38,6 +38,7 @@ __all__ = [
     "project_to_constraint_sphere",
     "check_configuration",
     "sample_equilibrium",
+    "equilibrium_blocks",
     "two_temperature_initial",
     "two_temperature_m4_range",
     "default_m4_init",
@@ -56,6 +57,8 @@ __all__ = [
 
 DEFAULT_REPROJECT_EVERY = 10_000
 DEFAULT_CHUNK_SIZE = 1 << 15
+# equilibrium_blocks stacks at most this many numbers (128 KiB) per draw
+SAMPLE_BLOCK_VALUES = 1 << 14
 
 # engine tolerances used by coupled_run_issues
 RESIDUAL_TOL = 1e-9
@@ -104,15 +107,16 @@ class TrajectoryRecord:
 
 
 def project_to_constraint_sphere(v):
-    """Map a configuration to zero mean and unit mean energy, in place."""
+    """Map a configuration (n, d), or each one of a stack (..., n, d), to
+    zero mean and unit mean energy, in place."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 3:
+    if v.ndim < 2 or v.shape[-2] < 2 or v.shape[-1] < 3:
         raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
-    v -= v.mean(axis=0)
-    s = np.mean(np.sum(v * v, axis=1))
-    if not s > 0.0:
+    v -= v.mean(axis=-2, keepdims=True)
+    s = np.mean(np.sum(v * v, axis=-1), axis=-1)
+    if not np.all(s > 0.0):
         raise DegenerateInput("configuration has zero energy after centering")
-    v /= np.sqrt(s)
+    v /= np.sqrt(s)[..., None, None]
     return v
 
 
@@ -129,13 +133,24 @@ def check_configuration(v, tol=1e-10):
     return v
 
 
-def sample_equilibrium(n, d, rng):
+def sample_equilibrium(n, d, rng, size=None):
     """Draw from the uniform law on the constraint sphere.
 
     A standard Gaussian array conditioned on the two linear/quadratic
-    constraints by projection is exactly uniform on the sphere.
+    constraints by projection is exactly uniform on the sphere.  With
+    ``size``, a stack (size, n, d) from one draw: the configurations of
+    ``size`` calls in a row, bit for bit, leaving ``rng`` in the same state.
     """
-    return project_to_constraint_sphere(rng.standard_normal((n, d)))
+    shape = (n, d) if size is None else (size, n, d)
+    return project_to_constraint_sphere(rng.standard_normal(shape))
+
+
+def equilibrium_blocks(n, d, samples, rng):
+    """``samples`` draws of ``sample_equilibrium(n, d, rng)`` as stacks of
+    at most SAMPLE_BLOCK_VALUES numbers (one sample at least), in order."""
+    per = max(1, SAMPLE_BLOCK_VALUES // (n * d))
+    for start in range(0, samples, per):
+        yield sample_equilibrium(n, d, rng, size=min(per, samples - start))
 
 
 def two_temperature_m4_range(d):

@@ -68,6 +68,28 @@ def test_kappa_preconditions():
     bad[0, 1] = 0.1
     with pytest.raises(analysis.BadParams):
         analysis.kappa(bad)
+    # in a stack, the first failing matrix raises as it would alone
+    with pytest.raises(analysis.BadParams):
+        analysis.kappa(np.stack([np.eye(3) / 3.0, bad, np.eye(3)]))
+    with pytest.raises(analysis.PreconditionFailed, match="got 3"):
+        analysis.kappa(np.stack([np.eye(3), bad]))
+    with pytest.raises(analysis.BadParams):
+        analysis.kappa(np.ones((2, 3, 4)))
+
+
+def test_kappa_of_a_stack_equals_each_matrix():
+    """A stack (2, 5, d, d) of second-moment matrices, a rank-1 one among
+    them: the same kappas bit for bit as one matrix at a time."""
+    rng = np.random.default_rng(61)
+    for d in (3, 4, 32):
+        x = rng.standard_normal((2, 5, 40, d))
+        x[1, 2] = x[1, 2, :1]                       # rank 1: kappa = inf
+        mats = np.swapaxes(x, -1, -2) @ x
+        mats /= np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
+        got = analysis.kappa(mats)
+        assert got.shape == (2, 5) and got[1, 2] == np.inf
+        want = [[analysis.kappa(m) for m in row] for row in mats]
+        assert got.tolist() == want
 
 
 def test_delta4_closed_form_properties():
@@ -487,6 +509,32 @@ def test_k_main_estimate_converges_to_limit():
     assert abs(hc.j_factor - hc.j_limit) / hc.j_limit < 0.1
     assert hc.k_main == pytest.approx(hc.k2 * hc.j_factor)
     assert hc.c_delta_n < hc.k_main
+
+
+@pytest.mark.parametrize("n, d, samples", [(256, 3, 200), (64, 5, 100),
+                                           (2048, 32, 5)])
+def test_k_main_estimate_equals_per_sample_loop(n, d, samples):
+    """The blocked estimate against one sample at a time, each with its
+    own draw, moment record and kappa, and python float powers: the
+    constants are equal, not only close."""
+    delta, p, q = 0.5, 4.0, 4.0 / 3.0
+    hc = analysis.k_main_estimate(delta, p, q, n, d, samples,
+                                  np.random.default_rng(n + d))
+    rng = np.random.default_rng(n + d)
+    m_kappa, m_pair = p * (1.0 + 2.0 * delta), p * (1.0 + delta)
+    xs = np.empty(samples)
+    for s in range(samples):
+        pairs = analysis.pair_statistics(system.sample_equilibrium(n, d, rng),
+                                         a=m_pair)
+        kap = analysis.kappa(pairs.c_uu)
+        xs[s] = kap ** m_kappa * (pairs.moment_u * 0.5 ** m_pair)
+    m = float(np.mean(xs))
+    se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
+    expo = 1.0 / (2.0 * p * delta)
+    j = m ** (-expo)
+    assert hc.j_factor == j
+    assert hc.j_stderr == j * expo * se_m / m
+    assert hc.k_main == hc.k2 * j
 
 
 def test_k_main_estimate_blowup_warning():

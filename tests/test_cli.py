@@ -205,16 +205,24 @@ def snapshot(*states):
     return out
 
 
+def _matrices(x):
+    """Configurations (or second-moment matrices) in ``x``: the leading
+    dimension of a stack, else 1."""
+    x = np.asarray(x)
+    return int(np.prod(x.shape[:-2]))
+
+
 def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     """One fused pair pass per decay sample and per k_main sample, also for
     a negatively correlated state, whose weak report fails and whose
-    creation is read from the same pass."""
+    creation is read from the same pass.  A stacked call counts its
+    configurations."""
     calls = []
     build = cli.analysis._pair_sums
 
-    def counting(*args):
-        calls.append(1)
-        return build(*args)
+    def counting(u, *args):
+        calls.append(_matrices(u))
+        return build(u, *args)
 
     monkeypatch.setattr(cli.analysis, "_pair_sums", counting)
     path = write_config(tmp_path, DECAY_CFG)
@@ -225,7 +233,7 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
                   for r in range(3))
     assert samples == 3 * 5
     constant_samples = cli.load_config(path).constant_samples
-    assert len(calls) == samples + constant_samples
+    assert sum(calls) == samples + constant_samples
 
     calls.clear()
     u = cli.sample_equilibrium(12, 3, np.random.default_rng(8))
@@ -233,7 +241,7 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     state = snapshot(u, -u)
     row = {name: read(*state) for name, read in
            cli._decay_observables(0.5, 4.0, notes).items()}
-    assert len(calls) == 1
+    assert calls == [1]
     assert len(notes) == 1 and row["weak_slack"] == -np.inf
 
 
@@ -264,19 +272,37 @@ def test_decay_pair_pass_never_falls_back_to_numpy(tmp_path, monkeypatch):
     """On the C backend a decay run at the default shape and k_main never
     build the numpy pair matrices; with the library forced off, the same
     run (python stepper and matrices) gives the same pass flag and every
-    column and constant within 1e-12 relative."""
+    column and constant within 1e-12 relative.  So does the blocked
+    k_main_estimate alone, whose python backend builds one set of matrices
+    per sample."""
     def refuse(*args):
         raise AssertionError("numpy pair matrices built on the C backend")
 
+    def constants():
+        # 100 samples at n = 64, d = 3 come in more than one block
+        hc = cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 100,
+                                          np.random.default_rng(1))
+        return hc.j_factor, hc.j_stderr, hc.k_main, hc.c_delta_n
+
+    built = []
     with monkeypatch.context() as mp:
         mp.setattr(cli.analysis, "_pair_matrices", refuse)
         code_c, report_c, tables_c = _run_columns(tmp_path, "c")
-        cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 5,
-                                     np.random.default_rng(1))
+        constants_c = constants()
     with monkeypatch.context() as mp:
         mp.setattr(cli.analysis._engine, "_LIB", None)
         mp.setattr(cli.analysis._engine, "BACKEND", "python")
         code_py, report_py, tables_py = _run_columns(tmp_path, "py")
+        matrices = cli.analysis._pair_matrices
+
+        def counting(*args):
+            built.append(1)
+            return matrices(*args)
+        mp.setattr(cli.analysis, "_pair_matrices", counting)
+        constants_py = constants()
+
+    assert len(built) == 100
+    np.testing.assert_allclose(constants_py, constants_c, rtol=1e-12, atol=0)
 
     assert code_c == code_py == cli.EXIT_OK
     assert report_c["pass"] is report_py["pass"] is True
@@ -294,15 +320,17 @@ def test_each_sample_builds_one_record(tmp_path, monkeypatch):
     """A default-shape decay sample makes one pair pass and two kappa
     evaluations (one per marginal, shared by the fundamental and weak
     reports); a sweep instance makes one pass and two kappa shared by its
-    reports; a k_main_estimate sample makes one pass and one kappa."""
+    reports; a k_main_estimate sample makes one pass and one kappa.  The
+    counts are of configurations and matrices, so a stacked call counts
+    each one it holds."""
     calls = collections.Counter()
 
     def count(name):
         func = getattr(cli.analysis, name)
 
-        def counted(*args):
-            calls[name] += 1
-            return func(*args)
+        def counted(x, *args):
+            calls[name] += _matrices(x)
+            return func(x, *args)
         monkeypatch.setattr(cli.analysis, name, counted)
 
     count("_pair_sums")

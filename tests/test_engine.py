@@ -481,7 +481,10 @@ def test_pair_sums_closed_forms(d):
 # (a, b), the single-copy sum at b, and for d = 3 the four sums of u with
 # itself under equal weights at (a, a), with a and b drawn in turn from
 # _GOLDEN_EXPONENTS.  Written down from the scalar loop alone (the lanes
-# switched off); the lanes must give them bit for bit.
+# switched off); the lanes must give them bit for bit.  The entries from
+# n = 15 on sit at the edges of the 8-row lane blocks; they were written
+# down from the earlier pass with lanes over j, which gave the scalar
+# loop's sums.
 _GOLDEN_EXPONENTS = (1.0, 2.0, 6.0, 19.0, 1.5, 2.0000000000000004,
                      38.00000000000001)
 _GOLDEN = {
@@ -576,6 +579,58 @@ _GOLDEN = {
         '0x1.ab5a4a872d7e4p+299', '0x1.608e0ecd54c96p+34', '0x1.71b4a0062be13p+12',
         '0x1.cb1af0bac0cfap+17', '0x1.6682c33e68aaep+46',
     ),
+    (15, 3): (
+        '0x1.908049a000000p+1', '0x1.0beb623bfbf0fp+33', '0x1.2b2576787a59fp+0',
+        '0x1.259f852885860p+2', '0x1.d1528b62594d0p+89', '0x1.b16ac3b2a1906p+2',
+        '0x1.b16ac3b2a1906p+2', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (15, 4): (
+        '0x1.36aa212d653a0p+6', '0x1.fb2d7695e5193p+0', '0x1.c718b6298eb4ep+0',
+        '0x1.184e7bb1d7960p+3', '0x1.1f281fa13506fp+4',
+    ),
+    (15, 32): (
+        '0x1.6a1f8d50072a0p+39', '0x1.a05b1a6673ad0p+7', '0x1.2a95fe4bc0102p+4',
+        '0x1.9d3c9eb7bb08ap+9', '0x1.e07ad579b1394p+11',
+    ),
+    (16, 3): (
+        '0x1.d154b7fc56b76p+89', '0x1.e35b4b8acad16p+73', '0x1.3cb1740aed479p+0',
+        '0x1.564f65b378580p+2', '0x1.145584c390e65p+188', '0x1.35f5a2f0e1b90p+91',
+        '0x1.35f5a2f0e1b90p+91', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (16, 4): (
+        '0x1.38682e70d58b9p+4', '0x1.3cf5541000000p+0', '0x1.bf8abcd94d5d0p+0',
+        '0x1.3a6ed44226e00p+3', '0x1.3faacf6000000p+2',
+    ),
+    (16, 32): (
+        '0x1.117686d41081ap+12', '0x1.bcc6dd5a3831ap+7', '0x1.46aea361b695ep+4',
+        '0x1.cc54541d095ebp+9', '0x1.117686d410810p+12',
+    ),
+    (24, 3): (
+        '0x1.145584cc7bedap+188', '0x1.01be80f952339p+10', '0x1.a221812ac4c0cp+1',
+        '0x1.92cd754043020p+3', '0x1.a06c1cc0a608ap+23', '0x1.4781d31f4a1dbp+188',
+        '0x1.4781d31f4a1dbp+188', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (24, 4): (
+        '0x1.6c7736ec00000p+3', '0x1.2aef46317beb4p+42', '0x1.271617cf976a5p+2',
+        '0x1.6d523051b21c8p+4', '0x1.a791cdc551813p+98',
+    ),
+    (24, 32): (
+        '0x1.2fa3ccd288a9bp+13', '0x1.b4b7d94f4602cp+6', '0x1.898d679420b93p+5',
+        '0x1.03e79126d43f6p+11', '0x1.ef895cca6c3d1p+9',
+    ),
+    (25, 3): (
+        '0x1.b047434f3669ap+23', '0x1.086c707505e61p+3', '0x1.071c892184875p+2',
+        '0x1.d93d9ddd37580p+3', '0x1.ac9bae299c547p+6', '0x1.a800c2fa82716p+23',
+        '0x1.a800c2fa82716p+23', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (25, 4): (
+        '0x1.a8058f50bfdd5p+98', '0x1.4a4b06241b1ffp+95', '0x1.74c7c41e5d680p+2',
+        '0x1.b07713094f908p+4', '0x1.c32a6146ae5bcp+205',
+    ),
+    (25, 32): (
+        '0x1.20184aff161d1p+10', '0x1.ab94c6b800000p+4', '0x1.c0a997049a7a8p+5',
+        '0x1.281cc6afa483bp+11', '0x1.dab0ab2d00000p+6',
+    ),
 }
 
 
@@ -607,10 +662,27 @@ def test_pair_sums_golden():
 
 
 @needs_c
+@pytest.mark.parametrize("n, d", [(15, 3), (25, 4), (33, 32)])
+def test_stacked_pair_sums_equal_each_configuration(n, d):
+    """One call over a stack (s, n, d) gives each configuration's sums bit
+    for bit, coupled and single, under shared weights."""
+    rng = np.random.default_rng(n + d)
+    u, v = rng.standard_normal((2, 6, n, d))
+    w = rng.dirichlet(np.ones(n))
+    for second in (v, None):
+        got = _engine.pair_sums(u, second, w, 6.0, 38.00000000000001)
+        assert got.shape == (6, 4)
+        want = [_engine.pair_sums(u[s], None if second is None else v[s], w,
+                                  6.0, 38.00000000000001) for s in range(6)]
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+    assert _engine.pair_sums(u[:0], None, w, 1.0, 1.0).shape == (0, 4)
+
+
+@needs_c
 def test_pair_sums_reject_mismatched_shapes():
     u, w = np.zeros((4, 3)), np.ones(4) / 4
     for args in ((u[0], None, w[:3]), (u, u[:3], w), (u, u.T, w),
-                 (u, None, w[:3])):
+                 (u, None, w[:3]), (u[None], u, w), (u[None, None], None, w)):
         with pytest.raises(ValueError, match="pair sums need"):
             _engine.pair_sums(*args, 1.0, 1.0)
 

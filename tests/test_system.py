@@ -30,6 +30,11 @@ def test_projection_degenerate_and_shapes():
         system.project_to_constraint_sphere(np.ones((4, 3)))
     with pytest.raises(ValueError):
         system.project_to_constraint_sphere(np.zeros(3))
+    stack = np.ones((2, 4, 3))
+    stack[0, 0] = 2.0
+    with pytest.raises(system.DegenerateInput):
+        # the second configuration has zero energy once centered
+        system.project_to_constraint_sphere(stack)
 
 
 def test_check_configuration():
@@ -52,6 +57,35 @@ def test_sample_equilibrium_constraints():
     np.testing.assert_allclose(v.mean(axis=0), 0.0, atol=1e-14)
     np.testing.assert_allclose(np.mean(np.sum(v * v, axis=1)), 1.0,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("n, d, size", [(17, 3, 30), (64, 5, 100),
+                                        (256, 3, 200)])
+def test_stacked_sample_equals_sequential_draws(n, d, size):
+    """One stacked draw gives the configurations of ``size`` calls in a
+    row bit for bit, and leaves the generator where they leave it."""
+    stacked_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+    stack = system.sample_equilibrium(n, d, stacked_rng, size=size)
+    one_by_one = [system.sample_equilibrium(n, d, rng) for _ in range(size)]
+    assert stack.shape == (size, n, d)
+    assert np.array_equal(stack, np.stack(one_by_one))
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_equilibrium_blocks_span_several_blocks():
+    """200 samples at n = 256, d = 3 come in blocks of at most
+    SAMPLE_BLOCK_VALUES numbers, equal to the draws one at a time."""
+    n, d, samples = 256, 3, 200
+    block_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    blocks = list(system.equilibrium_blocks(n, d, samples, block_rng))
+    assert len(blocks) > 2
+    assert all(b.size <= system.SAMPLE_BLOCK_VALUES for b in blocks)
+    one_by_one = [system.sample_equilibrium(n, d, rng) for _ in range(samples)]
+    assert np.array_equal(np.concatenate(blocks), np.stack(one_by_one))
+    assert block_rng.bit_generator.state == rng.bit_generator.state
+    # a sample larger than a block comes alone
+    big = list(system.equilibrium_blocks(64, 1024, 2, block_rng))
+    assert [b.shape for b in big] == [(1, 64, 1024)] * 2
 
 
 def test_equilibrium_m4_small_n_exact():
