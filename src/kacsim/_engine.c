@@ -10,11 +10,13 @@
  * changes the rounding; -fno-math-errno only lets sqrt be the instruction.
  *
  * kac_pair_sums runs over a stack of configurations, and within one it
- * runs vector lanes that each own a row i, on x86-64 in a clone built for
- * AVX2 that the loader picks at run time (no -march flag, so one library
- * serves every CPU).  The lane-order rule: each lane does the operations
- * of the scalar loop in its order and adds to its row in j order, so the
- * sums are the same bit for bit with lanes or without.
+ * runs vector lanes that each own a row i.  The lanes are spelled once, in
+ * _pair_pass.h, which is included here at two vector widths; on x86-64
+ * the wider one is built for AVX2 and picked on CPUs that have it (no
+ * -march flag, so one library serves every CPU).  The lane-order rule:
+ * each lane adds to its row in j order, exactly +0.0 for the pairs it
+ * does not own, and every lane rounds alike, so the sums are the same bit
+ * for bit at either width.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -365,205 +367,34 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
     return status;
 }
 
-/* x^e for x >= 0: k >= 0 is e as an integer, raised by repeated squaring;
- * k < 0 takes pow. */
-static double power(double x, double e, int64_t k)
-{
-    if (k < 0)
-        return pow(x, e);
-    double r = 1.0;
-    for (;;) {
-        if (k & 1)
-            r *= x;
-        k >>= 1;
-        if (!k)
-            return r;
-        x *= x;
-    }
-}
-
 /* e as an integer when it is one exactly (and at most 1024), else -1. */
 static int64_t integer_exponent(double e)
 {
     return (e >= 0.0 && e <= 1024.0 && e == floor(e)) ? (int64_t)e : -1;
 }
 
-/* The pair pass takes LANES rows i at a time, in two vectors of VW doubles
- * each.  The helpers take vectors through pointers: a vector passed by
- * value would change the calling convention with the ISA (gcc's
- * -Wpsabi). */
+#define PASTE_(a, b) a##b
+#define PASTE(a, b) PASTE_(a, b)
+
+/* The pass at two vector widths: two 2-double vectors, the width of SSE2
+ * and NEON, built for every CPU and exported for the tests; on x86-64 also
+ * two 4-double vectors built for AVX2, which kac_pair_sums runs on CPUs
+ * that have it (2-wide lanes were slower there, and 4-wide vectors without
+ * AVX2 are kept in memory). */
+#define VW 2
+#define PAIR_PASS kac_pair_sums_2
+#define PAIR_TARGET
+#include "_pair_pass.h"
+
+#if defined(__x86_64__)
 #define VW 4
-#define LANES (2 * VW)
-typedef double vec __attribute__((vector_size(VW * sizeof(double))));
-#define LANE_INLINE static inline __attribute__((always_inline))
-
-LANE_INLINE void vec_load(vec *x, const double *p)
-{
-    memcpy(x, p, sizeof *x);
-}
-
-LANE_INLINE void vec_sqrt(vec *x)
-{
-    for (int l = 0; l < VW; l++)
-        (*x)[l] = sqrt((*x)[l]);
-}
-
-/* power() on every lane of x0 and x1, in place: the same squaring
- * sequence on each lane, or pow lane by lane. */
-LANE_INLINE void vec_power(vec *x0, vec *x1, double e, int64_t k)
-{
-    if (k < 0) {
-        for (int l = 0; l < VW; l++) {
-            (*x0)[l] = pow((*x0)[l], e);
-            (*x1)[l] = pow((*x1)[l], e);
-        }
-        return;
-    }
-    vec r0 = {0.0}, r1 = {0.0};
-    r0 += 1.0;
-    r1 += 1.0;
-    for (;;) {
-        if (k & 1) {
-            r0 *= *x0;
-            r1 *= *x1;
-        }
-        k >>= 1;
-        if (!k)
-            break;
-        *x0 *= *x0;
-        *x1 *= *x1;
-    }
-    *x0 = r0;
-    *x1 = r1;
-}
-
-/* row[0..3] += w_j times the four terms of the pair (i, j), one pair at a
- * time; a single copy (vi NULL) adds to row[0] only. */
-LANE_INLINE void pair_terms(const double *ui, const double *vi,
-                            const double *uj, const double *vj, double wj,
-                            int64_t d, double a, double b, int64_t ka,
-                            int64_t kb, double *row)
-{
-    double uu = 0.0, vv = 0.0, uv = 0.0;
-    if (vi) {
-        for (int64_t k = 0; k < d; k++) {
-            double du = ui[k] - uj[k], dv = vi[k] - vj[k];
-            uu += du * du;
-            vv += dv * dv;
-            uv += du * dv;
-        }
-    } else {
-        for (int64_t k = 0; k < d; k++) {
-            double du = ui[k] - uj[k];
-            uu += du * du;
-        }
-    }
-    row[0] += wj * power(uu, a, ka);
-    if (!vi)
-        return;
-    double uuvv = uu * vv;
-    row[1] += wj * power(vv, b, kb);
-    row[2] += wj * (sqrt(uuvv) - uv);
-    row[3] += wj * (uuvv - uv * uv);
-}
-
-/* pair_terms for the rows i0 .. i0 + LANES - 1 against every j from
- * i0 + LANES on: lane l holds row i0 + l, and the j's stream through in
- * order, so each lane adds to its row in j order.  rows[l] carries row
- * i0 + l in and out.  The rows are read from (d, LANES) tiles in work
- * (2 LANES d,), one cache line per coordinate: transposed (d, n) copies
- * would put the d loads of a power-of-two n, such as 2048, in one cache
- * set. */
-LANE_INLINE void row_lanes(const double *u, const double *v, const double *w,
-                           int64_t n, int64_t d, int64_t i0, double a,
-                           double b, int64_t ka, int64_t kb,
-                           double rows[LANES][4], double *work)
-{
-    double *ut = work, *vt = work + LANES * d;
-    for (int l = 0; l < LANES; l++)
-        for (int64_t k = 0; k < d; k++) {
-            ut[k * LANES + l] = u[(i0 + l) * d + k];
-            if (v)
-                vt[k * LANES + l] = v[(i0 + l) * d + k];
-        }
-    double by_sum[4][LANES];
-    for (int l = 0; l < LANES; l++)
-        for (int m = 0; m < 4; m++)
-            by_sum[m][l] = rows[l][m];
-    vec r[4][2];
-    for (int m = 0; m < 4; m++) {
-        vec_load(&r[m][0], by_sum[m]);
-        vec_load(&r[m][1], by_sum[m] + VW);
-    }
-    for (int64_t j = i0 + LANES; j < n; j++) {
-        const double *uj = u + j * d, *vj = v ? v + j * d : NULL;
-        vec uu0 = {0.0}, vv0 = {0.0}, uv0 = {0.0};
-        vec uu1 = {0.0}, vv1 = {0.0}, uv1 = {0.0};
-        vec x0, x1, y0, y1;
-        for (int64_t k = 0; k < d; k++) {
-            vec_load(&x0, ut + k * LANES);
-            vec_load(&x1, ut + k * LANES + VW);
-            x0 -= uj[k];
-            x1 -= uj[k];
-            uu0 += x0 * x0;
-            uu1 += x1 * x1;
-            if (!v)
-                continue;
-            vec_load(&y0, vt + k * LANES);
-            vec_load(&y1, vt + k * LANES + VW);
-            y0 -= vj[k];
-            y1 -= vj[k];
-            vv0 += y0 * y0;
-            vv1 += y1 * y1;
-            uv0 += x0 * y0;
-            uv1 += x1 * y1;
-        }
-        double wj = w[j];
-        x0 = uu0;
-        x1 = uu1;
-        vec_power(&x0, &x1, a, ka);
-        r[0][0] += wj * x0;
-        r[0][1] += wj * x1;
-        if (!v)
-            continue;
-        y0 = vv0;
-        y1 = vv1;
-        vec_power(&y0, &y1, b, kb);
-        r[1][0] += wj * y0;
-        r[1][1] += wj * y1;
-        vec uuvv0 = uu0 * vv0, uuvv1 = uu1 * vv1;
-        x0 = uuvv0;
-        x1 = uuvv1;
-        vec_sqrt(&x0);
-        vec_sqrt(&x1);
-        r[2][0] += wj * (x0 - uv0);
-        r[2][1] += wj * (x1 - uv1);
-        r[3][0] += wj * (uuvv0 - uv0 * uv0);
-        r[3][1] += wj * (uuvv1 - uv1 * uv1);
-    }
-    for (int m = 0; m < 4; m++) {
-        memcpy(by_sum[m], &r[m][0], sizeof r[m][0]);
-        memcpy(by_sum[m] + VW, &r[m][1], sizeof r[m][1]);
-    }
-    for (int l = 0; l < LANES; l++)
-        for (int m = 0; m < 4; m++)
-            rows[l][m] = by_sum[m][l];
-}
-
-/* On x86-64 the pass is built for AVX2 and for the baseline ISA, and the
- * loader picks the AVX2 build on CPUs that have it.  The lanes run only
- * there: in the baseline build the vectors are wider than the ISA's, and
- * gcc then keeps them in memory, which made the lane loop slower than the
- * scalar one.  Elsewhere the pass is the scalar loop. */
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define PAIR_CLONES __attribute__((target_clones("avx2", "default")))
-#define LANES_NATIVE() __builtin_cpu_supports("avx2")
-#endif
-#endif
-#ifndef PAIR_CLONES
-#define PAIR_CLONES
-#define LANES_NATIVE() 0
+#define PAIR_PASS pair_sums_4
+#define PAIR_TARGET __attribute__((target("avx2")))
+/* declared static first, so the definition is not exported */
+static int pair_sums_4(const double *u, const double *v, const double *w,
+                       int64_t s, int64_t n, int64_t d, double a, double b,
+                       double *out, double *work);
+#include "_pair_pass.h"
 #endif
 
 /* For each of s configurations (u, v) of a stack, sums over all ordered
@@ -571,54 +402,24 @@ LANE_INLINE void row_lanes(const double *u, const double *v, const double *w,
  *   out[0] |du|^(2a)        out[1] |dv|^(2b)
  *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
  * with du = u_i - u_j, dv = v_i - v_j; u, v are (s, n, d), w is (n,) and
- * shared, out is (s, 4) and work (2 LANES d,) = (16 d,).  One
- * loop over i < j per configuration, with no memory beyond work: the terms
- * are symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL
- * v fills out[0] of each configuration only.
+ * shared, out is (s, 4) and work (2 LANES d,), at most (16 d,).  Integral
+ * exponents are raised by repeated squaring, others by pow.  One loop over
+ * i < j per configuration, with no memory beyond work: the terms are
+ * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
+ * fills out[0] of each configuration only.
  *
- * With lanes, the rows go LANES at a time through vectors, lane l owning
- * row i0 + l and reading the block's rows from transposed tiles in work;
- * the rows left at the end go one at a time.  In a block, the j's before
- * i0 + LANES are added one pair at a time first, then the lanes stream
- * every later j in order.  Each lane does the scalar loop's operations in
- * its order (uu, vv and uv summed from 0 over k, the same squaring
- * sequence, sqrt(uu vv) - uv and uu vv - uv^2), every row is summed in j
- * order and the rows are added to the totals in i order.  So the outputs
- * are the same bit for bit with or without lanes. */
-PAIR_CLONES
+ * Vector lanes each own a row i and sum it over j > i in j order; the rows
+ * are added to the totals in i order.  Every lane rounds alike at either
+ * width (uu, vv and uv summed from 0 over k, the same squaring sequence,
+ * sqrt(uu vv) - uv and uu vv - uv^2), so both widths give the same sums
+ * bit for bit. */
 int kac_pair_sums(const double *u, const double *v, const double *w,
                   int64_t s, int64_t n, int64_t d, double a, double b,
                   double *out, double *work)
 {
-    int64_t ka = integer_exponent(a), kb = integer_exponent(b);
-    int lanes = LANES_NATIVE();
-    for (int64_t c = 0; c < s; c++, u += n * d, v = v ? v + n * d : NULL,
-                 out += 4) {
-        double tot[4] = {0.0, 0.0, 0.0, 0.0};
-        int64_t i = 0;
-        for (; lanes && i + LANES < n; i += LANES) {
-            double rows[LANES][4] = {{0.0}};
-            for (int l = 0; l < LANES; l++)
-                for (int64_t j = i + l + 1; j < i + LANES; j++)
-                    pair_terms(u + (i + l) * d, v ? v + (i + l) * d : NULL,
-                               u + j * d, v ? v + j * d : NULL, w[j], d, a,
-                               b, ka, kb, rows[l]);
-            row_lanes(u, v, w, n, d, i, a, b, ka, kb, rows, work);
-            for (int l = 0; l < LANES; l++)
-                for (int m = 0; m < 4; m++)
-                    tot[m] += w[i + l] * rows[l][m];
-        }
-        for (; i < n; i++) {
-            const double *ui = u + i * d, *vi = v ? v + i * d : NULL;
-            double row[4] = {0.0, 0.0, 0.0, 0.0};
-            for (int64_t j = i + 1; j < n; j++)
-                pair_terms(ui, vi, u + j * d, v ? v + j * d : NULL, w[j], d,
-                           a, b, ka, kb, row);
-            for (int m = 0; m < 4; m++)
-                tot[m] += w[i] * row[m];
-        }
-        for (int m = 0; m < (v ? 4 : 1); m++)
-            out[m] = 2.0 * tot[m];
-    }
-    return 0;
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2"))
+        return pair_sums_4(u, v, w, s, n, d, a, b, out, work);
+#endif
+    return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
 }

@@ -11,7 +11,7 @@ The loop is one C function, ``kac_advance`` in ``_engine.c`` (next to this
 file), for one copy or two: ``advance_kac`` passes NULL for the second copy
 and its Gaussians, ``advance_coupled`` passes both.  It is loaded through
 ctypes; the shared library is compiled with ``cc`` on first import and
-cached in this package's ``__pycache__`` under a hash of the source, so
+cached in this package's ``__pycache__`` under a hash of the sources, so
 later imports only load it; a build deletes the libraries of earlier
 sources there.  If the compiler or the load fails, a
 RuntimeWarning names the error and the advance functions run the python
@@ -25,15 +25,17 @@ sums over all particle pairs that ``analysis.pair_statistics`` records
 (two pair moments, the creation integrand and the alignment area), in one
 i < j loop and O(N) memory, for one configuration or a stack of them in
 one call.  Integral exponents are raised by repeated squaring, others by
-``pow``.  On x86-64 CPUs with AVX2 the loop takes 8 rows i at a time in
-vector lanes, one row per lane, reading the rows from a small transposed
-tile in a work buffer that ``pair_sums`` allocates; the j's stream
-through in order, the few j's inside a block of rows go one pair at a
-time first, and each lane rounds as the scalar loop does, so every row
-is summed in j order and the sums are the same bit for bit on every CPU.
-The library carries an AVX2 and a baseline build of the pass and picks
-one when it is loaded.  On the python backend ``analysis`` sums its numpy
-pair matrices instead, which agree up to rounding, not bit for bit.
+``pow``.  The loop takes rows i a few at a time in vector lanes, one row
+per lane, reading them from a small transposed tile in a work buffer that
+``pair_sums`` allocates; every lane streams the j's in order and adds
+exactly +0.0 for the pairs its row does not own, so each row is summed in
+j order.  The loop is spelled once, in ``_pair_pass.h``, and ``_engine.c``
+builds it at two widths: two 2-double vectors on every CPU and, on x86-64,
+two 4-double vectors for AVX2, which ``kac_pair_sums`` runs on CPUs that
+have it.  Both widths give the same sums bit for bit.  On the python
+backend ``pair_sums`` sums the numpy pair matrices of
+``analysis._pair_matrices`` instead, which agree up to rounding, not bit
+for bit.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -80,6 +82,8 @@ from .geometry import GeometryError
 HAVE_NUMBA = False
 
 _SOURCE = Path(__file__).with_name("_engine.c")
+# the pair pass, which _engine.c includes once per vector width
+_PASS = _SOURCE.with_name("_pair_pass.h")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off keeps the compiler from fusing a*b + c, so the
@@ -99,7 +103,8 @@ _SIGNATURES = {
                       _ptr),
 }
 _BYTES = ctypes.c_char * 0
-# kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each
+# kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each at
+# the wider width
 _PAIR_WORK = 16
 
 
@@ -111,11 +116,18 @@ def _address(x):
 
 
 def _library_path(cache_dir):
-    """Cache path of the shared library: a hash of source, flags and host."""
-    h = hashlib.sha256(_SOURCE.read_bytes())
+    """Cache path of the shared library: a hash of the sources, flags and
+    host."""
+    h = hashlib.sha256(_SOURCE.read_bytes() + _PASS.read_bytes())
     h.update(" ".join((_CC,) + _CFLAGS + (sys.platform, platform.machine()))
              .encode())
     return Path(cache_dir) / f"_engine_{h.hexdigest()[:16]}.so"
+
+
+def _cc_command(target, *flags):
+    """The command that builds the library into ``target``; ``flags`` go
+    after the library's own."""
+    return [_CC, *_CFLAGS, *flags, "-o", str(target), str(_SOURCE), "-lm"]
 
 
 def _compile(target):
@@ -127,8 +139,8 @@ def _compile(target):
                                suffix=".so")
     os.close(fd)
     try:
-        proc = subprocess.run([_CC, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
-                              capture_output=True, text=True)
+        proc = subprocess.run(_cc_command(tmp), capture_output=True,
+                              text=True)
         if proc.returncode != 0:
             raise OSError(f"{_CC} exited with status {proc.returncode}: "
                           f"{proc.stderr.strip()}")
@@ -317,7 +329,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
 
 
 def pair_sums(u, v, w, a, b):
-    """The weighted pair sums of ``kac_pair_sums`` on the C backend.
+    """The weighted pair sums of ``kac_pair_sums``.
 
     Returns a float64 array of 4: sums over all ordered pairs (i, j),
     weighted by w_i w_j, of |du|^(2a), |dv|^(2b), |du||dv| - du.dv and
@@ -326,12 +338,9 @@ def pair_sums(u, v, w, a, b):
     A stack ``u`` of shape (s, n, d) (and ``v`` alike) gives an (s, 4)
     array from one call, each row equal to the call on its configuration;
     the weights are shared.  The sums assume a, b > 0
-    (``analysis.pair_statistics`` checks); on the python backend
-    ``analysis`` sums its numpy pair matrices instead.
+    (``analysis.pair_statistics`` checks).  On the python backend the same
+    sums come from the numpy pair matrices, one configuration at a time.
     """
-    if _LIB is None:
-        raise RuntimeError("the C pair pass is unavailable on the python "
-                           "backend")
     u = np.ascontiguousarray(u, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     if v is not None:
@@ -343,7 +352,27 @@ def pair_sums(u, v, w, a, b):
                          f"{None if v is None else v.shape}, {w.shape}")
     out = np.full(u.shape[:-2] + (4,), np.nan)
     n, d = u.shape[-2:]
+    if _LIB is None:
+        _python_pair_sums(u.reshape(-1, n, d),
+                          None if v is None else v.reshape(-1, n, d), w, a, b,
+                          out.reshape(-1, 4))
+        return out
     _LIB.kac_pair_sums(_address(u), None if v is None else _address(v),
                        _address(w), out.size // 4, n, d, a, b, _address(out),
                        _address(np.empty(_PAIR_WORK * d)))
     return out
+
+
+def _python_pair_sums(u, v, w, a, b, out):
+    """kac_pair_sums in python: the sums over analysis._pair_matrices of
+    each configuration of the stacks u and v (or None), into the rows of
+    out."""
+    from .analysis import _pair_matrices
+
+    for c, row in enumerate(out):
+        d2u, d2v, dots = _pair_matrices(u[c], None if v is None else v[c])
+        row[0] = w @ d2u ** a @ w
+        if v is not None:
+            row[1] = w @ d2v ** b @ w
+            row[2] = w @ (np.sqrt(d2u) * np.sqrt(d2v) - dots) @ w
+            row[3] = w @ (d2u * d2v - dots * dots) @ w

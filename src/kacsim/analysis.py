@@ -16,10 +16,10 @@ Contents:
   and the alignment area), the means, the second-moment matrices, E U.V,
   E|U - V|^2 and kappa of each marginal, computed once.  The fundamental,
   area and weak reports read it, and the sweep hands its matrices to the
-  trace report.  The pass is one C loop in O(N) memory
-  (``_engine.pair_sums``), which also runs over a stack of samples; the
-  numpy N x N matrices of ``_pair_matrices`` are its test oracle and its
-  stand-in on the python backend.  Also the coupling creation
+  trace report.  The pass is ``_engine.pair_sums``, which also runs over a
+  stack of samples: one C loop in O(N) memory, or on the python backend
+  sums over the numpy N x N matrices of ``_pair_matrices``, which are also
+  the C loop's test oracle.  Also the coupling creation
   ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
@@ -215,7 +215,8 @@ def _pair_matrices(u, v=None):
     exactly 0; the last two are None when ``v`` is None).
 
     The readable oracle of the C pair pass, and its stand-in on the python
-    backend; nothing else builds pair matrices.
+    backend (``_engine.pair_sums`` sums them there); nothing else builds
+    pair matrices.
     """
     def zero_diagonal(m):
         np.fill_diagonal(m, 0.0)
@@ -232,30 +233,6 @@ def _pair_matrices(u, v=None):
     dg = np.einsum("id,id->i", u, v)
     return (sq_dists(u), sq_dists(v),
             zero_diagonal(dg[:, None] + dg[None, :] - g - g.T))
-
-
-def _pair_sums(u, v, w, a, b):
-    """The four sums of ``_engine.pair_sums``, also over a stack (s, n, d):
-    the C pass, or on the python backend the same sums over
-    ``_pair_matrices``, one configuration at a time."""
-    if _engine._LIB is not None:
-        return _engine.pair_sums(u, v, w, a, b)
-    if u.ndim == 2:
-        return _matrix_sums(u, v, w, a, b)
-    vs = [None] * len(u) if v is None else v
-    return np.array([_matrix_sums(x, y, w, a, b)
-                     for x, y in zip(u, vs)]).reshape(len(u), 4)
-
-
-def _matrix_sums(u, v, w, a, b):
-    d2u, d2v, dots = _pair_matrices(u, v)
-    out = np.full(4, np.nan)
-    out[0] = w @ d2u ** a @ w
-    if v is not None:
-        out[1] = w @ d2v ** b @ w
-        out[2] = w @ (np.sqrt(d2u) * np.sqrt(d2v) - dots) @ w
-        out[3] = w @ (d2u * d2v - dots * dots) @ w
-    return out
 
 
 def _moment(x, y, w):
@@ -332,9 +309,9 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     ``a`` and ``b`` are the exponents of the pair moments
     <|u-u*|^(2a)>, <|v-v*|^(2b)> (both > 0); ``weights`` default to 1/N
     each, which makes every sum the average over the N (or N^2 ordered
-    pair) terms.  The pair sums come from one pass: the C loop
-    (``_engine.pair_sums``) in O(N) memory, or on the python backend the
-    numpy matrices of ``_pair_matrices``.
+    pair) terms.  The pair sums come from one pass, ``_engine.pair_sums``:
+    the C loop in O(N) memory, or on the python backend the numpy
+    matrices of ``_pair_matrices``.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
@@ -360,7 +337,7 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
                  float(weights @ np.einsum("id,id->i", u, v)),
                  float(weights @ np.einsum("id,id->i", du, du)))
     return PairStatistics(u, v, weights, a, b,
-                          *_pair_sums(u, v, weights, a, b).tolist(),
+                          *_engine.pair_sums(u, v, weights, a, b).tolist(),
                           weights @ u, _moment(u, u, weights), *joint)
 
 
@@ -715,6 +692,12 @@ def decay_envelope(t, d0, delta, c_delta_n, t_star):
     return out if out.ndim else float(out)
 
 
+def _check_samples(samples):
+    """A standard error needs two samples; fewer would give nan."""
+    if samples < 2:
+        raise BadParams(f"need at least 2 Monte Carlo samples, got {samples}")
+
+
 def wishart_kappa_moment(n, d, p, samples, rng):
     """Monte Carlo estimate of E[(1 - L)^(-p)]^(-1/p) at equilibrium.
 
@@ -723,6 +706,7 @@ def wishart_kappa_moment(n, d, p, samples, rng):
     (d-1)/d and approaches it as n grows.  Requires n - 2p/(d-1) > d so the
     inverse moment is finite.
     """
+    _check_samples(samples)
     if p < 1:
         raise BadParams(f"need p >= 1, got {p}")
     if n - 2.0 * p / (d - 1.0) <= d:
@@ -769,6 +753,7 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
     samples are drawn in the blocks of ``system.equilibrium_blocks``; the
     estimate is the same bit for bit as one sample at a time.
     """
+    _check_samples(samples)
     delta = float(delta)
     if not (0.0 < delta < 1.0):
         raise BadParams(f"need 0 < delta < 1, got {delta}")
@@ -789,7 +774,7 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
     xs = []
     for confs in equilibrium_blocks(n, d, samples, rng):
         kappas = kappa(_moment(confs, confs, w)).tolist()
-        moments = _pair_sums(confs, None, w, m_pair, 1.0)[:, 0].tolist()
+        moments = _engine.pair_sums(confs, None, w, m_pair, 1.0)[:, 0].tolist()
         xs += [k ** m_kappa * (mom * 0.5 ** m_pair)
                for k, mom in zip(kappas, moments)]
     m = float(np.mean(xs))
@@ -835,6 +820,7 @@ def counterexample_heavy_tail(m_values, q, d, samples, rng):
     pair distance and the unit-sphere chord, never the rare event itself.
     Cross terms vanish exactly by independence and centering.
     """
+    _check_samples(samples)
     q = float(q)
     if not (1.0 < q < 2.0):
         raise BadParams(f"need 1 < q < 2, got {q}")
@@ -898,6 +884,7 @@ def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
     survival sampling, so arbitrarily deep tails keep exact occupancy; the
     band mass itself multiplies in analytically.
     """
+    _check_samples(samples)
     if band_eps <= 0:
         raise DegenerateBand(f"band width must be positive, got {band_eps}")
     from scipy.stats import chi as chi_law

@@ -575,3 +575,22 @@ def test_counterexample_radial_band_trend():
         analysis.counterexample_radial_band((2.0,), 0.0, 3, 10, rng)
     with pytest.raises(analysis.DegenerateBand):
         analysis.counterexample_radial_band((200.0,), 0.1, 3, 10, rng)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_estimators_need_two_samples(samples):
+    """Fewer than two Monte Carlo samples leave no standard error (and none
+    no mean): each estimator refuses them instead of returning nan."""
+    rng = np.random.default_rng(5)
+    calls = (
+        lambda: analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, samples,
+                                         rng),
+        lambda: analysis.wishart_kappa_moment(16, 3, 2.0, samples, rng),
+        lambda: analysis.counterexample_heavy_tail((10.0,), 1.5, 3, samples,
+                                                   rng),
+        lambda: analysis.counterexample_radial_band((2.0,), 0.5, 3, samples,
+                                                    rng),
+    )
+    for call in calls:
+        with pytest.raises(analysis.BadParams, match="2 Monte Carlo samples"):
+            call()

@@ -218,13 +218,13 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     creation is read from the same pass.  A stacked call counts its
     configurations."""
     calls = []
-    build = cli.analysis._pair_sums
+    build = cli.analysis._engine.pair_sums
 
     def counting(u, *args):
         calls.append(_matrices(u))
         return build(u, *args)
 
-    monkeypatch.setattr(cli.analysis, "_pair_sums", counting)
+    monkeypatch.setattr(cli.analysis._engine, "pair_sums", counting)
     path = write_config(tmp_path, DECAY_CFG)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path),
@@ -325,22 +325,22 @@ def test_each_sample_builds_one_record(tmp_path, monkeypatch):
     each one it holds."""
     calls = collections.Counter()
 
-    def count(name):
-        func = getattr(cli.analysis, name)
+    def count(module, name):
+        func = getattr(module, name)
 
         def counted(x, *args):
             calls[name] += _matrices(x)
             return func(x, *args)
-        monkeypatch.setattr(cli.analysis, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    count("_pair_sums")
-    count("kappa")
+    count(cli.analysis._engine, "pair_sums")
+    count(cli.analysis, "kappa")
     code, report, tables = _run_columns(tmp_path, "decay")
     samples = sum(len(t) for name, t in tables.items()
                   if name.startswith("trajectory_"))
     constants = report["config"]["constant_samples"]
     assert code == cli.EXIT_OK and samples == 2 * 3
-    assert calls == {"_pair_sums": samples + constants,
+    assert calls == {"pair_sums": samples + constants,
                      "kappa": 2 * samples + constants}
 
     def sweep(n_discrete, n_config):
@@ -348,7 +348,7 @@ def test_each_sample_builds_one_record(tmp_path, monkeypatch):
         cfg = cli.ExperimentConfig(kind="inequalities", n=16, seed=3,
                                    n_discrete=n_discrete, n_config=n_config)
         assert cli.run_inequality_sweep(cfg, tmp_path) == cli.EXIT_OK
-        return np.array([calls["_pair_sums"], calls["kappa"]])
+        return np.array([calls["pair_sums"], calls["kappa"]])
 
     fixed = sweep(0, 0)     # the equality cases
     assert list(sweep(4, 0) - fixed) == [4, 2 * 4]
@@ -357,7 +357,7 @@ def test_each_sample_builds_one_record(tmp_path, monkeypatch):
     calls.clear()
     cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 5,
                                  np.random.default_rng(1))
-    assert calls == {"_pair_sums": 5, "kappa": 5}
+    assert calls == {"pair_sums": 5, "kappa": 5}
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])

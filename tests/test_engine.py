@@ -9,12 +9,14 @@ with ``system.step_kac``; the python fallback is forced and compared with
 the C loop on multi-batch runs with reprojection.  The python stepper
 rounds as the C loop does, so every comparison is exact.  The pair pass
 ``pair_sums`` is checked against closed forms here and against the numpy
-pair matrices in test_analysis.
+pair matrices in test_analysis, at both vector widths of the pass.
 """
 
+import ctypes
 import re
 import shutil
 import subprocess
+import types
 from pathlib import Path
 
 import numpy as np
@@ -480,10 +482,11 @@ def test_pair_sums_closed_forms(d):
 # float.hex of pair_sums on _golden_inputs(n, d): the four coupled sums at
 # (a, b), the single-copy sum at b, and for d = 3 the four sums of u with
 # itself under equal weights at (a, a), with a and b drawn in turn from
-# _GOLDEN_EXPONENTS.  Written down from the scalar loop alone (the lanes
-# switched off); the lanes must give them bit for bit.  The entries from
-# n = 15 on sit at the edges of the 8-row lane blocks; they were written
-# down from the earlier pass with lanes over j, which gave the scalar
+# _GOLDEN_EXPONENTS.  Written down from a scalar loop over the pairs, one
+# at a time (the lanes switched off); the lanes must give them bit for bit
+# at both widths.  The entries from n = 15 to 25 sit at the edges of the
+# 8-row lane blocks, those from n = 3 to 13 at the edges of the 4-row
+# blocks; they were written down from earlier passes that gave the scalar
 # loop's sums.
 _GOLDEN_EXPONENTS = (1.0, 2.0, 6.0, 19.0, 1.5, 2.0000000000000004,
                      38.00000000000001)
@@ -631,6 +634,71 @@ _GOLDEN = {
         '0x1.20184aff161d1p+10', '0x1.ab94c6b800000p+4', '0x1.c0a997049a7a8p+5',
         '0x1.281cc6afa483bp+11', '0x1.dab0ab2d00000p+6',
     ),
+    (3, 3): (
+        '0x1.4c973264d6806p-2', '0x1.95c4b46a80000p-12', '0x1.b10b8d8a6a22fp-9',
+        '0x1.3d7ae44dc4000p-7', '0x1.4c973264d6800p-2', '0x1.d9048bf020008p+5',
+        '0x1.d9048bf020008p+5', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (3, 4): (
+        '0x1.8eff6f87160b4p+125', '0x1.911209365d710p-14', '0x1.31931f4fd87cep-8',
+        '0x1.f651781704000p-7', '0x1.71aabb1557d30p+12',
+    ),
+    (3, 32): (
+        '0x1.d5b88e0000000p-3', '0x1.fcb09b6b07df0p+79', '0x1.68aff356e3746p-4',
+        '0x1.5b53324141280p+2', '0x1.cb27777e3b47ep+115',
+    ),
+    (4, 3): (
+        '0x1.05f849511a400p-1', '0x1.81d9ea512563ap-8', '0x1.24756929e5b59p-6',
+        '0x1.083342f2ca000p-5', '0x1.46356d0f8b668p-3', '0x1.5b45e2c713000p+5',
+        '0x1.5b45e2c713000p+5', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (4, 4): (
+        '0x1.f233b0cc03514p+12', '0x1.38fac6783da02p-4', '0x1.a0b07e5ae4328p-6',
+        '0x1.26e95252ae800p-4', '0x1.0b3a4d124a405p-1',
+    ),
+    (4, 32): (
+        '0x1.1ab5fd9968c7ap+116', '0x1.4a73547bb13f3p+175', '0x1.e7c8079c33ff8p-2',
+        '0x1.920ea48d6ab08p+4', '0x1.8b83b98ba254cp+240',
+    ),
+    (5, 3): (
+        '0x1.29d35c8d3c5adp-2', '0x1.0a8ffe0000000p-4', '0x1.22256d9bcfc57p-4',
+        '0x1.7640804df1c00p-3', '0x1.e3acf80000000p-4', '0x1.6209c5b0493e0p+3',
+        '0x1.6209c5b0493e0p+3', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (5, 4): (
+        '0x1.b565901f94808p-1', '0x1.6af687888c800p-2', '0x1.54b9f03338d2ap-4',
+        '0x1.29e09b1f71000p-2', '0x1.b565901f94800p-1',
+    ),
+    (5, 32): (
+        '0x1.cdc5944b58379p+240', '0x1.1788fb15cee54p+23', '0x1.448cd46f37142p+0',
+        '0x1.db36aaf539c1cp+5', '0x1.5716cc2529686p+32',
+    ),
+    (12, 3): (
+        '0x1.a62b058000000p+0', '0x1.bdee2d7ee29b3p+32', '0x1.51388ed0f1decp-1',
+        '0x1.3fbb0079a9580p+1', '0x1.cff3b17c7f634p+89', '0x1.c73c49c71c71cp+2',
+        '0x1.c73c49c71c71cp+2', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (12, 4): (
+        '0x1.aa33da9b27ac0p+5', '0x1.068a46c7da976p+0', '0x1.e28e5c47434f8p-1',
+        '0x1.3f836ff5146a0p+2', '0x1.68681fcddbc94p+3',
+    ),
+    (12, 32): (
+        '0x1.0da3680f1c4eep+39', '0x1.b4690ff2cdc6fp+6', '0x1.40d26ed999446p+3',
+        '0x1.b5a61b1f6cf1cp+8', '0x1.08d57e86f7546p+11',
+    ),
+    (13, 3): (
+        '0x1.cff3c020cb531p+89', '0x1.ca701fc3d4859p+73', '0x1.aa401e9849aa9p-1',
+        '0x1.68544faea7c00p+1', '0x1.14553505c951dp+188', '0x1.d4d2865bd2d97p+91',
+        '0x1.d4d2865bd2d97p+91', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (13, 4): (
+        '0x1.892271055d9fdp+3', '0x1.6ddfa54000000p-1', '0x1.3913cb9075389p+0',
+        '0x1.6cb5333306e20p+2', '0x1.7c01621000000p+1',
+    ),
+    (13, 32): (
+        '0x1.2d91a5668ab1ap+11', '0x1.06b75c510c0e3p+7', '0x1.7c7f4addb31fep+3',
+        '0x1.012ebbe825aa6p+9', '0x1.2d91a5668ab10p+11',
+    ),
 }
 
 
@@ -645,37 +713,76 @@ def _golden_inputs(n, d):
     return u, v, (1 + np.arange(n) % 5) / 64.0
 
 
+def _each_width(monkeypatch):
+    """Yield once with the library's own kac_pair_sums (the 4-wide pass on
+    x86-64 CPUs with AVX2, else the 2-wide one), then once with the 2-wide
+    pass bound in its place until the test ends, so both widths are tested
+    on every CPU."""
+    yield "dispatched"
+    narrow = _engine._LIB.kac_pair_sums_2
+    narrow.argtypes = _engine._SIGNATURES["kac_pair_sums"]
+    narrow.restype = ctypes.c_int
+    monkeypatch.setattr(_engine, "_LIB",
+                        types.SimpleNamespace(kac_pair_sums=narrow))
+    yield "2-wide"
+
+
 @needs_c
-def test_pair_sums_golden():
-    """n below, at and past multiples of the 8-wide lane blocks, integral
-    exponents (repeated squaring) and others (pow), single and coupled
-    passes, coincident rows and u == v: equal to the scalar loop's sums."""
-    for idx, ((n, d), want) in enumerate(_GOLDEN.items()):
-        a = _GOLDEN_EXPONENTS[idx % 7]
-        b = _GOLDEN_EXPONENTS[(idx + 3) % 7]
-        u, v, w = _golden_inputs(n, d)
-        got = [*_engine.pair_sums(u, v, w, a, b),
-               _engine.pair_sums(u, None, w, b, 1.0)[0]]
-        if d == 3:
-            got += list(_engine.pair_sums(u, u, np.full(n, 1.0 / n), a, a))
-        assert [float(x).hex() for x in got] == list(want), (n, d)
+def test_pair_sums_golden(monkeypatch):
+    """n below, at and past multiples of the 4- and 8-row lane blocks,
+    integral exponents (repeated squaring) and others (pow), single and
+    coupled passes, coincident rows and u == v: equal to the scalar loop's
+    sums at both widths."""
+    for width in _each_width(monkeypatch):
+        for idx, ((n, d), want) in enumerate(_GOLDEN.items()):
+            a = _GOLDEN_EXPONENTS[idx % 7]
+            b = _GOLDEN_EXPONENTS[(idx + 3) % 7]
+            u, v, w = _golden_inputs(n, d)
+            got = [*_engine.pair_sums(u, v, w, a, b),
+                   _engine.pair_sums(u, None, w, b, 1.0)[0]]
+            if d == 3:
+                got += list(_engine.pair_sums(u, u, np.full(n, 1.0 / n), a,
+                                              a))
+            assert [float(x).hex() for x in got] == list(want), (width, n, d)
 
 
 @needs_c
 @pytest.mark.parametrize("n, d", [(15, 3), (25, 4), (33, 32)])
-def test_stacked_pair_sums_equal_each_configuration(n, d):
+def test_stacked_pair_sums_equal_each_configuration(n, d, monkeypatch):
     """One call over a stack (s, n, d) gives each configuration's sums bit
-    for bit, coupled and single, under shared weights."""
+    for bit, coupled and single, under shared weights, at both widths."""
     rng = np.random.default_rng(n + d)
     u, v = rng.standard_normal((2, 6, n, d))
     w = rng.dirichlet(np.ones(n))
-    for second in (v, None):
-        got = _engine.pair_sums(u, second, w, 6.0, 38.00000000000001)
-        assert got.shape == (6, 4)
-        want = [_engine.pair_sums(u[s], None if second is None else v[s], w,
-                                  6.0, 38.00000000000001) for s in range(6)]
-        assert np.array_equal(got, np.array(want), equal_nan=True)
-    assert _engine.pair_sums(u[:0], None, w, 1.0, 1.0).shape == (0, 4)
+    for width in _each_width(monkeypatch):
+        for second in (v, None):
+            got = _engine.pair_sums(u, second, w, 6.0, 38.00000000000001)
+            assert got.shape == (6, 4)
+            want = [_engine.pair_sums(u[s], None if second is None else v[s],
+                                      w, 6.0, 38.00000000000001)
+                    for s in range(6)]
+            assert np.array_equal(got, np.array(want), equal_nan=True), width
+        assert _engine.pair_sums(u[:0], None, w, 1.0, 1.0).shape == (0, 4)
+
+
+@needs_c
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_dead_lanes_add_nothing(n, monkeypatch):
+    """A lane adds exactly +0.0 for a pair its row does not own, at both
+    widths.  The last row, at distance^2 inf from the others, shares a
+    block with rows before it, whose j's its lane meets without owning
+    those pairs: the sum is inf, where a zero weight on those terms would
+    make it nan and adding them would count the pairs twice.  Coincident rows far
+    from the origin sum to exactly 0, though the zero rows that fill the
+    lanes past the last row are at distance^2 inf from them."""
+    u = np.zeros((n, 3))
+    u[-1] = 1e200
+    far = np.full((n, 3), 1e200)
+    w = np.full(n, 1.0 / n)
+    for width in _each_width(monkeypatch):
+        assert _engine.pair_sums(u, None, w, 1.0, 1.0)[0] == np.inf, width
+        got = _engine.pair_sums(far, -far, w, 1.0, 1.5)
+        assert [float(x).hex() for x in got] == ["0x0.0p+0"] * 4, width
 
 
 @needs_c
@@ -687,20 +794,53 @@ def test_pair_sums_reject_mismatched_shapes():
             _engine.pair_sums(*args, 1.0, 1.0)
 
 
-def test_pair_sums_need_the_library(monkeypatch):
+def test_pair_sums_on_the_python_backend(monkeypatch):
+    """Without the library, pair_sums sums the numpy pair matrices: each
+    configuration of a stack (shared weights) as the single call on it,
+    nan past out[0] for a single copy, the same shape checks, and within
+    1e-12 relative of the C pass when that is loaded."""
+    rng = np.random.default_rng(14)
+    u, v = rng.standard_normal((2, 3, 9, 4))
+    w = rng.dirichlet(np.ones(9))
+    c_sums = (_engine.pair_sums(u, v, w, 1.5, 2.0)
+              if _engine.BACKEND == "c" else None)
     monkeypatch.setattr(_engine, "_LIB", None)
-    with pytest.raises(RuntimeError, match="python backend"):
-        _engine.pair_sums(np.zeros((2, 3)), None, np.ones(2) / 2, 1.0, 1.0)
+    got = _engine.pair_sums(u, v, w, 1.5, 2.0)
+    assert got.shape == (3, 4)
+    for s in range(3):
+        assert np.array_equal(got[s], _engine.pair_sums(u[s], v[s], w, 1.5,
+                                                        2.0))
+    single = _engine.pair_sums(u[0], None, w, 1.5, 1.0)
+    assert single[0] == got[0, 0] and np.isnan(single[1:]).all()
+    assert _engine.pair_sums(u[:0], None, w, 1.0, 1.0).shape == (0, 4)
+    with pytest.raises(ValueError, match="pair sums need"):
+        _engine.pair_sums(u, v[:, :8], w, 1.0, 1.0)
+    if c_sums is not None:
+        np.testing.assert_allclose(got, c_sums, rtol=1e-12, atol=0)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_library_key_hashes_the_pass(tmp_path, monkeypatch):
+    """The cache key changes when the included pair pass changes, so an
+    edited _pair_pass.h never loads a library built from the old one."""
+    for name in ("_SOURCE", "_PASS"):
+        path = getattr(_engine, name)
+        shutil.copy(path, tmp_path / path.name)
+        monkeypatch.setattr(_engine, name, tmp_path / path.name)
+    before = _engine._library_path(tmp_path)
+    with open(_engine._PASS, "a") as f:
+        f.write("\n")
+    assert _engine._library_path(tmp_path) != before
+
+
+@pytest.mark.skipif(shutil.which(_engine._CC) is None,
+                    reason="no cc on PATH")
 def test_c_source_is_warning_clean(tmp_path):
     """A variable left unused, a mismatched type, or a warning raised only
-    when optimizing or building a clone fails the build here: the library's
-    own flags, compiled to an object."""
+    when optimizing or building one width of the pass fails the build
+    here: the library's own command, with warnings as errors."""
     proc = subprocess.run(
-        ["cc", *_engine._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c",
-         "-o", str(tmp_path / "engine.o"), str(_engine._SOURCE)],
+        _engine._cc_command(tmp_path / "engine.so", "-Wall", "-Wextra",
+                            "-Werror"),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
