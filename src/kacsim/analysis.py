@@ -28,13 +28,16 @@ Contents:
   ``time_integral_floor``, ``decay_envelope``;
 * equilibrium estimates: ``wishart_kappa_moment``, ``k_main_estimate``;
 * two degeneration studies: ``counterexample_heavy_tail`` and
-  ``counterexample_radial_band``.
+  ``counterexample_radial_band``;
+* the studies' parameter rules ``check_wishart_order``, ``heavy_tail_radii``
+  and ``radial_band_tails``: the estimators apply them to every value before
+  their first draw, and the config check calls them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,10 +75,13 @@ __all__ = [
     "time_integral_floor",
     "decay_envelope",
     "wishart_kappa_moment",
+    "check_wishart_order",
     "k_main_estimate",
     "gaussian_even_moment",
     "counterexample_heavy_tail",
     "counterexample_radial_band",
+    "heavy_tail_radii",
+    "radial_band_tails",
     "HeavyTailRow",
     "RadialBandRow",
 ]
@@ -115,18 +121,15 @@ class MomentBlowup(UserWarning):
 class InequalityReport:
     """One checked inequality: lhs <= rhs with slack = rhs - lhs."""
 
-    name: str
     lhs: float
     rhs: float
     slack: float
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass
 class MCEstimate:
     value: float
     stderr: float
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -423,17 +426,15 @@ def fund_inequality_report(pairs):
     moment exponents), which must be normalized: centered, with unit
     energy in each marginal.  ``kappa_bar`` is the smaller kappa of the two
     marginal second-moment matrices.  The factor 1/2 is the
-    equality-attaining constant (strongly isotropic co-linear two-radius
-    couplings saturate it); the unhalved variant is also reported in aux.
+    equality-attaining constant: strongly isotropic co-linear two-radius
+    couplings saturate it.
     """
     _check_pair_record(pairs)
     if not pairs.normalized:
         raise PreconditionFailed("distribution must be centered with unit energy")
-    kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
-    kbar = min(kap_u, kap_v)
+    kbar = min(pairs.kappa_u, pairs.kappa_v)
     area = pairs.area
-    md = pairs.mean_dot
-    lhs = 1.0 - md * md
+    lhs = 1.0 - pairs.mean_dot * pairs.mean_dot
     if np.isinf(kbar):
         if lhs > 1e-12:
             raise RhsInfinite(
@@ -441,16 +442,7 @@ def fund_inequality_report(pairs):
         rhs = np.inf if area > 0 else 0.0
     else:
         rhs = 0.5 * kbar * area
-    aux = {
-        "kappa_u": kap_u,
-        "kappa_v": kap_v,
-        "area": area,
-        "mean_dot": md,
-        "rhs_unhalved": kbar * area if not np.isinf(kbar) else np.inf,
-    }
-    aux["slack_unhalved"] = aux["rhs_unhalved"] - lhs
-    return InequalityReport(name="fundamental_alignment", lhs=lhs, rhs=rhs,
-                            slack=rhs - lhs, aux=aux)
+    return InequalityReport(lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def trace_inequality_report(c_uu, c_vv, c_uv):
@@ -467,15 +459,10 @@ def trace_inequality_report(c_uu, c_vv, c_uv):
     tr_v = float(np.trace(c_vv))
     if tr_u <= 0 or tr_v <= 0:
         raise PreconditionFailed("marginal covariances need positive trace")
-    lam_u = max_eigenvalue(c_uu)
-    lam_v = max_eigenvalue(c_vv)
-    factor = min(lam_u / tr_u, lam_v / tr_v)
+    factor = min(max_eigenvalue(c_uu) / tr_u, max_eigenvalue(c_vv) / tr_v)
     lhs = float(np.trace(c_uu @ c_vv)) - float(np.sum(c_uv * c_uv))
     rhs = factor * (tr_u * tr_v - float(np.trace(c_uv)) ** 2)
-    aux = {"factor": factor, "lambda_u": lam_u, "lambda_v": lam_v,
-           "trace_u": tr_u, "trace_v": tr_v}
-    return InequalityReport(name="trace", lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                            aux=aux)
+    return InequalityReport(lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def area_decomposition(pairs):
@@ -592,32 +579,14 @@ def pathwise_weak_inequality(pairs, delta, p):
     if corr < -CORRELATION_TOL:
         raise PreconditionFailed(f"velocity correlation {corr:.3e} is negative")
     dist = pairs.mean_sq_distance
-    kap_u, kap_v = pairs.kappa_u, pairs.kappa_v
-    kbar = min(kap_u, kap_v)
-    mom_u, mom_v = pairs.moment_u, pairs.moment_v
+    kbar = min(pairs.kappa_u, pairs.kappa_v)
     c_val = (hc.k1 * kbar ** (-1.0 - 1.0 / (2.0 * delta))
-             * mom_u ** (-1.0 / (2.0 * p * delta))
-             * mom_v ** (-1.0 / (2.0 * q * delta)))
-    c2 = pairs.creation()
-    degenerate = dist == 0.0
-    if degenerate:
-        rhs = np.nan
-        slack = np.nan
-    else:
-        rhs = 0.5 * c2 / dist ** (1.0 + 1.0 / (2.0 * delta))
-        slack = rhs - c_val
-    aux = {
-        "kappa_u": kap_u,
-        "kappa_v": kap_v,
-        "pair_moment_u": mom_u,
-        "pair_moment_v": mom_v,
-        "correlation": corr,
-        "mean_sq_distance": dist,
-        "creation": c2,
-        "degenerate_zero_distance": degenerate,
-    }
-    return InequalityReport(name="pathwise_weak", lhs=c_val, rhs=rhs,
-                            slack=slack, aux=aux)
+             * pairs.moment_u ** (-1.0 / (2.0 * p * delta))
+             * pairs.moment_v ** (-1.0 / (2.0 * q * delta)))
+    if dist == 0.0:
+        return InequalityReport(lhs=c_val, rhs=np.nan, slack=np.nan)
+    rhs = 0.5 * pairs.creation() / dist ** (1.0 + 1.0 / (2.0 * delta))
+    return InequalityReport(lhs=c_val, rhs=rhs, slack=rhs - c_val)
 
 
 def delta4(v, v_star, d=None):
@@ -698,20 +667,26 @@ def _check_samples(samples):
         raise BadParams(f"need at least 2 Monte Carlo samples, got {samples}")
 
 
-def wishart_kappa_moment(n, d, p, samples, rng):
-    """Monte Carlo estimate of E[(1 - L)^(-p)]^(-1/p) at equilibrium.
-
-    L is the top eigenvalue of the empirical second-moment matrix of a
-    uniform constraint-sphere configuration.  The estimate is bounded by
-    (d-1)/d and approaches it as n grows.  Requires n - 2p/(d-1) > d so the
-    inverse moment is finite.
-    """
-    _check_samples(samples)
+def check_wishart_order(n, d, p):
+    """Refuse a moment order p < 1, or one whose inverse moment is not
+    finite at n particles in dimension d (that needs n - 2p/(d-1) > d)."""
     if p < 1:
         raise BadParams(f"need p >= 1, got {p}")
     if n - 2.0 * p / (d - 1.0) <= d:
         raise BadParams(
             f"n = {n} too small for moment order p = {p} in dimension {d}")
+
+
+def wishart_kappa_moment(n, d, p, samples, rng):
+    """Monte Carlo estimate of E[(1 - L)^(-p)]^(-1/p) at equilibrium.
+
+    L is the top eigenvalue of the empirical second-moment matrix of a
+    uniform constraint-sphere configuration.  The estimate is bounded by
+    (d-1)/d and approaches it as n grows.  ``check_wishart_order`` states
+    the orders it accepts.
+    """
+    _check_samples(samples)
+    check_wishart_order(n, d, p)
     xs = []
     for confs in equilibrium_blocks(n, d, samples, rng):
         lams = np.linalg.eigvalsh(np.swapaxes(confs, -1, -2) @ confs / n)
@@ -721,8 +696,7 @@ def wishart_kappa_moment(n, d, p, samples, rng):
     se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
     est = m ** (-1.0 / p)
     se_est = est * se_m / (p * m)
-    return MCEstimate(value=est, stderr=se_est,
-                      aux={"inverse_moment": m, "inverse_moment_stderr": se_m})
+    return MCEstimate(value=est, stderr=se_est)
 
 
 def gaussian_even_moment(d, m):
@@ -809,6 +783,18 @@ def _unit_rows(rng, size, d):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def heavy_tail_radii(m_values, q):
+    """The radii M of ``counterexample_heavy_tail`` as floats, once q is
+    checked to lie in (1, 2) and every M to exceed 1."""
+    if not (1.0 < float(q) < 2.0):
+        raise BadParams(f"need 1 < q < 2, got {q}")
+    radii = [float(m) for m in m_values]
+    for m_val in radii:
+        if m_val <= 1.0:
+            raise BadParams(f"need radius M > 1, got {m_val}")
+    return radii
+
+
 def counterexample_heavy_tail(m_values, q, d, samples, rng):
     """Creation starves while distance persists under a heavy radial tail.
 
@@ -822,13 +808,8 @@ def counterexample_heavy_tail(m_values, q, d, samples, rng):
     """
     _check_samples(samples)
     q = float(q)
-    if not (1.0 < q < 2.0):
-        raise BadParams(f"need 1 < q < 2, got {q}")
     rows = []
-    for m_val in m_values:
-        m_val = float(m_val)
-        if m_val <= 1.0:
-            raise BadParams(f"need radius M > 1, got {m_val}")
+    for m_val in heavy_tail_radii(m_values, q):
         prob = 1.0 / (m_val * m_val)
         m_q = m_val ** (1.0 - 2.0 / q)
 
@@ -871,6 +852,29 @@ class RadialBandRow:
     ratio_stderr: float
 
 
+def radial_band_tails(r_values, band_eps, d):
+    """The radius law of ``counterexample_radial_band`` (|U| for U ~
+    N(0, Id/d)) and, for each r, the band [r, r + band_eps] as (r, sf(r),
+    sf(r + band_eps)).  Raises DegenerateBand for a band width <= 0 or a
+    band that carries no probability mass, BadParams for r <= 0."""
+    if band_eps <= 0:
+        raise DegenerateBand(f"band width must be positive, got {band_eps}")
+    from scipy.stats import chi as chi_law
+
+    law = chi_law(d, scale=1.0 / np.sqrt(d))
+    bands = []
+    for r in r_values:
+        r = float(r)
+        if r <= 0:
+            raise BadParams(f"need r > 0, got {r}")
+        sf_lo, sf_hi = float(law.sf(r)), float(law.sf(r + band_eps))
+        if not sf_lo - sf_hi > 0.0:
+            raise DegenerateBand(
+                f"band [{r}, {r + band_eps}] carries no probability mass")
+        bands.append((r, sf_lo, sf_hi))
+    return law, bands
+
+
 def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
     """Creation-to-distance ratio decays like r^(-2) for band couplings.
 
@@ -885,23 +889,10 @@ def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
     band mass itself multiplies in analytically.
     """
     _check_samples(samples)
-    if band_eps <= 0:
-        raise DegenerateBand(f"band width must be positive, got {band_eps}")
-    from scipy.stats import chi as chi_law
-
-    law = chi_law(d, scale=1.0 / np.sqrt(d))
+    law, bands = radial_band_tails(r_minus_values, band_eps, d)
     rows = []
-    for r in r_minus_values:
-        r = float(r)
-        if r <= 0:
-            raise BadParams(f"need r > 0, got {r}")
-        sf_lo = float(law.sf(r))
-        sf_hi = float(law.sf(r + band_eps))
+    for r, sf_lo, sf_hi in bands:
         beta = sf_lo - sf_hi
-        if not beta > 0.0:
-            raise DegenerateBand(
-                f"band [{r}, {r + band_eps}] carries no probability mass")
-
         r_in = law.isf(rng.uniform(sf_hi, sf_lo, size=samples))
         c_band = float(np.sqrt(np.mean(r_in * r_in)))
 

@@ -1,7 +1,8 @@
 """Experiment configuration and the ``kac`` command line runner.
 
-Configs are flat ``key = value`` files (``#`` starts a comment).  The runner
-dispatches on ``kind``:
+Configs are flat ``key = value`` files (``#`` starts a comment).  The
+table ``RUNNERS`` maps each ``kind`` to its runner, and ``KINDS`` lists its
+keys:
 
 * ``decay``: coupled two-copy runs from an out-of-equilibrium start,
   per-replica trajectories plus an aggregate with the power-law envelope.
@@ -10,9 +11,12 @@ dispatches on ``kind``:
 * ``wishart`` / ``counterexample1`` / ``counterexample2`` /
   ``equilibrium-check``: the supporting study tables.
 
-Exit codes: 0 all checks passed, 1 an invariant was violated, 2 the config
-was rejected.  All randomness flows through substreams of the master seed,
-so identical (config, seed) pairs produce bit-identical output files.
+Each runner writes its CSV files and hands its fields to ``_write_report``,
+which writes report.json as {kind, config, <fields>, violations, pass} and
+returns the exit code: 0 all checks passed, 1 an invariant was violated; 2
+means the config was rejected (by ``validate_config``, before any output).
+All randomness flows through substreams of the master seed, so identical
+(config, seed) pairs produce bit-identical output files.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "load_config",
     "run_decay_experiment",
     "run_inequality_sweep",
-    "run_support_studies",
     "main",
 ]
 
@@ -58,8 +61,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 
-KINDS = ("decay", "inequalities", "counterexample1", "counterexample2",
-         "wishart", "equilibrium-check")
 KERNEL_FAMILIES = ("uniform", "dirac", "power_law")
 INITIAL_LAWS = ("two_temperature", "equilibrium", "identical")
 
@@ -225,24 +226,18 @@ def validate_config(cfg):
                     "equilibrium-check"):
         if cfg.samples < 2:
             raise ConfigError("samples must be at least 2")
-    if cfg.kind == "counterexample1":
-        if not (1.0 < cfg.q_moment < 2.0):
-            raise ConfigError(f"need 1 < q_moment < 2, got {cfg.q_moment}")
-        if any(m <= 1 for m in cfg.m_values):
-            raise ConfigError("m_values must all exceed 1")
-    if cfg.kind == "counterexample2":
-        if cfg.band_eps <= 0:
-            raise ConfigError(f"band_eps must be > 0, got {cfg.band_eps}")
-        if any(r <= 0 for r in cfg.r_values):
-            raise ConfigError("r_values must all be positive")
-    if cfg.kind == "wishart":
-        if cfg.p_moment < 1:
-            raise ConfigError(f"need p_moment >= 1, got {cfg.p_moment}")
-        for n in cfg.n_values:
-            if n - 2.0 * cfg.p_moment / (cfg.d - 1.0) <= cfg.d:
-                raise ConfigError(
-                    f"n = {n} too small for moment order {cfg.p_moment} "
-                    f"in dimension {cfg.d}")
+    # the studies' parameter rules live with the estimators, which apply
+    # them to every value before their first draw
+    try:
+        if cfg.kind == "counterexample1":
+            analysis.heavy_tail_radii(cfg.m_values, cfg.q_moment)
+        if cfg.kind == "counterexample2":
+            analysis.radial_band_tails(cfg.r_values, cfg.band_eps, cfg.d)
+        if cfg.kind == "wishart":
+            for n in cfg.n_values:
+                analysis.check_wishart_order(n, cfg.d, cfg.p_moment)
+    except analysis.AnalysisError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -292,9 +287,14 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(out_dir, report):
+def _write_report(out_dir, cfg, violations, **fields):
+    """Write report.json, {kind, config, <fields>, violations, pass}, and
+    return the run's exit code."""
+    report = {"kind": cfg.kind, "config": asdict(cfg), **fields,
+              "violations": violations, "pass": not violations}
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     (Path(out_dir) / "report.json").write_text(text + "\n")
+    return EXIT_INVARIANT if violations else EXIT_OK
 
 
 # The sampled min_corr column holds each sample's raw correlation E U.V;
@@ -386,19 +386,8 @@ def run_decay_experiment(cfg, out_dir):
     hc = analysis.k_main_estimate(delta, p, q, cfg.n, cfg.d,
                                   cfg.constant_samples,
                                   substream(cfg.seed, CONSTANTS_STREAM))
-    constants = {
-        "delta": delta, "p": p, "q": q,
-        "k1": hc.k1, "k2": hc.k2,
-        "k_main": hc.k_main, "k_main_stderr": hc.k_main_stderr,
-        "c_delta_n": hc.c_delta_n,
-        "j_factor": hc.j_factor, "j_stderr": hc.j_stderr,
-        "j_limit": hc.j_limit,
-        "moment_blowup": hc.blowup,
-    }
-
-    report = {"kind": cfg.kind, "config": asdict(cfg), "constants": constants}
-    gamma = analysis.gamma_exponent(delta)
-    report["gamma"] = gamma
+    constants = asdict(hc)
+    constants["moment_blowup"] = constants.pop("blowup")
 
     all_cols = {name: [] for name in TRAJECTORY_COLUMNS}
     violations = []
@@ -465,19 +454,13 @@ def run_decay_experiment(cfg, out_dir):
     _write_csv(Path(out_dir) / "aggregate.csv", header, agg_rows)
 
     msd_mean = np.mean(stacked["mean_sq_distance"], axis=0)
-    report.update({
-        "replicas": n_done,
-        "t_star": t_star,
-        "envelope_d0": d0,
-        "initial": {"mean_sq_distance": d0, "m4": m4_0},
-        "final": {"mean_sq_distance": float(msd_mean[-1])},
-        "decay_factor": float(d0 / msd_mean[-1]) if msd_mean[-1] > 0 else np.inf,
-        "engine_checks": check_extrema,
-        "violations": violations,
-        "pass": not violations,
-    })
-    _write_report(out_dir, report)
-    return EXIT_INVARIANT if violations else EXIT_OK
+    return _write_report(
+        out_dir, cfg, violations, constants=constants,
+        gamma=analysis.gamma_exponent(delta), replicas=n_done, t_star=t_star,
+        envelope_d0=d0, initial={"mean_sq_distance": d0, "m4": m4_0},
+        final={"mean_sq_distance": float(msd_mean[-1])},
+        decay_factor=float(d0 / msd_mean[-1]) if msd_mean[-1] > 0 else np.inf,
+        engine_checks=check_extrema)
 
 
 def _random_discrete(rng, d):
@@ -599,18 +582,10 @@ def run_inequality_sweep(cfg, out_dir):
     _write_csv(Path(out_dir) / "sweep.csv",
                ("instance", "group", "name", "lhs", "rhs", "slack",
                 "replica", "substream"), rows)
-    report = {
-        "kind": cfg.kind,
-        "config": asdict(cfg),
-        "min_slack": mins,
-        "max_area_residual": max_area_residual,
-        "equality_cases": equality,
-        "checked": {"discrete": cfg.n_discrete, "configuration": cfg.n_config},
-        "violations": violations,
-        "pass": not violations,
-    }
-    _write_report(out_dir, report)
-    return EXIT_INVARIANT if violations else EXIT_OK
+    return _write_report(
+        out_dir, cfg, violations, min_slack=mins,
+        max_area_residual=max_area_residual, equality_cases=equality,
+        checked={"discrete": cfg.n_discrete, "configuration": cfg.n_config})
 
 
 def _run_wishart(cfg, out_dir):
@@ -637,7 +612,8 @@ def _run_wishart(cfg, out_dir):
     _write_csv(Path(out_dir) / "wishart.csv",
                ("n", "estimate", "stderr", "bound", "replica", "substream"),
                rows)
-    return {"rows": table, "bound": bound}, violations
+    return _write_report(out_dir, cfg, violations,
+                         results={"rows": table, "bound": bound})
 
 
 def _run_heavy_tail(cfg, out_dir):
@@ -665,7 +641,7 @@ def _run_heavy_tail(cfg, out_dir):
                ("m", "m_q", "mean_sq_distance", "distance_stderr",
                 "creation", "creation_stderr", "replica", "substream"),
                csv_rows)
-    return {"rows": table}, violations
+    return _write_report(out_dir, cfg, violations, results={"rows": table})
 
 
 def _run_radial_band(cfg, out_dir):
@@ -692,7 +668,8 @@ def _run_radial_band(cfg, out_dir):
     _write_csv(Path(out_dir) / "radial_band.csv",
                ("r_minus", "band_prob", "band_radius", "ratio",
                 "ratio_stderr", "replica", "substream"), csv_rows)
-    return {"rows": table, "slope": slope}, violations
+    return _write_report(out_dir, cfg, violations,
+                         results={"rows": table, "slope": slope})
 
 
 def _run_equilibrium_check(cfg, out_dir):
@@ -720,38 +697,26 @@ def _run_equilibrium_check(cfg, out_dir):
                ("n", "d", "m4_mean", "m4_se", "m4_exact", "m4_limit",
                 "replica", "substream"),
                [(cfg.n, cfg.d, mean, se, exact, limit, 0, stream)])
-    return {"m4_mean": mean, "m4_se": se, "m4_exact": exact,
-            "m4_limit": limit}, violations
+    return _write_report(out_dir, cfg, violations, results={
+        "m4_mean": mean, "m4_se": se, "m4_exact": exact, "m4_limit": limit})
 
 
-def run_support_studies(cfg, out_dir):
-    """Moment and counterexample tables with built-in trend checks."""
-    runners = {
-        "wishart": _run_wishart,
-        "counterexample1": _run_heavy_tail,
-        "counterexample2": _run_radial_band,
-        "equilibrium-check": _run_equilibrium_check,
-    }
-    results, violations = runners[cfg.kind](cfg, out_dir)
-    report = {
-        "kind": cfg.kind,
-        "config": asdict(cfg),
-        "results": results,
-        "violations": violations,
-        "pass": not violations,
-    }
-    _write_report(out_dir, report)
-    return EXIT_INVARIANT if violations else EXIT_OK
+# each kind's runner, called as runner(cfg, out_dir) with the directory made
+RUNNERS = {
+    "decay": run_decay_experiment,
+    "inequalities": run_inequality_sweep,
+    "counterexample1": _run_heavy_tail,
+    "counterexample2": _run_radial_band,
+    "wishart": _run_wishart,
+    "equilibrium-check": _run_equilibrium_check,
+}
+KINDS = tuple(RUNNERS)
 
 
 def run_experiment(cfg, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.kind == "decay":
-        return run_decay_experiment(cfg, out_dir)
-    if cfg.kind == "inequalities":
-        return run_inequality_sweep(cfg, out_dir)
-    return run_support_studies(cfg, out_dir)
+    return RUNNERS[cfg.kind](cfg, out_dir)
 
 
 def main(argv=None):

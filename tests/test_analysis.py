@@ -297,10 +297,11 @@ def test_fund_inequality_identity_coupling():
     axes = np.concatenate([np.eye(d), -np.eye(d)]) / 1.0
     dist = analysis.DiscreteCoupledDistribution(axes, axes,
                                                 np.full(2 * d, 1 / (2 * d)))
-    rep = analysis.fund_inequality_report(dist.pair_statistics())
+    pairs = dist.pair_statistics()
+    rep = analysis.fund_inequality_report(pairs)
     assert abs(rep.lhs) < 1e-14
     assert abs(rep.rhs) < 1e-14
-    assert rep.aux["kappa_u"] == pytest.approx(d / (d - 1.0), rel=1e-12)
+    assert pairs.kappa_u == pytest.approx(d / (d - 1.0), rel=1e-12)
 
 
 def test_fund_inequality_random_instances():
@@ -309,7 +310,6 @@ def test_fund_inequality_random_instances():
         rep = analysis.fund_inequality_report(
             random_discrete(rng).pair_statistics())
         assert rep.slack >= -1e-10
-        assert rep.aux["slack_unhalved"] >= rep.slack - 1e-15
 
 
 def test_fund_inequality_equality_case():
@@ -378,13 +378,13 @@ def test_pathwise_weak_inequality_random_states():
         u = system.sample_equilibrium(32, 3, rng)
         v = system.sample_equilibrium(32, 3, rng)
         v, _ = system.align_configurations(u, v)
-        rep = analysis.pathwise_weak_inequality(
-            analysis.pair_statistics(u, v, *analysis.weak_exponents(0.5, 4.0)),
-            delta=0.5, p=4.0)
+        pairs = analysis.pair_statistics(u, v,
+                                         *analysis.weak_exponents(0.5, 4.0))
+        rep = analysis.pathwise_weak_inequality(pairs, delta=0.5, p=4.0)
         assert rep.slack >= -1e-10
-        assert rep.aux["correlation"] >= -1e-12
-        # the decay runner's creation column reads this value
-        assert rep.aux["creation"] == analysis.coupling_creation(u, v)
+        assert pairs.mean_dot >= -1e-12
+        # the decay runner's creation column reads pairs.creation()
+        assert pairs.creation() == analysis.coupling_creation(u, v)
 
 
 def test_pathwise_weak_degenerate_and_errors():
@@ -393,9 +393,10 @@ def test_pathwise_weak_degenerate_and_errors():
     def pairs(a, b):
         return analysis.pair_statistics(a, b, *analysis.weak_exponents(0.5, 4.0))
 
-    rep = analysis.pathwise_weak_inequality(pairs(u, u.copy()), 0.5, 4.0)
-    assert rep.aux["degenerate_zero_distance"]
-    assert np.isnan(rep.rhs)
+    coincident = pairs(u, u.copy())
+    rep = analysis.pathwise_weak_inequality(coincident, 0.5, 4.0)
+    assert coincident.mean_sq_distance == 0.0
+    assert np.isnan(rep.rhs) and np.isnan(rep.slack)
     with pytest.raises(analysis.PreconditionFailed):
         analysis.pathwise_weak_inequality(pairs(u, -u), 0.5, 4.0)
     with pytest.raises(analysis.BadParams):
@@ -559,6 +560,11 @@ def test_counterexample_heavy_tail_trend():
         assert abs(r.mean_sq_distance - 2.0) < 5 * r.distance_stderr + 0.05
     with pytest.raises(analysis.BadParams):
         analysis.counterexample_heavy_tail((10.0,), 2.5, 3, 10, rng)
+    # every radius is checked before the first draw
+    state = rng.bit_generator.state
+    with pytest.raises(analysis.BadParams):
+        analysis.counterexample_heavy_tail((10.0, 1.0), 1.5, 3, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_counterexample_radial_band_trend():
@@ -573,8 +579,11 @@ def test_counterexample_radial_band_trend():
     assert -3.0 < slope < -1.0
     with pytest.raises(analysis.DegenerateBand):
         analysis.counterexample_radial_band((2.0,), 0.0, 3, 10, rng)
+    # every band's mass is checked before the first draw
+    state = rng.bit_generator.state
     with pytest.raises(analysis.DegenerateBand):
-        analysis.counterexample_radial_band((200.0,), 0.1, 3, 10, rng)
+        analysis.counterexample_radial_band((2.0, 200.0), 0.1, 3, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("samples", [0, 1])

@@ -27,6 +27,30 @@ seed = 5
 constant_samples = 20
 """
 
+INEQUALITY_CFG = """
+kind = inequalities
+n = 16
+d = 3
+n_discrete = 50
+n_config = 10
+delta = 0.5
+seed = 3
+"""
+
+# each study's config as test_support_studies_run runs it, and the CSV it
+# writes
+STUDY_BASE = "d = 3\nseed = 2\nsamples = 200\n"
+STUDIES = {
+    "wishart": ("wishart.csv", "n_values = 16,32\np_moment = 2.0\n"),
+    "counterexample1": ("heavy_tail.csv", "m_values = 10,100\n"),
+    "counterexample2": ("radial_band.csv", "r_values = 2,4\nsamples = 2000\n"),
+    "equilibrium-check": ("moments.csv", "n = 128\nsamples = 400\n"),
+}
+
+
+def study_config(kind):
+    return f"kind = {kind}\n" + STUDY_BASE + STUDIES[kind][1]
+
 
 def test_load_config_parses_and_overrides(tmp_path):
     path = write_config(tmp_path, DECAY_CFG)
@@ -90,26 +114,49 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in err
 
 
-# the first eight passed `kac validate` and then failed `kac run` with a
-# traceback
-@pytest.mark.parametrize("extra", [
-    pytest.param("m4_init = 4.0\n", id="m4_init_above_range"),
-    # the decay constants need delta < 1
-    pytest.param("delta = 1.5\np = 3\n", id="delta_above_1"),
-    pytest.param("n = 5000\n", id="n_above_pairing_limit"),
-    pytest.param("horizon = nan\n", id="horizon_nan"),
-    pytest.param("horizon = inf\n", id="horizon_inf"),
-    pytest.param("sample_dt = nan\n", id="sample_dt_nan"),
-    pytest.param("sample_dt = inf\n", id="sample_dt_inf"),
-    pytest.param("delta = nan\n", id="delta_nan"),
-    # the exponents need p > 1 (this one raised from analysis)
-    pytest.param("p = 0.5\n", id="p_not_above_1"),
-    # q is the conjugate of p, not a key
-    pytest.param("q = 2\n", id="q_key"),
-    pytest.param("replicas = 0\n", id="replicas_zero"),
-])
-def test_decay_config_rejected_before_running(tmp_path, capsys, extra):
-    path = write_config(tmp_path, DECAY_CFG + extra)
+# decay's rules, then one bad value per kind-specific rule of the other
+# kinds; the first eight and the empty band passed `kac validate` and then
+# failed `kac run` with a traceback
+@pytest.mark.parametrize("text", [
+    pytest.param(DECAY_CFG + extra, id=name) for name, extra in [
+        ("m4_init_above_range", "m4_init = 4.0\n"),
+        # the decay constants need delta < 1
+        ("delta_above_1", "delta = 1.5\np = 3\n"),
+        ("n_above_pairing_limit", "n = 5000\n"),
+        ("horizon_nan", "horizon = nan\n"),
+        ("horizon_inf", "horizon = inf\n"),
+        ("sample_dt_nan", "sample_dt = nan\n"),
+        ("sample_dt_inf", "sample_dt = inf\n"),
+        ("delta_nan", "delta = nan\n"),
+        # the exponents need p > 1 (this one raised from analysis)
+        ("p_not_above_1", "p = 0.5\n"),
+        # q is the conjugate of p, not a key
+        ("q_key", "q = 2\n"),
+        ("replicas_zero", "replicas = 0\n"),
+    ]
+] + [
+    pytest.param(INEQUALITY_CFG + "n_discrete = -1\n", id="negative_sweep"),
+    pytest.param(INEQUALITY_CFG + "delta = 0.0\n", id="delta_zero"),
+    pytest.param(study_config("wishart") + "p_moment = 0.5\n",
+                 id="p_moment_below_1"),
+    pytest.param(study_config("wishart") + "n_values = 4,32\n",
+                 id="wishart_n_too_small"),
+    pytest.param(study_config("counterexample1") + "q_moment = 2.5\n",
+                 id="q_moment_above_2"),
+    pytest.param(study_config("counterexample1") + "m_values = 10,1\n",
+                 id="m_value_not_above_1"),
+    pytest.param(study_config("counterexample2") + "band_eps = 0.0\n",
+                 id="band_eps_zero"),
+    pytest.param(study_config("counterexample2") + "r_values = 2,-1\n",
+                 id="r_value_negative"),
+    pytest.param(study_config("counterexample2") + "r_values = 2,4,50\n",
+                 id="empty_band"),
+] + [pytest.param(study_config(kind) + "samples = 1\n", id=f"{kind}_samples_1")
+     for kind in STUDIES])
+def test_decay_config_rejected_before_running(tmp_path, capsys, text):
+    """Both `kac validate` and `kac run` exit 2 on the config, and the run
+    makes no output directory."""
+    path = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
     assert cli.main(["run", "--config", str(path),
@@ -156,6 +203,13 @@ def test_decay_run_outputs_and_determinism(tmp_path, capsys):
                      "--out", str(out_b)]) == cli.EXIT_OK
 
     report = json.loads((out_a / "report.json").read_text())
+    assert set(report) == {
+        "kind", "config", "constants", "gamma", "replicas", "t_star",
+        "envelope_d0", "initial", "final", "decay_factor", "engine_checks",
+        "violations", "pass"}
+    assert set(report["constants"]) == {
+        "delta", "p", "q", "k1", "k2", "k_main", "k_main_stderr",
+        "c_delta_n", "j_factor", "j_stderr", "j_limit", "moment_blowup"}
     assert report["pass"] is True
     assert report["replicas"] == 3
     assert report["constants"]["k_main"] > 0
@@ -410,16 +464,7 @@ def test_decay_sample_checks_flag_violations():
 
 
 def test_inequality_sweep_runs(tmp_path):
-    cfgtext = """
-kind = inequalities
-n = 16
-d = 3
-n_discrete = 50
-n_config = 10
-delta = 0.5
-seed = 3
-"""
-    path = write_config(tmp_path, cfgtext)
+    path = write_config(tmp_path, INEQUALITY_CFG)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path),
                      "--out", str(out)]) == cli.EXIT_OK
@@ -427,27 +472,23 @@ seed = 3
     header = lines[0].split(",")
     assert {"instance", "group", "name", "lhs", "rhs", "slack"} <= set(header)
     report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"kind", "config", "min_slack", "max_area_residual",
+                           "equality_cases", "checked", "violations", "pass"}
     assert report["pass"] is True
     assert min(report["min_slack"].values()) > -1e-10
     assert report["equality_cases"]
 
 
 def test_support_studies_run(tmp_path):
-    base = "d = 3\nseed = 2\nsamples = 200\n"
-    cases = {
-        "wishart": ("wishart.csv", "n_values = 16,32\np_moment = 2.0\n"),
-        "counterexample1": ("heavy_tail.csv", "m_values = 10,100\n"),
-        "counterexample2": ("radial_band.csv", "r_values = 2,4\nsamples = 2000\n"),
-        "equilibrium-check": ("moments.csv", "n = 128\nsamples = 400\n"),
-    }
-    for kind, (csv_name, extra) in cases.items():
-        path = write_config(tmp_path, f"kind = {kind}\n" + base + extra,
-                            name=f"{kind}.cfg")
+    for kind, (csv_name, _) in STUDIES.items():
+        path = write_config(tmp_path, study_config(kind), name=f"{kind}.cfg")
         out = tmp_path / kind
         assert cli.main(["run", "--config", str(path),
                          "--out", str(out)]) == cli.EXIT_OK, kind
         assert (out / csv_name).is_file()
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"kind", "config", "results", "violations",
+                               "pass"}, kind
         assert report["pass"] is True, kind
 
 

@@ -1,6 +1,6 @@
 """Every name a kacsim module exports must exist, so deleting a function
-cannot leave a stale ``__all__`` entry behind; importing the package must
-stay cheap."""
+cannot leave a stale ``__all__`` entry behind, and every name the benchmark
+wraps must exist too; importing the package must stay cheap."""
 
 import importlib
 import os
@@ -50,3 +50,15 @@ print("scipy.integrate" in sys.modules)
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_benchmark_hooks_find_their_names():
+    """perfbench/ wraps program functions by name (``cli._write_report``,
+    ``cli.substream``, ...).  Its own test of those wrappers runs here, so
+    renaming a name it patches fails this suite, not a benchmark run."""
+    root = Path(__file__).resolve().parent.parent
+    test = "perfbench/test_perfbench.py::test_every_wrapper_restores_the_original"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "-p", "no:cacheprovider", test],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
