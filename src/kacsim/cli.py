@@ -12,11 +12,13 @@ keys:
   ``equilibrium-check``: the supporting study tables.
 
 Each runner writes its CSV files and hands its fields to ``_write_report``,
-which writes report.json as {kind, config, <fields>, violations, pass} and
-returns the exit code: 0 all checks passed, 1 an invariant was violated; 2
-means the config was rejected (by ``validate_config``, before any output).
+which writes report.json as {kind, stream, config, <fields>, violations,
+pass} and returns the exit code: 0 all checks passed, 1 an invariant was
+violated; 2 means the config was rejected (by ``validate_config``, before
+any output).
 All randomness flows through substreams of the master seed, so identical
-(config, seed) pairs produce bit-identical output files.
+(config, seed) pairs produce bit-identical output files within one RNG
+stream version (``stream`` in report.json, ``system.STREAM_VERSION``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from . import _engine, analysis
 from .assignment import MAX_ASSIGNMENT_SIZE
 from .kernels import KernelError, make_kernel
 from .system import (
+    STREAM_VERSION,
     _sample_grid,
     align_configurations,
     coupled_run_issues,
@@ -288,9 +291,11 @@ def _jsonable(obj):
 
 
 def _write_report(out_dir, cfg, violations, **fields):
-    """Write report.json, {kind, config, <fields>, violations, pass}, and
-    return the run's exit code."""
-    report = {"kind": cfg.kind, "config": asdict(cfg), **fields,
+    """Write report.json, {kind, stream, config, <fields>, violations,
+    pass}, and return the run's exit code; ``stream`` is the RNG stream
+    version the outputs were drawn from."""
+    report = {"kind": cfg.kind, "stream": STREAM_VERSION,
+              "config": asdict(cfg), **fields,
               "violations": violations, "pass": not violations}
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     (Path(out_dir) / "report.json").write_text(text + "\n")

@@ -204,9 +204,10 @@ def test_decay_run_outputs_and_determinism(tmp_path, capsys):
 
     report = json.loads((out_a / "report.json").read_text())
     assert set(report) == {
-        "kind", "config", "constants", "gamma", "replicas", "t_star",
-        "envelope_d0", "initial", "final", "decay_factor", "engine_checks",
-        "violations", "pass"}
+        "kind", "stream", "config", "constants", "gamma", "replicas",
+        "t_star", "envelope_d0", "initial", "final", "decay_factor",
+        "engine_checks", "violations", "pass"}
+    assert report["stream"] == system.STREAM_VERSION == 2
     assert set(report["constants"]) == {
         "delta", "p", "q", "k1", "k2", "k_main", "k_main_stderr",
         "c_delta_n", "j_factor", "j_stderr", "j_limit", "moment_blowup"}
@@ -472,8 +473,9 @@ def test_inequality_sweep_runs(tmp_path):
     header = lines[0].split(",")
     assert {"instance", "group", "name", "lhs", "rhs", "slack"} <= set(header)
     report = json.loads((out / "report.json").read_text())
-    assert set(report) == {"kind", "config", "min_slack", "max_area_residual",
-                           "equality_cases", "checked", "violations", "pass"}
+    assert set(report) == {"kind", "stream", "config", "min_slack",
+                           "max_area_residual", "equality_cases", "checked",
+                           "violations", "pass"}
     assert report["pass"] is True
     assert min(report["min_slack"].values()) > -1e-10
     assert report["equality_cases"]
@@ -487,8 +489,9 @@ def test_support_studies_run(tmp_path):
                          "--out", str(out)]) == cli.EXIT_OK, kind
         assert (out / csv_name).is_file()
         report = json.loads((out / "report.json").read_text())
-        assert set(report) == {"kind", "config", "results", "violations",
-                               "pass"}, kind
+        assert set(report) == {"kind", "stream", "config", "results",
+                               "violations", "pass"}, kind
+        assert report["stream"] == system.STREAM_VERSION, kind
         assert report["pass"] is True, kind
 
 

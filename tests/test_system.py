@@ -306,6 +306,49 @@ def test_simulate_kac_skeleton_property():
     assert fine.checks["n_events"] == coarse.checks["n_events"]
 
 
+def _sampled_run(coupled, horizon, sample_dt, **kw):
+    """A default-shape run (N = 256, from a two-temperature start) that
+    samples its states: (times, states of shape (samples, copies, n, d),
+    checks)."""
+    rng = np.random.default_rng(80)
+    u0 = system.sample_equilibrium(256, 3, rng)
+    v0 = system.two_temperature_initial(256, 3, rng)
+    rng = np.random.default_rng(81)
+    if coupled:
+        rec = system.simulate_coupled(
+            system.make_coupled_state(u0, v0), None, UNIFORM, rng,
+            horizon=horizon, sample_dt=sample_dt,
+            observables={"x": lambda u, v: np.stack((u, v))}, **kw)
+    else:
+        rec = system.simulate_kac(v0, UNIFORM, rng, horizon=horizon,
+                                  sample_dt=sample_dt,
+                                  observables={"x": lambda v: v[None]}, **kw)
+    return rec.times, rec.columns["x"], rec.checks
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+def test_runs_are_prefixes_at_the_default_chunk(coupled):
+    """The chunk size is fixed, not sized from the horizon, so the run to
+    horizon 10 is bit for bit the start of the run to horizon 20 (both past
+    the first batch), and halving sample_dt leaves the state equal at the
+    common sample times.  Another chunk size is another stream."""
+    times, states, checks = _sampled_run(coupled, 20.0, 0.5)
+    short_t, short, short_checks = _sampled_run(coupled, 10.0, 0.5)
+    assert short_checks["n_events"] > system.DEFAULT_CHUNK_SIZE
+    assert checks["n_events"] > short_checks["n_events"]
+    assert np.array_equal(short_t, times[:len(short_t)])
+    assert np.array_equal(short, states[:len(short)])
+
+    fine_t, fine, fine_checks = _sampled_run(coupled, 20.0, 0.25)
+    assert np.array_equal(fine_t[::2], times)
+    assert np.array_equal(fine[::2], states)
+    assert fine_checks["n_events"] == checks["n_events"]
+
+    other = _sampled_run(coupled, 20.0, 0.5,
+                         chunk_size=2 * system.DEFAULT_CHUNK_SIZE)[1]
+    assert not np.array_equal(other[-1], states[-1])
+
+
 def test_simulate_horizon_zero_single_snapshot():
     v0, rng = kac_sphere_point(8, 3, 68)
     rec = system.simulate_kac(v0, UNIFORM, rng, horizon=0.0)
