@@ -41,7 +41,8 @@ CASES = {
 }
 
 LAPACK_RTOL = 1e-14
-# CSV columns and report.json keys computed through LAPACK
+# CSV columns and report.json keys computed through LAPACK (sweep.csv's
+# lhs only on its pathwise_weak rows, but the column is compared as one)
 LAPACK_COLUMNS = {"fund_rhs", "fund_rhs_se", "weak_slack", "weak_slack_se",
                   "envelope", "lhs", "rhs", "slack", "estimate", "stderr"}
 LAPACK_KEYS = re.compile(
@@ -166,17 +167,21 @@ def test_outputs_match_golden(name, tmp_path):
 def test_compare_names_what_moved():
     """The comparison passes LAPACK values within LAPACK_RTOL only, every
     other float exactly, and names the value and the size of a move."""
+    def row(creation, fund_rhs):
+        return {"t.csv": {"header": ["creation", "fund_rhs"],
+                          "rows": [f"{creation.hex()},{fund_rhs.hex()}"]}}
+
+    def report(x):
+        return {"report.json": {"constants.k_main": x.hex(),
+                                "constants.k1": x.hex()}}
+
     one = 0.25
     ulp = math.ulp(one)
-    row = lambda x, y: {"t.csv": {"header": ["creation", "fund_rhs"],
-                                  "rows": [f"{x.hex()},{y.hex()}"]}}
     assert _compare(row(one, one), row(one, one + ulp)) == []
     moved = _compare(row(one, one), row(one + ulp, one))
     assert moved == [f"t.csv row 0 creation: {one + ulp!r}, golden {one!r}, "
                      f"moved by {ulp:.3e} ({ulp / (one + ulp):.2e} relative)"]
     assert _compare(row(one, one), row(one, one * (1 + 1e-13)))
-    report = lambda x: {"report.json": {"constants.k_main": x.hex(),
-                                        "constants.k1": x.hex()}}
     moved = _compare(report(one), report(one + ulp))
     assert len(moved) == 1 and moved[0].startswith("report.json constants.k1:")
 
