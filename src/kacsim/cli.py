@@ -412,10 +412,12 @@ def run_decay_experiment(cfg, out_dir):
         issues = coupled_run_issues(traj)
         issues += _decay_sample_checks(traj.times, cols)
         issues += notes
+        # the fold starts from the first replica's value, so each check
+        # keeps its type (floats stay floats, counts stay ints)
         for key, val in traj.checks.items():
             if key in ("worst_residual_time", "worst_delta_time"):
                 continue
-            check_extrema[key] = max(check_extrema.get(key, 0), val)
+            check_extrema[key] = max(check_extrema.get(key, val), val)
 
         rows = []
         for k, t in enumerate(traj.times):

@@ -226,6 +226,25 @@ def test_decay_run_outputs_and_determinism(tmp_path, capsys):
     assert rep_b == {**report, "config": rep_b["config"]}
 
 
+def test_decay_engine_checks_keep_their_types(tmp_path):
+    """report.json's engine_checks hold the per-replica checks' maxima with
+    the checks' own types: event counts as ints, every maximum as a float,
+    also when it reads 0 on every replica (no event increased a pair
+    distance)."""
+    path = write_config(tmp_path, DECAY_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    checks = json.loads((out / "report.json").read_text())["engine_checks"]
+    counts = {"n_events", "antipodal_events"}
+    maxima = {"max_residual", "max_delta_pair", "max_conservation_error",
+              "max_delta_pair_antipodal"}
+    assert set(checks) == counts | maxima
+    assert checks["max_delta_pair"] == 0.0
+    assert all(type(checks[k]) is int for k in counts)
+    assert all(type(checks[k]) is float for k in maxima)
+
+
 def test_decay_trajectory_columns_monotone(tmp_path):
     path = write_config(tmp_path, DECAY_CFG)
     out = tmp_path / "out"

@@ -120,7 +120,8 @@ def _moved(where, gold, got, tolerant):
             return None
         return (f"{where}: {got!r}, golden {gold!r}, moved by {diff:.3e} "
                 f"({rel:.2e} relative)")
-    if gold == got:
+    # 0 == 0.0, so the types are compared too
+    if gold == got and type(gold) is type(got):
         return None
     return f"{where}: {got!r}, golden {gold!r}"
 
@@ -184,6 +185,9 @@ def test_compare_names_what_moved():
     assert _compare(row(one, one), row(one, one * (1 + 1e-13)))
     moved = _compare(report(one), report(one + ulp))
     assert len(moved) == 1 and moved[0].startswith("report.json constants.k1:")
+    moved = _compare({"report.json": {"n": 0}},
+                     {"report.json": {"n": (0.0).hex()}})
+    assert moved == ["report.json n: 0.0, golden 0"]
 
 
 def regenerate(tmp_root):
