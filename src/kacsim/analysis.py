@@ -16,7 +16,9 @@ Contents:
   and the alignment area), the means, the second-moment matrices, E U.V,
   E|U - V|^2 and kappa of each marginal, computed once.  The fundamental,
   area and weak reports read it, and the sweep hands its matrices to the
-  trace report.  The pass is ``_engine.pair_sums``, which also runs over a
+  trace report.  A stack of samples gives one record per sample from one
+  pass and one ``kappa`` call over the stack (a decay replica's whole
+  sample grid).  The pass is ``_engine.pair_sums``, which also runs over a
   stack of samples: one C loop in O(N) memory, or on the python backend
   sums over the numpy N x N matrices of ``_pair_matrices``, which are also
   the C loop's test oracle.  Also the coupling creation
@@ -257,8 +259,9 @@ class PairStatistics:
     ``c_vv`` and the cross block ``c_uv`` = E U V^T, ``mean_dot`` = E U.V
     and ``mean_sq_distance`` = E|U - V|^2, summed directly.  ``kappa_u``
     and ``kappa_v`` are kappa of C_UU and C_VV, from one call on first
-    read, and ``normalized`` tells whether both copies lie on the
-    constraint sphere.  A single copy (``v`` None) has only the u entries;
+    read (for a record of a stack, from the stack's one call), and
+    ``normalized`` tells whether both copies lie on the constraint
+    sphere.  A single copy (``v`` None) has only the u entries;
     the others are None, or nan for the scalars.
     """
 
@@ -301,9 +304,8 @@ class PairStatistics:
     @cached_property
     def normalized(self):
         """Both copies centered with unit energy, the constraint sphere."""
-        return (_centered(self)
-                and abs(float(self.c_uu.trace()) - 1.0) <= NORMALIZED_TOL
-                and abs(float(self.c_vv.trace()) - 1.0) <= NORMALIZED_TOL)
+        return bool(_on_sphere(self.mean_u, self.mean_v, self.c_uu,
+                               self.c_vv))
 
 
 def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
@@ -315,10 +317,20 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     pair) terms.  The pair sums come from one pass, ``_engine.pair_sums``:
     the C loop in O(N) memory, or on the python backend the numpy
     matrices of ``_pair_matrices``.
+
+    A stack u of shape (S, N, d) (and v alike) gives a list of S records,
+    one per configuration, each equal field by field to the call on its
+    configuration alone: one pair pass and one moment product run over the
+    whole stack, the kappas of every record come from one ``kappa`` call
+    on its S (one copy) or 2S (two copies) marginal matrices, and
+    ``normalized`` from one test over the stack.  When a matrix of the
+    stack fails kappa's checks, each record computes its own kappas on
+    first read instead, and raises what it would raise alone.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise BadParams(f"configuration must be (N, d), got shape {u.shape}")
+    if u.ndim not in (2, 3):
+        raise BadParams(f"configuration must be (N, d) or a stack (S, N, d), "
+                        f"got shape {u.shape}")
     if v is not None:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != u.shape:
@@ -327,21 +339,56 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     a, b = float(a), float(b)
     if not (a > 0.0 and b > 0.0):
         raise BadParams(f"pair moment exponents must be positive, got {a}, {b}")
-    n = u.shape[0]
+    n = u.shape[-2]
     if weights is None:
         weights = np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise BadParams(f"need one weight per particle, got {weights.shape}")
-    joint = (None, None, None, np.nan, np.nan)
-    if v is not None:
-        du = u - v
-        joint = (weights @ v, _moment(v, v, weights), _moment(u, v, weights),
-                 float(weights @ np.einsum("id,id->i", u, v)),
-                 float(weights @ np.einsum("id,id->i", du, du)))
-    return PairStatistics(u, v, weights, a, b,
-                          *_engine.pair_sums(u, v, weights, a, b).tolist(),
-                          weights @ u, _moment(u, u, weights), *joint)
+    stacked = u.ndim == 3
+    us = u if stacked else u[None]
+    vs = v if stacked or v is None else v[None]
+    sums = _engine.pair_sums(us, vs, weights, a, b).tolist()
+    mean_u, c_uu = weights @ us, _moment(us, us, weights)
+    if vs is None:
+        vs_rows = [None] * len(us)
+        joint = [(None, None, None, np.nan, np.nan)] * len(us)
+    else:
+        vs_rows = vs
+        mean_v, c_vv = weights @ vs, _moment(vs, vs, weights)
+        du = us - vs
+        joint = zip(mean_v, c_vv, _moment(us, vs, weights),
+                    _weighted_dots(us, vs, weights),
+                    _weighted_dots(du, du, weights))
+    records = [PairStatistics(x, y, weights, a, b, *sums_k, mean_k, c_k,
+                              *joint_k)
+               for x, y, sums_k, mean_k, c_k, joint_k
+               in zip(us, vs_rows, sums, mean_u, c_uu, joint)]
+    if not stacked:
+        return records[0]
+    # a stack fills its records' cached properties as their first reads
+    # would, from one evaluation over the stack
+    if vs is not None:
+        flags = _on_sphere(mean_u, mean_v, c_uu, c_vv).tolist()
+        for rec, flag in zip(records, flags):
+            rec.__dict__["normalized"] = flag
+    try:
+        kappas = kappa(c_uu if vs is None
+                       else np.stack((c_uu, c_vv), axis=1)).tolist()
+    except AnalysisError:
+        return records
+    for rec, k in zip(records, kappas):
+        rec.__dict__["_kappas"] = (k, np.nan) if vs is None else tuple(k)
+    return records
+
+
+def _weighted_dots(x, y, w):
+    """sum_k w_k x_k.y_k for each configuration of the stacks x, y (S, N,
+    d), as python floats.  Each is one dot of w with the row of x_k.y_k,
+    as ``w @ row`` on one configuration; an (S, N) @ (N,) product would
+    round differently."""
+    rows = np.einsum("snd,snd->sn", x, y)
+    return (rows[:, None, :] @ w)[:, 0].tolist()
 
 
 def coupling_creation(u, v):
@@ -414,9 +461,19 @@ def _check_pair_record(pairs):
         raise BadParams("expected the PairStatistics of a pair state")
 
 
-def _centered(pairs):
-    return (abs(pairs.mean_u).max() <= NORMALIZED_TOL
-            and abs(pairs.mean_v).max() <= NORMALIZED_TOL)
+def _centered(mean_u, mean_v):
+    """Both means zero within NORMALIZED_TOL.  Like ``_on_sphere`` it
+    reads the last axes, so it also tests each sample of a stack."""
+    return ((abs(mean_u).max(axis=-1) <= NORMALIZED_TOL)
+            & (abs(mean_v).max(axis=-1) <= NORMALIZED_TOL))
+
+
+def _on_sphere(mean_u, mean_v, c_uu, c_vv):
+    """Both copies centered with unit energy (trace of the second-moment
+    matrix), each within NORMALIZED_TOL."""
+    def unit(c):
+        return abs(c.trace(axis1=-2, axis2=-1) - 1.0) <= NORMALIZED_TOL
+    return _centered(mean_u, mean_v) & unit(c_uu) & unit(c_vv)
 
 
 def fund_inequality_report(pairs):
@@ -478,7 +535,7 @@ def area_decomposition(pairs):
     stays below 1e-11.
     """
     _check_pair_record(pairs)
-    if not _centered(pairs):
+    if not _centered(pairs.mean_u, pairs.mean_v):
         raise PreconditionFailed("distribution must be centered")
     w, u, v = pairs.weights, pairs.u, pairs.v
     uu = np.einsum("kd,kd->k", u, u)

@@ -302,6 +302,9 @@ def _write_report(out_dir, cfg, violations, **fields):
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
+# the sampled snapshots of a coupled run, stacked over the sample times
+SNAPSHOT_OBSERVABLES = {"u": lambda u, v: u, "v": lambda u, v: v}
+
 # The sampled min_corr column holds each sample's raw correlation E U.V;
 # run_decay_experiment takes its running minimum before checking or writing.
 TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
@@ -309,21 +312,24 @@ TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
 
 
 def _decay_observables(delta, p, notes):
-    """Observable closures for one coupled replica, one per trajectory
-    column, in column order.
+    """Observable columns of one coupled replica, one callable per
+    trajectory column, in column order.
 
-    The sampler hands every closure of a sample the same fresh read-only
-    snapshot of (u, v) (see ``system.simulate_coupled``).  The first closure
-    to see a snapshot builds the sample's row from one ``pair_statistics``
-    record; the others find the same arrays (``is``) and read that row.
-    The sampled ``min_corr`` column holds the raw correlation E U.V, not a
-    minimum, until the runner takes its running minimum after the run.
+    Each callable takes the replica's snapshots of (u, v) stacked over its
+    sample times, two arrays (S, N, d), and returns its column of S
+    values.  The first callable to see the stacks builds every column:
+    one stacked ``pair_statistics`` (one pair pass, one moment product
+    and one ``kappa`` call for the whole sample grid), the fundamental and
+    weak reports of each sample, and m2 and m4 over the stack; the others
+    find the same arrays (``is``) and read their column.  A report that
+    fails appends its note per sample, in sample order.  The ``min_corr``
+    column holds the raw correlation E U.V, not a minimum, until the
+    runner takes its running minimum.
     """
     exponents = analysis.weak_exponents(delta, p)
     kept = {}
 
-    def row(u, v):
-        pairs = analysis.pair_statistics(u, v, *exponents)
+    def reports(pairs):
         try:
             fund = analysis.fund_inequality_report(pairs)
             fund_lhs, fund_rhs = fund.lhs, fund.rhs
@@ -335,18 +341,26 @@ def _decay_observables(delta, p, notes):
         except analysis.PreconditionFailed as exc:
             notes.append(f"weak inequality precondition failed: {exc}")
             weak_slack = -np.inf
-        sq = np.sum(v * v, axis=1)
-        return {"mean_sq_distance": pairs.mean_sq_distance,
-                "m2": float(np.mean(sq)), "m4": float(np.mean(sq * sq)),
-                "creation": pairs.creation(), "fund_lhs": fund_lhs,
-                "fund_rhs": fund_rhs, "min_corr": pairs.mean_dot,
+        return fund_lhs, fund_rhs, weak_slack
+
+    def table(us, vs):
+        records = analysis.pair_statistics(us, vs, *exponents)
+        fund_lhs, fund_rhs, weak_slack = np.array(
+            [reports(pairs) for pairs in records]).T
+        sq = np.sum(vs * vs, axis=2)
+        return {"mean_sq_distance": np.array([r.mean_sq_distance
+                                              for r in records]),
+                "m2": np.mean(sq, axis=1), "m4": np.mean(sq * sq, axis=1),
+                "creation": np.array([r.creation() for r in records]),
+                "fund_lhs": fund_lhs, "fund_rhs": fund_rhs,
+                "min_corr": np.array([r.mean_dot for r in records]),
                 "weak_slack": weak_slack}
 
     def column(name):
-        def read(u, v):
-            if kept.get("u") is not u or kept.get("v") is not v:
-                kept.update(u=u, v=v, row=row(u, v))
-            return kept["row"][name]
+        def read(us, vs):
+            if kept.get("u") is not us or kept.get("v") is not vs:
+                kept.update(u=us, v=vs, table=table(us, vs))
+            return kept["table"][name]
         return read
 
     return {name: column(name) for name in TRAJECTORY_COLUMNS}
@@ -402,11 +416,15 @@ def run_decay_experiment(cfg, out_dir):
         stream_id = substream_seed(cfg.seed, rep)
         u0, v0 = _initial_copies(cfg, rng)
         v0a, _ = align_configurations(u0, v0)
-        notes = []
-        obs = _decay_observables(delta, p, notes)
+        # the sampler stacks the snapshots; the columns come from the
+        # stacks in one pass after the run
         traj = simulate_coupled(u0, v0a, kern, rng, horizon=cfg.horizon,
-                                sample_dt=cfg.sample_dt, observables=obs)
-        cols = dict(traj.columns)
+                                sample_dt=cfg.sample_dt,
+                                observables=SNAPSHOT_OBSERVABLES)
+        notes = []
+        stacks = traj.columns["u"], traj.columns["v"]
+        cols = {name: read(*stacks) for name, read
+                in _decay_observables(delta, p, notes).items()}
         cols["min_corr"] = np.minimum.accumulate(cols["min_corr"])
 
         issues = coupled_run_issues(traj)

@@ -199,6 +199,90 @@ def _both_backends(*args, **kwargs):
     return out
 
 
+RECORD_FLOATS = ("a", "b", "moment_u", "moment_v", "gap", "area",
+                 "mean_dot", "mean_sq_distance", "kappa_u", "kappa_v")
+RECORD_ARRAYS = ("u", "v", "weights", "mean_u", "c_uu", "mean_v", "c_vv",
+                 "c_uv")
+
+
+def assert_same_record(got, want):
+    """Two records equal field by field: floats by ==, arrays by
+    array_equal, both kappas and (for two copies) the sphere flag."""
+    for name in RECORD_FLOATS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x == y or (np.isnan(x) and np.isnan(y)), (name, x, y)
+    for name in RECORD_ARRAYS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    if want.v is not None:
+        assert got.normalized == want.normalized
+
+
+def weak_outcome(pairs):
+    """The weak report's slack, or the precondition it failed."""
+    try:
+        return analysis.pathwise_weak_inequality(pairs, 0.5, 4.0).slack
+    except analysis.PreconditionFailed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("samples", [1, 41])
+def test_pair_statistics_of_a_stack_equals_each_configuration(
+        monkeypatch, backend, copies, samples):
+    """A stack of S configurations gives S records, each equal to the call
+    on its configuration alone, kappas included; two copies hold a
+    coincident pair and a negatively correlated one, whose weak reports
+    come out (nan slack, failed precondition) at their own index."""
+    if backend == "c" and _engine.BACKEND != "c":
+        pytest.skip("the C pass is not loaded")
+    if backend == "python":
+        monkeypatch.setattr(_engine, "_LIB", None)
+    rng = np.random.default_rng(samples * 10 + copies)
+    us = system.sample_equilibrium(32, 3, rng, size=samples)
+    vs = system.sample_equilibrium(32, 3, rng, size=samples)
+    vs *= np.sign(np.einsum("snd,snd->s", us, vs))[:, None, None]
+    if samples > 1:
+        vs[3], vs[7] = us[3], -us[7]
+    exponents = analysis.weak_exponents(0.5, 4.0)
+    args = (us, vs) if copies == 2 else (us, None)
+    records = analysis.pair_statistics(*args, *exponents)
+    assert isinstance(records, list) and len(records) == samples
+    alone = [analysis.pair_statistics(u, v, *exponents)
+             for u, v in zip(us, vs if copies == 2 else [None] * samples)]
+    for got, want in zip(records, alone):
+        assert_same_record(got, want)
+    if copies == 1:
+        return
+    outcomes = [weak_outcome(pairs) for pairs in records]
+    assert outcomes == [weak_outcome(pairs) for pairs in alone]
+    failed = [k for k, x in enumerate(outcomes) if isinstance(x, str)]
+    coincident = [k for k, x in enumerate(outcomes)
+                  if not isinstance(x, str) and np.isnan(x)]
+    assert (failed, coincident) == (([7], [3]) if samples > 1 else ([], []))
+
+
+def test_pair_statistics_of_a_stack_off_the_sphere():
+    """Records of states off the constraint sphere say so as they would
+    alone, and a matrix that kappa refuses leaves every record to compute
+    its own kappas: the refused one raises on read, the others read the
+    values they have alone."""
+    rng = np.random.default_rng(94)
+    us = system.sample_equilibrium(16, 3, rng, size=4)
+    vs = system.sample_equilibrium(16, 3, rng, size=4)
+    vs[1] = vs[1] + 1e-9            # not centered, energy 1 within 1e-17
+    us[2] = 1.5 * us[2]             # energy 2.25: kappa needs unit trace
+    records = analysis.pair_statistics(us, vs)
+    assert [r.normalized for r in records] == [True, False, False, True]
+    for k in (0, 1, 3):
+        assert_same_record(records[k], analysis.pair_statistics(us[k], vs[k]))
+    with pytest.raises(analysis.PreconditionFailed):
+        records[2].kappa_u
+    with pytest.raises(analysis.BadParams):
+        analysis.pair_statistics(us[None])
+
+
 # 2/(1 - 0.9) (1 + 0.9): the default p at delta = 0.9 is 20.000000000000004
 NEAR_38 = analysis.weak_exponents(0.9, 2.0 / (1.0 - 0.9))[0]
 

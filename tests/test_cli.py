@@ -290,33 +290,36 @@ def test_decay_sample_builds_one_pair_pass(tmp_path, monkeypatch):
     """One fused pair pass per decay sample and per k_main sample, also for
     a negatively correlated state, whose weak report fails and whose
     creation is read from the same pass.  A stacked call counts its
-    configurations."""
+    configurations, and each replica makes exactly one: a stack of its
+    sample count."""
     calls = []
     build = cli.analysis._engine.pair_sums
 
-    def counting(u, *args):
-        calls.append(_matrices(u))
-        return build(u, *args)
+    def counting(u, v, *args):
+        calls.append((np.shape(u)[:-2], v is None))
+        return build(u, v, *args)
 
     monkeypatch.setattr(cli.analysis._engine, "pair_sums", counting)
     path = write_config(tmp_path, DECAY_CFG)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path),
                      "--out", str(out)]) == cli.EXIT_OK
-    samples = sum(len((out / f"trajectory_{r}.csv").read_text().split()) - 1
-                  for r in range(3))
-    assert samples == 3 * 5
+    per_replica = [len((out / f"trajectory_{r}.csv").read_text().split()) - 1
+                   for r in range(3)]
+    assert per_replica == [5] * 3
     constant_samples = cli.load_config(path).constant_samples
-    assert sum(calls) == samples + constant_samples
+    assert [shape for shape, single in calls if not single] == [(5,)] * 3
+    assert sum(int(np.prod(shape)) for shape, single in calls
+               if single) == constant_samples
 
     calls.clear()
     u = cli.sample_equilibrium(12, 3, np.random.default_rng(8))
     notes = []
-    state = snapshot(u, -u)
-    row = {name: read(*state) for name, read in
+    stacks = np.stack([u]), np.stack([-u])
+    row = {name: read(*stacks) for name, read in
            cli._decay_observables(0.5, 4.0, notes).items()}
-    assert calls == [1]
-    assert len(notes) == 1 and row["weak_slack"] == -np.inf
+    assert calls == [((1,), False)]
+    assert len(notes) == 1 and row["weak_slack"][0] == -np.inf
 
 
 DEFAULT_SHAPE_DECAY = """
@@ -445,30 +448,58 @@ def test_run_names_the_engine_first(tmp_path, capsys, monkeypatch, backend):
     assert first == f"kac run: engine backend {backend}"
 
 
+def sample_row(u, v, notes, delta=0.5, p=4.0):
+    """One decay sample's row from its own record, as the observables
+    built it one sample at a time: the oracle of the stacked columns."""
+    analysis = cli.analysis
+    pairs = analysis.pair_statistics(u, v, *analysis.weak_exponents(delta, p))
+    try:
+        fund = analysis.fund_inequality_report(pairs)
+        fund_lhs, fund_rhs = fund.lhs, fund.rhs
+    except analysis.RhsInfinite as exc:
+        notes.append(f"fundamental inequality degenerate: {exc}")
+        fund_lhs, fund_rhs = 1.0, np.inf
+    try:
+        weak_slack = analysis.pathwise_weak_inequality(pairs, delta, p).slack
+    except analysis.PreconditionFailed as exc:
+        notes.append(f"weak inequality precondition failed: {exc}")
+        weak_slack = -np.inf
+    sq = np.sum(v * v, axis=1)
+    return {"mean_sq_distance": pairs.mean_sq_distance,
+            "m2": float(np.mean(sq)), "m4": float(np.mean(sq * sq)),
+            "creation": pairs.creation(), "fund_lhs": fund_lhs,
+            "fund_rhs": fund_rhs, "min_corr": pairs.mean_dot,
+            "weak_slack": weak_slack}
+
+
 def test_decay_observables_ignore_call_order():
     rng = np.random.default_rng(6)
     u = cli.sample_equilibrium(12, 3, rng)
     v, _ = cli.align_configurations(u, cli.sample_equilibrium(12, 3, rng))
     # a repeated state, a coincident pair, and a negatively correlated
-    # one (its weak report fails and adds a note), each sample a fresh
-    # snapshot as the sampler makes them
+    # one (its weak report fails and adds a note), stacked over the
+    # samples as the runner hands them over
     states = [(u, v), (u, v), (v, u), (u, u.copy()), (u, -u)]
+    stacks = tuple(np.stack(x) for x in zip(*states))
 
     def table(reverse):
         notes = []
         obs = cli._decay_observables(0.5, 4.0, notes)
         names = list(obs)[::-1] if reverse else list(obs)
-        rows = []
-        for state in states:
-            frozen = snapshot(*state)
-            rows.append({name: obs[name](*frozen) for name in names})
-        return rows, notes
+        columns = {name: obs[name](*stacks) for name in names}
+        return [{name: columns[name][k] for name in obs}
+                for k in range(len(states))], notes
 
     forward, notes = table(False)
     np.testing.assert_equal(table(True), (forward, notes))  # nan == nan here
     assert forward[1] == forward[0]
+    assert np.isnan(forward[3]["weak_slack"])
     assert len(notes) == 1 and forward[4]["weak_slack"] == -np.inf
     assert forward[4]["creation"] == cli.analysis.coupling_creation(u, -u)
+    # the same values and notes, in the same order, as one sample at a time
+    want_notes = []
+    want = [sample_row(*state, want_notes) for state in states]
+    np.testing.assert_equal((forward, notes), (want, want_notes))
 
 
 def test_decay_sample_checks_flag_violations():
