@@ -320,12 +320,13 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
 
     A stack u of shape (S, N, d) (and v alike) gives a list of S records,
     one per configuration, each equal field by field to the call on its
-    configuration alone: one pair pass and one moment product run over the
-    whole stack, the kappas of every record come from one ``kappa`` call
-    on its S (one copy) or 2S (two copies) marginal matrices, and
-    ``normalized`` from one test over the stack.  When a matrix of the
-    stack fails kappa's checks, each record computes its own kappas on
-    first read instead, and raises what it would raise alone.
+    configuration alone: the pair pass and each moment product run once
+    over the whole stack, the kappas of every record come from one
+    ``kappa`` call on its S (one copy) or 2S (two copies) marginal
+    matrices, and ``normalized`` from one test over the stack.  When a
+    matrix of the stack fails kappa's checks, each record computes its
+    own kappas on first read instead, and raises what it would raise
+    alone.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim not in (2, 3):

@@ -318,13 +318,13 @@ def _decay_observables(delta, p, notes):
     Each callable takes the replica's snapshots of (u, v) stacked over its
     sample times, two arrays (S, N, d), and returns its column of S
     values.  The first callable to see the stacks builds every column:
-    one stacked ``pair_statistics`` (one pair pass, one moment product
-    and one ``kappa`` call for the whole sample grid), the fundamental and
-    weak reports of each sample, and m2 and m4 over the stack; the others
-    find the same arrays (``is``) and read their column.  A report that
-    fails appends its note per sample, in sample order.  The ``min_corr``
-    column holds the raw correlation E U.V, not a minimum, until the
-    runner takes its running minimum.
+    one stacked ``pair_statistics`` (one pair pass, each moment product
+    once and one ``kappa`` call for the whole sample grid), the
+    fundamental and weak reports of each sample, and m2 and m4 over the
+    stack; the others find the same arrays (``is``) and read their
+    column.  A report that fails appends its note per sample, in sample
+    order.  The ``min_corr`` column holds the raw correlation E U.V, not a
+    minimum, until the runner takes its running minimum.
     """
     exponents = analysis.weak_exponents(delta, p)
     kept = {}
