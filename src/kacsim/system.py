@@ -9,12 +9,14 @@ Events pick an ordered pair uniformly, wait an exponential time with total
 rate (n - 1) b0 / 2, and apply the elastic collision map with a deflection
 angle drawn from the angular kernel.  ``simulate_kac`` runs one copy and
 ``simulate_coupled`` two copies under shared randomness through transported
-frames; both hand their copies to one driver loop, which feeds pre-drawn
+frames; both go through one driver, ``_simulate``, which feeds pre-drawn
 random batches to the C event loop in :mod:`kacsim._engine` (one loop for
-one copy or two).  ``_collide`` is the python reference for one copy or
-two, in the C loop's arithmetic order, so it reproduces it bit for bit;
-``step_kac``/``step_coupled`` call it for single events (the oracle of the
-C loop) and the engine's fallback on each batch slot.
+one copy or two) and stacks the states on the sample grid, from which the
+TrajectoryRecord computes its ``columns`` on first read.  ``_collide`` is
+the python reference for one copy or two, in the C loop's arithmetic
+order, so it reproduces it bit for bit; ``step_kac``/``step_coupled`` call
+it for single events (the oracle of the C loop) and the engine's fallback
+on each batch slot.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "CoupledState",
     "TrajectoryRecord",
     "event_rate",
+    "energy_moments",
     "project_to_constraint_sphere",
     "check_configuration",
     "sample_equilibrium",
@@ -78,6 +82,14 @@ CONSERVATION_TOL = 1e-9
 # benchmark harness in perfbench/ reads their bound under this name
 ANTIPODAL_DELTA_TOL = DELTA_PAIR_TOL
 
+# each run check's accumulator slot (layout in kacsim._engine), in report
+# order; the *_events counts are ints, and one copy reports SINGLE_CHECKS
+CHECK_SLOTS = {"n_events": 4, "max_residual": 0, "max_delta_pair": 1,
+               "max_conservation_error": 2, "antipodal_events": 3,
+               "max_delta_pair_antipodal": 5, "worst_residual_time": 6,
+               "worst_delta_time": 7}
+SINGLE_CHECKS = ("n_events", "max_conservation_error")
+
 
 class DegenerateInput(ValueError):
     """Configuration cannot be normalized (zero energy after centering)."""
@@ -105,15 +117,38 @@ def event_rate(kernel, n_particles):
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled observables along one run plus per-run check statistics."""
+    """One run's states, one (S, N, d) stack per copy at the S sample
+    ``times``, its checks, and ``final``, the arrays it advanced in place.
+    ``columns`` come from the stacks on first read: m2 and m4 of the last
+    copy and, for two copies, the mean squared pair distance and the
+    velocity correlation."""
 
     times: np.ndarray
-    columns: dict
+    states: tuple = field(repr=False)
     checks: dict
     final: object = field(repr=False, default=None)
 
+    @cached_property
+    def columns(self):
+        *first, v = self.states
+        m2, m4 = energy_moments(v)
+        if not first:
+            return {"m2": m2, "m4": m4}
+        u, = first
+        diff = u - v
+        msd = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+        corr = np.mean(np.sum(u * v, axis=-1), axis=-1)
+        return {"mean_sq_distance": msd, "corr": corr, "m2": m2, "m4": m4}
+
     def column(self, name):
         return self.columns[name]
+
+
+def energy_moments(x):
+    """(m2, m4): the means of |v_i|^2 and |v_i|^4 over the particles of a
+    configuration (n, d), or of each configuration of a stack (..., n, d)."""
+    sq = np.sum(x * x, axis=-1)
+    return np.mean(sq, axis=-1), np.mean(sq * sq, axis=-1)
 
 
 def project_to_constraint_sphere(v):
@@ -399,15 +434,14 @@ def _sample_grid(horizon, sample_dt):
 
 
 def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
-              observables, reproject_every, chunk_size):
-    """Advance one copy or two coupled copies in place, sampling on a grid.
-
-    The advance function follows from the number of copies.  At each
-    sample every observable is called with the same fresh read-only
-    snapshot of the copies as positional arguments, so observables may
-    share work by the arrays' identity.  Returns (times, columns, acc) with
-    the accumulator laid out as in :mod:`kacsim._engine`.
-    """
+              reproject_every, chunk_size):
+    """The driver of simulate_kac and simulate_coupled: check one copy or
+    two slot-aligned copies, advance them in place (the advance function
+    follows from the number of copies) and return their TrajectoryRecord.
+    Each state is copied once at each sample time, and the copies are
+    stacked into one (S, N, d) array per copy at the end."""
+    for x in states:
+        check_configuration(x)
     coupled = len(states) == 2
     n, d = states[0].shape
     if horizon is None and max_events is None:
@@ -423,19 +457,9 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
     acc = np.zeros(8)
     cursor, proj_ctr = 0, 0
     batch = None
-    out_t, cols = [], {k: [] for k in observables}
-
-    def record(at):
-        out_t.append(at)
-        snapshot = [x.copy() for x in states]
-        for x in snapshot:
-            x.flags.writeable = False
-        for name, fn in observables.items():
-            cols[name].append(fn(*snapshot))
-
-    targets = list(grid) if grid.size else [np.inf]
-    stopped = False
-    for target in targets:
+    times, samples = [], tuple([] for _ in states)
+    # with no grid the run goes to its event budget, sampled once there
+    for target in list(grid) if grid.size else [np.inf]:
         while True:
             if batch is None:
                 batch = draw_event_batch(kernel, n, d, rng, chunk_size, coupled)
@@ -445,60 +469,52 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
                 *states, t, t_next, float(target), rate, budget,
                 thetas, cphis, exps, ii, jj, *((gl, gs) if coupled else (gl,)),
                 cursor, proj_ctr, reproject_every, acc)
-            if status == 1:
-                batch = None
-                continue
-            break
-        record(t)
+            if status != 1:
+                break
+            batch = None
+        times.append(t)
+        for kept, x in zip(samples, states):
+            kept.append(x.copy())
         if status == 2:
-            stopped = True
             break
-    if not stopped and not grid.size:
-        record(t)
-    return np.array(out_t), {k: np.array(c) for k, c in cols.items()}, acc
+    checks = {key: (int if key.endswith("_events") else float)(acc[slot])
+              for key, slot in CHECK_SLOTS.items()
+              if coupled or key in SINGLE_CHECKS}
+    return TrajectoryRecord(times=np.array(times),
+                            states=tuple(np.stack(s) for s in samples),
+                            checks=checks,
+                            final=states if coupled else states[0])
 
 
 def simulate_kac(v, kernel, rng, horizon=None, sample_dt=None,
-                 max_events=None, observables=None,
-                 reproject_every=DEFAULT_REPROJECT_EVERY,
+                 max_events=None, reproject_every=DEFAULT_REPROJECT_EVERY,
                  chunk_size=DEFAULT_CHUNK_SIZE):
-    """Run the single-copy dynamics, sampling observables on a time grid.
+    """Run the single-copy dynamics, recording its state on a time grid.
 
     Stops at ``horizon`` or after ``max_events``, whichever comes first (at
     least one must be given).  Pending event times are preserved across
     sampling stops, so the sampled path is a true skeleton of one
-    realization.  ``observables`` maps column names to functions of the
-    configuration, each called at a sample with the same fresh read-only
-    snapshot; default columns are m2 and m4.  ``chunk_size`` events are
-    drawn per batch; the chunk size and the draw order are part of the
-    RNG stream (``STREAM_VERSION``), so the same seed gives another
-    realization at another chunk size.
+    realization.  The record's ``states`` is one (S, N, d) stack of the
+    sampled states, and its ``columns`` (m2 and m4) are computed from it
+    on first read.  ``chunk_size`` events are drawn per batch; the chunk
+    size and the draw order are part of the RNG stream
+    (``STREAM_VERSION``), so the same seed gives another realization at
+    another chunk size.
     """
-    v = np.array(v, dtype=np.float64)
-    check_configuration(v)
-    if observables is None:
-        observables = {"m2": lambda x: float(np.mean(np.sum(x * x, axis=1))),
-                       "m4": lambda x: float(np.mean(np.sum(x * x, axis=1) ** 2))}
-    times, columns, acc = _simulate((v,), kernel, rng, horizon, sample_dt,
-                                    max_events, observables, reproject_every,
-                                    chunk_size)
-    checks = {"n_events": int(acc[4]), "max_conservation_error": float(acc[2])}
-    return TrajectoryRecord(times=times, columns=columns, checks=checks,
-                            final=v)
+    return _simulate((np.array(v, dtype=np.float64),), kernel, rng, horizon,
+                     sample_dt, max_events, reproject_every, chunk_size)
 
 
 def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
-                     max_events=None, observables=None,
-                     reproject_every=DEFAULT_REPROJECT_EVERY,
+                     max_events=None, reproject_every=DEFAULT_REPROJECT_EVERY,
                      chunk_size=DEFAULT_CHUNK_SIZE):
-    """Run two copies under shared randomness, sampling joint observables.
+    """Run two copies under shared randomness, recording both on a grid.
 
     ``u`` may also be a CoupledState (then ``v`` must be None).  Otherwise
     ``u`` and ``v`` must already be slot-aligned (see align_configurations).
-    Observables are functions of (u, v), each called at a sample with the
-    same fresh read-only snapshot of both copies; defaults record the mean
-    squared pair distance, the velocity correlation, and the second copy's
-    m2/m4.
+    The record's ``states`` is the pair of (S, N, d) stacks, and its
+    ``columns`` (the mean squared pair distance, the velocity correlation
+    and the second copy's m2/m4) are computed from them on first read.
     Engine check statistics (identity residual, pair distance monotonicity,
     conservation) are accumulated in ``checks``.  ``chunk_size`` is part of
     the RNG stream, as in simulate_kac.
@@ -511,30 +527,8 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
     v = np.array(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"copies differ in shape: {u.shape} vs {v.shape}")
-    check_configuration(u)
-    check_configuration(v)
-    if observables is None:
-        observables = {
-            "mean_sq_distance": lambda a, b: float(np.mean(np.sum((a - b) ** 2, axis=1))),
-            "corr": lambda a, b: float(np.mean(np.sum(a * b, axis=1))),
-            "m2": lambda a, b: float(np.mean(np.sum(b * b, axis=1))),
-            "m4": lambda a, b: float(np.mean(np.sum(b * b, axis=1) ** 2)),
-        }
-    times, columns, acc = _simulate((u, v), kernel, rng, horizon, sample_dt,
-                                    max_events, observables, reproject_every,
-                                    chunk_size)
-    checks = {
-        "n_events": int(acc[4]),
-        "max_residual": float(acc[0]),
-        "max_delta_pair": float(acc[1]),
-        "max_conservation_error": float(acc[2]),
-        "antipodal_events": int(acc[3]),
-        "max_delta_pair_antipodal": float(acc[5]),
-        "worst_residual_time": float(acc[6]),
-        "worst_delta_time": float(acc[7]),
-    }
-    return TrajectoryRecord(times=times, columns=columns, checks=checks,
-                            final=(u, v))
+    return _simulate((u, v), kernel, rng, horizon, sample_dt, max_events,
+                     reproject_every, chunk_size)
 
 
 def coupled_run_issues(record):

@@ -48,8 +48,16 @@ STUDIES = {
 }
 
 
+def override(text, extra):
+    """The config ``text`` with the keys set in ``extra`` set there instead
+    (a key may appear only once in a config file)."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split("=")[0].strip() not in keys) + extra
+
+
 def study_config(kind):
-    return f"kind = {kind}\n" + STUDY_BASE + STUDIES[kind][1]
+    return override(f"kind = {kind}\n" + STUDY_BASE, STUDIES[kind][1])
 
 
 def test_load_config_parses_and_overrides(tmp_path):
@@ -68,8 +76,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
         cli.load_config(path)
 
 
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    path = write_config(tmp_path,
+                        DECAY_CFG + "initial_law = identical\nn = 16\n")
+    with pytest.raises(cli.ConfigError, match=r":14: key 'n' repeats line 4$"):
+        cli.load_config(path)
+
+
 def test_load_config_rejects_bad_value(tmp_path):
-    path = write_config(tmp_path, DECAY_CFG + "n = many\n")
+    path = write_config(tmp_path, override(DECAY_CFG, "n = many\n"))
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
     path = write_config(tmp_path, DECAY_CFG + "oops\n", name="b.cfg")
@@ -78,12 +93,12 @@ def test_load_config_rejects_bad_value(tmp_path):
 
 
 def test_validate_config_range_checks(tmp_path):
-    path = write_config(tmp_path, DECAY_CFG + "d = 2\n")
+    path = write_config(tmp_path, override(DECAY_CFG, "d = 2\n"))
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
     # non-integrable kernel parameters are rejected up front
-    path = write_config(tmp_path, DECAY_CFG
-                        + "kernel = power_law\nnu = 0.5\ntheta_min = 0.0\n",
+    path = write_config(tmp_path, override(
+        DECAY_CFG, "kernel = power_law\nnu = 0.5\ntheta_min = 0.0\n"),
                         name="k.cfg")
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
@@ -108,7 +123,7 @@ def test_main_validate_prints_config(tmp_path, capsys):
 def test_main_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["validate", "--config", str(missing)]) == cli.EXIT_CONFIG
-    bad = write_config(tmp_path, DECAY_CFG + "kind = sideways\n")
+    bad = write_config(tmp_path, override(DECAY_CFG, "kind = sideways\n"))
     assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
@@ -118,7 +133,7 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
 # kinds; the first eight and the empty band passed `kac validate` and then
 # failed `kac run` with a traceback
 @pytest.mark.parametrize("text", [
-    pytest.param(DECAY_CFG + extra, id=name) for name, extra in [
+    pytest.param(override(DECAY_CFG, extra), id=name) for name, extra in [
         ("m4_init_above_range", "m4_init = 4.0\n"),
         # the decay constants need delta < 1
         ("delta_above_1", "delta = 1.5\np = 3\n"),
@@ -135,24 +150,31 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
         ("replicas_zero", "replicas = 0\n"),
     ]
 ] + [
-    pytest.param(INEQUALITY_CFG + "n_discrete = -1\n", id="negative_sweep"),
-    pytest.param(INEQUALITY_CFG + "delta = 0.0\n", id="delta_zero"),
-    pytest.param(study_config("wishart") + "p_moment = 0.5\n",
+    pytest.param(override(INEQUALITY_CFG, "n_discrete = -1\n"),
+                 id="negative_sweep"),
+    pytest.param(override(INEQUALITY_CFG, "delta = 0.0\n"), id="delta_zero"),
+    pytest.param(override(study_config("wishart"), "p_moment = 0.5\n"),
                  id="p_moment_below_1"),
-    pytest.param(study_config("wishart") + "n_values = 4,32\n",
+    pytest.param(override(study_config("wishart"), "n_values = 4,32\n"),
                  id="wishart_n_too_small"),
-    pytest.param(study_config("counterexample1") + "q_moment = 2.5\n",
+    pytest.param(override(study_config("counterexample1"), "q_moment = 2.5\n"),
                  id="q_moment_above_2"),
-    pytest.param(study_config("counterexample1") + "m_values = 10,1\n",
-                 id="m_value_not_above_1"),
-    pytest.param(study_config("counterexample2") + "band_eps = 0.0\n",
+    pytest.param(
+        override(study_config("counterexample1"), "m_values = 10,1\n"),
+        id="m_value_not_above_1"),
+    pytest.param(override(study_config("counterexample2"), "band_eps = 0.0\n"),
                  id="band_eps_zero"),
-    pytest.param(study_config("counterexample2") + "r_values = 2,-1\n",
-                 id="r_value_negative"),
-    pytest.param(study_config("counterexample2") + "r_values = 2,4,50\n",
-                 id="empty_band"),
-] + [pytest.param(study_config(kind) + "samples = 1\n", id=f"{kind}_samples_1")
-     for kind in STUDIES])
+    pytest.param(
+        override(study_config("counterexample2"), "r_values = 2,-1\n"),
+        id="r_value_negative"),
+    pytest.param(
+        override(study_config("counterexample2"), "r_values = 2,4,50\n"),
+        id="empty_band"),
+] + [pytest.param(override(study_config(kind), "samples = 1\n"),
+                  id=f"{kind}_samples_1") for kind in STUDIES] + [
+    # a repeated key used to keep its last value silently
+    pytest.param(DECAY_CFG + "n = 16\n", id="repeated_key"),
+])
 def test_decay_config_rejected_before_running(tmp_path, capsys, text):
     """Both `kac validate` and `kac run` exit 2 on the config, and the run
     makes no output directory."""
@@ -169,7 +191,8 @@ def test_decay_config_default_m4_init_fits_the_dimension(tmp_path):
     """A d = 5 decay config that leaves m4_init unset validates and runs
     (3.0 is out of reach for d >= 4), and report.json records the fourth
     moment the start was built with."""
-    path = write_config(tmp_path, DECAY_CFG + "d = 5\nreplicas = 1\n")
+    path = write_config(tmp_path,
+                        override(DECAY_CFG, "d = 5\nreplicas = 1\n"))
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
     assert cli.main(["run", "--config", str(path),
@@ -259,7 +282,7 @@ def test_decay_trajectory_columns_monotone(tmp_path):
 
 
 def test_decay_identical_initial_law(tmp_path):
-    cfgtext = DECAY_CFG + "initial_law = identical\nreplicas = 2\n"
+    cfgtext = override(DECAY_CFG, "initial_law = identical\nreplicas = 2\n")
     path = write_config(tmp_path, cfgtext)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path),
@@ -268,15 +291,6 @@ def test_decay_identical_initial_law(tmp_path):
                      (out / "trajectory_0.csv").read_text().strip().split("\n")]
     msd = [float(r[header.index("mean_sq_distance")]) for r in rows]
     assert max(msd) == 0.0
-
-
-def snapshot(*states):
-    """Fresh read-only copies of the states, as the sampler hands them to
-    the observables of one sample."""
-    out = tuple(np.array(x) for x in states)
-    for x in out:
-        x.flags.writeable = False
-    return out
 
 
 def _matrices(x):

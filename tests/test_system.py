@@ -317,13 +317,11 @@ def _sampled_run(coupled, horizon, sample_dt, **kw):
     if coupled:
         rec = system.simulate_coupled(
             system.make_coupled_state(u0, v0), None, UNIFORM, rng,
-            horizon=horizon, sample_dt=sample_dt,
-            observables={"x": lambda u, v: np.stack((u, v))}, **kw)
+            horizon=horizon, sample_dt=sample_dt, **kw)
     else:
         rec = system.simulate_kac(v0, UNIFORM, rng, horizon=horizon,
-                                  sample_dt=sample_dt,
-                                  observables={"x": lambda v: v[None]}, **kw)
-    return rec.times, rec.columns["x"], rec.checks
+                                  sample_dt=sample_dt, **kw)
+    return rec.times, np.stack(rec.states, axis=1), rec.checks
 
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
@@ -389,32 +387,80 @@ def test_simulate_coupled_checks_and_monotonicity():
     assert coupled_ok(rec)
 
 
-def test_observables_share_one_read_only_snapshot_per_sample():
-    """Every observable of a sample gets the same fresh read-only copies of
-    the states, equal to the states at the sample time."""
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+def test_record_stacks_the_sampled_states(coupled):
+    """One (S, N, d) stack per copy: the start at sample 0 and the final
+    state at the last, each sample a copy.  An event budget that runs out
+    inside the grid ends the stack with the state at the stop, the same
+    sample a run with no grid records."""
     rng = np.random.default_rng(73)
-    u0 = system.sample_equilibrium(16, 3, rng)
-    v0 = system.sample_equilibrium(16, 3, rng)
-    seen = {"a": [], "b": []}
+    starts = [system.sample_equilibrium(16, 3, rng)
+              for _ in range(1 + coupled)]
+    simulate = system.simulate_coupled if coupled else system.simulate_kac
 
-    def keep(name):
-        def observe(u, v):
-            seen[name].append((u, v))
-            assert not (u.flags.writeable or v.flags.writeable)
-            return 0.0
-        return observe
+    def run(**kw):
+        return simulate(*(x.copy() for x in starts), UNIFORM,
+                        np.random.default_rng(74), **kw)
 
-    rec = system.simulate_coupled(u0, v0, UNIFORM, rng, horizon=1.0,
-                                  sample_dt=0.5, observables={
-                                      "a": keep("a"), "b": keep("b")})
-    assert len(seen["a"]) == len(seen["b"]) == 3
-    for (ua, va), (ub, vb) in zip(seen["a"], seen["b"]):
-        assert ua is ub and va is vb
-    assert len({id(x) for pair in seen["a"] for x in pair}) == 6
-    final_u, final_v = rec.final
-    np.testing.assert_array_equal(seen["a"][-1][0], final_u)
-    np.testing.assert_array_equal(seen["a"][-1][1], final_v)
-    np.testing.assert_array_equal(seen["a"][0][0], u0)
+    rec = run(horizon=4.0, sample_dt=0.5)
+    final = rec.final if coupled else (rec.final,)
+    assert len(rec.states) == len(starts)
+    for stack, start, end in zip(rec.states, starts, final):
+        assert stack.shape == (9, 16, 3)
+        np.testing.assert_array_equal(stack[0], start)
+        np.testing.assert_array_equal(stack[-1], end)
+        assert not np.shares_memory(stack, end)
+
+    budget = rec.checks["n_events"] // 2
+    stop = run(horizon=4.0, sample_dt=0.5, max_events=budget)
+    last = len(stop.times) - 1
+    assert stop.checks["n_events"] == budget
+    assert 1 < last < 8
+    assert np.array_equal(stop.times[:last], rec.times[:last])
+    assert rec.times[last - 1] < stop.times[last] < rec.times[last]
+    alone = run(max_events=budget)
+    assert np.array_equal(alone.times, stop.times[last:])
+    final = stop.final if coupled else (stop.final,)
+    for stack, full, end, one in zip(stop.states, rec.states, final,
+                                     alone.states):
+        assert stack.shape == (last + 1, 16, 3)
+        assert np.array_equal(stack[:last], full[:last])
+        assert np.array_equal(stack[last], end)
+        assert np.array_equal(one, stack[last:])
+
+
+@pytest.mark.parametrize("n", [2, 7, 129, 256])
+def test_columns_equal_the_per_sample_formulas(n):
+    """The columns, computed over the stacks, equal each sample's own
+    formula bit for bit, for one copy and for two."""
+    rng = np.random.default_rng(n)
+    u, v = rng.standard_normal((2, 6, n, 3))
+
+    def per_sample(f, *stacks):
+        return np.array([f(*xs) for xs in zip(*stacks)])
+
+    def energy(x):
+        return np.sum(x * x, axis=1)
+
+    m2 = per_sample(lambda x: float(np.mean(energy(x))), v)
+    m4 = per_sample(lambda x: float(np.mean(energy(x) ** 2)), v)
+    single = system.TrajectoryRecord(times=np.arange(6.0), states=(v,),
+                                     checks={})
+    assert single.columns.keys() == {"m2", "m4"}
+    assert np.array_equal(single.columns["m2"], m2)
+    assert np.array_equal(single.column("m4"), m4)
+    pair = system.TrajectoryRecord(times=np.arange(6.0), states=(u, v),
+                                   checks={})
+    want = {"mean_sq_distance": per_sample(
+                lambda a, b: float(np.mean(np.sum((a - b) ** 2, axis=1))),
+                u, v),
+            "corr": per_sample(
+                lambda a, b: float(np.mean(np.sum(a * b, axis=1))), u, v),
+            "m2": m2, "m4": m4}
+    assert pair.columns.keys() == want.keys()
+    for name, col in want.items():
+        assert np.array_equal(pair.columns[name], col), name
+    assert system.energy_moments(v[0]) == (m2[0], m4[0])
 
 
 def coupled_ok(rec):
