@@ -403,6 +403,10 @@ def test_record_stacks_the_sampled_states(coupled):
                         np.random.default_rng(74), **kw)
 
     rec = run(horizon=4.0, sample_dt=0.5)
+    # one copy reports two of the eight coupled checks, with the same types
+    assert len(rec.checks) == (8 if coupled else 2)
+    assert type(rec.checks["n_events"]) is int
+    assert type(rec.checks["max_conservation_error"]) is float
     final = rec.final if coupled else (rec.final,)
     assert len(rec.states) == len(starts)
     for stack, start, end in zip(rec.states, starts, final):
