@@ -1,5 +1,5 @@
-/* One event loop for one copy or two coupled copies, and one pass over the
- * particle pairs.
+/* One event loop for one copy or two coupled copies, one pass over the
+ * particle pairs, and the assignment solver that pairs two copies' slots.
  *
  * kac_advance runs the coupled dynamics on u and v, or Kac's dynamics on u
  * alone when v is NULL (gs is then not read).  Loaded through ctypes by
@@ -17,6 +17,10 @@
  * each lane adds to its row in j order, exactly +0.0 for the pairs it
  * does not own, and every lane rounds alike, so the sums are the same bit
  * for bit at either width.
+ *
+ * kac_assign, at the end of this file, is scipy's shortest augmenting path
+ * solver for the square linear sum assignment, ported line for line under
+ * scipy's BSD license (reproduced there).
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -422,4 +426,170 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
         return pair_sums_4(u, v, w, s, n, d, a, b, out, work);
 #endif
     return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
+}
+
+/* The square linear sum assignment: kac_assign ports, line for line, the
+ * shortest augmenting path solver of scipy.optimize.linear_sum_assignment,
+ * scipy/optimize/rectangular_lsap/rectangular_lsap.cpp (author PM Larsen),
+ * which follows the pseudocode on pages 1685-1686 of
+ *
+ *     DF Crouse. On implementing 2D rectangular assignment algorithms.
+ *     IEEE Transactions on Aerospace and Electronic Systems
+ *     52(4):1679-1696, August 2016. doi: 10.1109/TAES.2016.140952
+ *
+ * Only the square, minimizing case is kept.  The reverse-ordered remaining
+ * list, its swap removal, the tie rule and the dual updates are scipy's,
+ * so the permutation is scipy's, ties included.  That code is under the
+ * following license:
+ *
+ * Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+ * All rights reserved.
+ *
+ * Redistribution and use in source and binary forms, with or without
+ * modification, are permitted provided that the following conditions
+ * are met:
+ *
+ * 1. Redistributions of source code must retain the above copyright
+ *    notice, this list of conditions and the following disclaimer.
+ *
+ * 2. Redistributions in binary form must reproduce the above
+ *    copyright notice, this list of conditions and the following
+ *    disclaimer in the documentation and/or other materials provided
+ *    with the distribution.
+ *
+ * 3. Neither the name of the copyright holder nor the names of its
+ *    contributors may be used to endorse or promote products derived
+ *    from this software without specific prior written permission.
+ *
+ * THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+ * "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+ * LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+ * A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+ * OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+ * SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+ * LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+ * DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+ * THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+ * (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+ * OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+ */
+
+/* One shortest augmenting path from row i, a Dijkstra search over the
+ * reduced costs that stops at the first free column it settles.  Returns
+ * that column (the sink), with the path's length in *p_min_val, or -1 when
+ * every reduced cost is infinite. */
+static int64_t augmenting_path(int64_t nc, const double *cost,
+                               const double *u, const double *v,
+                               int64_t *path, const int64_t *row4col,
+                               double *shortest_path_costs, int64_t i,
+                               int64_t *sr, int64_t *sc, int64_t *remaining,
+                               double *p_min_val)
+{
+    double min_val = 0;
+
+    /* filled in reverse order, so a constant cost matrix gives the
+     * identity */
+    int64_t num_remaining = nc;
+    for (int64_t it = 0; it < nc; it++)
+        remaining[it] = nc - it - 1;
+
+    for (int64_t k = 0; k < nc; k++) {
+        sr[k] = 0;
+        sc[k] = 0;
+        shortest_path_costs[k] = INFINITY;
+    }
+
+    int64_t sink = -1;
+    while (sink == -1) {
+        int64_t index = -1;
+        double lowest = INFINITY;
+        sr[i] = 1;
+
+        for (int64_t it = 0; it < num_remaining; it++) {
+            int64_t j = remaining[it];
+
+            double r = min_val + cost[i * nc + j] - u[i] - v[j];
+            if (r < shortest_path_costs[j]) {
+                path[j] = i;
+                shortest_path_costs[j] = r;
+            }
+
+            /* among columns at the lowest cost, take one that is free, so
+             * the search ends there (this matters for integer costs with
+             * many ties) */
+            if (shortest_path_costs[j] < lowest ||
+                (shortest_path_costs[j] == lowest && row4col[j] == -1)) {
+                lowest = shortest_path_costs[j];
+                index = it;
+            }
+        }
+
+        min_val = lowest;
+        if (min_val == INFINITY)
+            return -1;
+
+        int64_t j = remaining[index];
+        if (row4col[j] == -1)
+            sink = j;
+        else
+            i = row4col[j];
+
+        sc[j] = 1;
+        remaining[index] = remaining[--num_remaining];
+    }
+
+    *p_min_val = min_val;
+    return sink;
+}
+
+/* Permutation col4row minimizing sum_i cost[i, col4row[i]] over the n x n
+ * cost matrix (C order).  work holds 3 n doubles and iwork 5 n int64s.
+ * Returns 0, or -1 when no finite assignment exists. */
+int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
+               int64_t *iwork)
+{
+    double *u = work, *v = work + n, *shortest_path_costs = work + 2 * n;
+    int64_t *path = iwork, *row4col = iwork + n, *sr = iwork + 2 * n;
+    int64_t *sc = iwork + 3 * n, *remaining = iwork + 4 * n;
+    for (int64_t k = 0; k < n; k++) {
+        u[k] = 0;
+        v[k] = 0;
+        path[k] = -1;
+        col4row[k] = -1;
+        row4col[k] = -1;
+    }
+
+    /* iteratively build the solution */
+    for (int64_t cur_row = 0; cur_row < n; cur_row++) {
+        double min_val;
+        int64_t sink = augmenting_path(n, cost, u, v, path, row4col,
+                                       shortest_path_costs, cur_row, sr, sc,
+                                       remaining, &min_val);
+        if (sink < 0)
+            return -1;
+
+        /* update the dual variables */
+        u[cur_row] += min_val;
+        for (int64_t i = 0; i < n; i++) {
+            if (sr[i] && i != cur_row)
+                u[i] += min_val - shortest_path_costs[col4row[i]];
+        }
+        for (int64_t j = 0; j < n; j++) {
+            if (sc[j])
+                v[j] -= min_val - shortest_path_costs[j];
+        }
+
+        /* augment the previous solution */
+        int64_t j = sink;
+        for (;;) {
+            int64_t i = path[j];
+            row4col[j] = i;
+            int64_t swap = col4row[i];
+            col4row[i] = j;
+            j = swap;
+            if (i == cur_row)
+                break;
+        }
+    }
+    return 0;
 }

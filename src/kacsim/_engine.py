@@ -1,5 +1,6 @@
 """The compiled kernels: one event loop for the single and the coupled
-collision dynamics, and one pass over the particle pairs.
+collision dynamics, one pass over the particle pairs, and the assignment
+solver that pairs the slots of two copies.
 
 The drivers in :mod:`kacsim.system` pre-draw batches of randomness with a
 numpy Generator and hand them to the advance functions below, which consume
@@ -36,6 +37,13 @@ have it.  Both widths give the same sums bit for bit.  On the python
 backend ``pair_sums`` sums the numpy pair matrices of
 ``analysis._pair_matrices`` instead, which agree up to rounding, not bit
 for bit.
+
+The slot pairing is ``kac_assign``, behind ``assign``: scipy's shortest
+augmenting path solver for the square linear sum assignment
+(``scipy.optimize.linear_sum_assignment``), ported line for line, so it
+returns scipy's permutation, ties included, without loading
+scipy.optimize.  On the python backend ``assign`` runs the same loop in
+numpy, the same permutation, about twenty times slower.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -101,6 +109,7 @@ _SIGNATURES = {
                     _ptr, _i64, _ptr, _ptr),
     "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr,
                       _ptr),
+    "kac_assign": (_ptr, _i64, _ptr, _ptr, _ptr),
 }
 _BYTES = ctypes.c_char * 0
 # kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each at
@@ -376,3 +385,82 @@ def _python_pair_sums(u, v, w, a, b, out):
             row[1] = w @ d2v ** b @ w
             row[2] = w @ (np.sqrt(d2u) * np.sqrt(d2v) - dots) @ w
             row[3] = w @ (d2u * d2v - dots * dots) @ w
+
+
+def assign(cost):
+    """The permutation ``kac_assign`` finds: perm minimizing
+    sum_i cost[i, perm[i]] over a finite square cost matrix, as an int64
+    array.  It equals scipy.optimize.linear_sum_assignment's column indices
+    (``assignment.solve_assignment`` checks the matrix)."""
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    perm = np.empty(n, dtype=np.int64)
+    if _LIB is None:
+        status = _python_assign(cost, perm)
+    else:
+        status = _LIB.kac_assign(_address(cost), n, _address(perm),
+                                 _address(np.empty(3 * n)),
+                                 _address(np.empty(5 * n, dtype=np.int64)))
+    if status:
+        raise ValueError("the cost matrix admits no finite assignment")
+    return perm
+
+
+def _python_assign(cost, col4row):
+    """kac_assign in numpy: each augmenting path scans the remaining columns
+    in one vectorized step, with the C loop's reductions, tie rule, swap
+    removal and dual updates, so it fills col4row with the same
+    permutation.  Returns the C status."""
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    path, row4col = np.full(n, -1), np.full(n, -1)
+    col4row[:] = -1
+    for cur_row in range(n):
+        # the shortest augmenting path from cur_row
+        min_val = 0.0
+        remaining = np.arange(n - 1, -1, -1)
+        num_remaining = n
+        sr, sc = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        shortest_path_costs = np.full(n, np.inf)
+        i, sink = cur_row, -1
+        while sink == -1:
+            sr[i] = True
+            cols = remaining[:num_remaining]
+            r = min_val + cost[i, cols] - u[i] - v[cols]
+            better = r < shortest_path_costs[cols]
+            path[cols[better]] = i
+            shortest_path_costs[cols[better]] = r[better]
+            # the C scan keeps the first column at the lowest cost, unless
+            # a free column ties with it: then the last free one
+            costs = shortest_path_costs[cols]
+            ties = np.flatnonzero(costs == costs.min())
+            free = ties[row4col[cols[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            min_val = float(costs[index])
+            if min_val == np.inf:
+                return -1
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+
+        # update the dual variables
+        u[cur_row] += min_val
+        others = sr.copy()
+        others[cur_row] = False
+        u[others] += min_val - shortest_path_costs[col4row[others]]
+        v[sc] -= min_val - shortest_path_costs[sc]
+
+        # augment the previous solution
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return 0

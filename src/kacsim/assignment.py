@@ -3,14 +3,18 @@
 The coupled dynamics acts on particle slots, so before starting a coupled
 run the two initial configurations are aligned by the permutation that
 minimizes the summed squared distance between paired velocities.  The
-minimization is a linear sum assignment problem; we delegate the
-combinatorial search to scipy's Hungarian-style solver and keep only the
-cost construction and validation here.
+minimization is a linear sum assignment problem.  This module builds and
+checks the cost matrix; the search is ``_engine.assign``, the shortest
+augmenting path solver of scipy.optimize.linear_sum_assignment ported to
+the engine's C library (with a numpy port of the same loop as its
+fallback), so it returns scipy's permutation without loading scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _engine
 
 __all__ = ["SizeLimit", "pairing_cost", "solve_assignment", "optimal_pairing",
            "sym_distance"]
@@ -54,14 +58,8 @@ def solve_assignment(cost):
         raise SizeLimit(f"{n} > {MAX_ASSIGNMENT_SIZE} rows")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix has non-finite entries")
-    # imported here: scipy.optimize costs ~50 MB and ~0.6 s at import, and
-    # most uses of the package never pair configurations
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=np.int64)
-    perm[rows] = cols
-    return perm, float(cost[rows, cols].sum())
+    perm = _engine.assign(cost)
+    return perm, float(cost[np.arange(n), perm].sum())
 
 
 def optimal_pairing(u, v):

@@ -446,6 +446,15 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
     n, d = states[0].shape
     if horizon is None and max_events is None:
         raise ValueError("need horizon or max_events")
+    # written so that nan fails each test
+    if horizon is not None and not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got "
+                         f"{horizon}")
+    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be finite and positive, got "
+                         f"{sample_dt}")
+    if max_events is not None and not max_events >= 0:
+        raise ValueError(f"max_events must be nonnegative, got {max_events}")
     rate = event_rate(kernel, n)
     budget = np.inf if max_events is None else float(max_events)
     grid = _sample_grid(horizon, sample_dt)

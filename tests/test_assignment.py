@@ -1,9 +1,78 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from kacsim import assignment
+from kacsim import _engine, assignment, cli
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """Solve on the C library and on the forced numpy fallback."""
+    if request.param == "c" and _engine.BACKEND != "c":
+        pytest.skip("the C library is not loaded")
+    if request.param == "python":
+        monkeypatch.setattr(_engine, "_LIB", None)
+    return request.param
+
+
+def assert_scipy_solution(cost):
+    """solve_assignment returns scipy's permutation and scipy's total."""
+    # only the tests load scipy.optimize, as the oracle
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    perm, total = assignment.solve_assignment(cost)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, cols)
+    assert total == float(cost[rows, cols].sum())
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 256])
+@pytest.mark.parametrize("law", cli.INITIAL_LAWS)
+def test_decay_starts_pair_as_scipy(backend, law, n):
+    """The pairing of a decay replica's two initial configurations; the
+    sampler needs n >= 2, so n = 0 and 1 take the first rows of a pair."""
+    cfg = dataclasses.replace(cli.ExperimentConfig(), n=max(n, 2),
+                              initial_law=law)
+    u, v = cli._initial_copies(cfg, np.random.default_rng(900 + n))
+    perm = assert_scipy_solution(assignment.pairing_cost(u[:n], v[:n]))
+    if law == "identical":
+        assert np.array_equal(perm, np.arange(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 128])
+def test_gaussian_costs_as_scipy(backend, n):
+    rng = np.random.default_rng(910 + n)
+    for _ in range(3):
+        assert_scipy_solution(rng.standard_normal((n, n)))
+
+
+def test_integer_costs_as_scipy(backend):
+    """Costs in {0, 1, 2, 3} tie exactly at almost every step, so the
+    searches settle columns by the tie rule: among the columns at the
+    lowest cost the last free one in scan order, else the first."""
+    rng = np.random.default_rng(920)
+    for n in [2, 3, 4, 5, 8, 13, 40, 100]:
+        for _ in range(6):
+            assert_scipy_solution(rng.integers(0, 4, (n, n)).astype(float))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_zero_costs_give_the_identity(backend, n):
+    """Every permutation is optimal; the reverse-ordered scan picks the
+    identity, as scipy does."""
+    perm = assert_scipy_solution(np.zeros((n, n)))
+    assert np.array_equal(perm, np.arange(n))
+
+
+def test_self_pairing_is_the_identity(backend):
+    rng = np.random.default_rng(930)
+    u = rng.standard_normal((200, 3))
+    perm = assert_scipy_solution(assignment.pairing_cost(u, u))
+    assert np.array_equal(perm, np.arange(200))
 
 
 def brute_force_cost(u, v):

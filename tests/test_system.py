@@ -354,6 +354,29 @@ def test_simulate_horizon_zero_single_snapshot():
     assert rec.checks["n_events"] == 0
 
 
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+@pytest.mark.parametrize("name, kw", [
+    ("horizon", dict(horizon=np.nan)),
+    ("horizon", dict(horizon=np.inf, max_events=10)),
+    ("horizon", dict(horizon=-1.0)),
+    ("sample_dt", dict(horizon=1.0, sample_dt=-0.5)),
+    ("sample_dt", dict(horizon=1.0, sample_dt=0.0)),
+    ("sample_dt", dict(horizon=1.0, sample_dt=np.nan)),
+    ("sample_dt", dict(horizon=1.0, sample_dt=np.inf)),
+    ("max_events", dict(max_events=-3)),
+], ids=["horizon-nan", "horizon-inf", "horizon-negative", "dt-negative",
+        "dt-zero", "dt-nan", "dt-inf", "events-negative"])
+def test_simulate_refuses_bad_run_lengths(coupled, name, kw):
+    """A horizon, sample spacing or event budget the run cannot honour is
+    refused by name, before any event: a nan horizon would never stop, a
+    negative one would sample [-1, 0], a nonpositive sample_dt would fail
+    deep in the grid, a negative budget would run no event silently."""
+    starts = [kac_sphere_point(8, 3, 69 + c)[0] for c in range(1 + coupled)]
+    simulate = system.simulate_coupled if coupled else system.simulate_kac
+    with pytest.raises(ValueError, match=name):
+        simulate(*starts, UNIFORM, np.random.default_rng(70), **kw)
+
+
 def test_simulate_kac_stationarity():
     """Starting from the exact stationary law the ensemble m4 must show no
     drift over one unit of time."""
