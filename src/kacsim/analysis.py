@@ -14,11 +14,13 @@ Contents:
   sums of one pass (the pair moments at the exponents the caller asks for,
   ``weak_exponents`` giving those of the weak bound, the creation integrand
   and the alignment area), the means, the second-moment matrices, E U.V,
-  E|U - V|^2 and kappa of each marginal, computed once.  The fundamental,
-  area and weak reports read it, and the sweep hands its matrices to the
-  trace report.  A stack of samples gives one record per sample from one
-  pass and one ``kappa`` call over the stack (a decay replica's whole
-  sample grid).  The pass is ``_engine.pair_sums``, which also runs over a
+  E|U - V|^2 and kappa of each marginal, computed once.  It is the only
+  code that turns configurations into pair moments and kappas: the
+  fundamental, area and weak reports and ``k_main_estimate`` read it, and
+  the sweep hands its matrices to the trace report.  A stack of samples
+  gives one record per sample from one pass and one ``kappa`` call over
+  the stack (a decay replica's whole sample grid, a block of equilibrium
+  samples).  The pass is ``_engine.pair_sums``, which also runs over a
   stack of samples: one C loop in O(N) memory, or on the python backend
   sums over the numpy N x N matrices of ``_pair_matrices``, which are also
   the C loop's test oracle.  Also the coupling creation
@@ -246,7 +248,7 @@ def _moment(x, y, w):
     return np.swapaxes(x * w[:, None], -1, -2) @ y
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PairStatistics:
     """The moment record of one sample: a configuration u, or a coupled
     pair (u, v), under weights w.  Built only by ``pair_statistics``.
@@ -257,12 +259,14 @@ class PairStatistics:
     ``area`` |du|^2 |dv|^2 - (du.dv)^2.  One-point moments: the means
     ``mean_u``, ``mean_v``, the second-moment matrices ``c_uu`` = E U U^T,
     ``c_vv`` and the cross block ``c_uv`` = E U V^T, ``mean_dot`` = E U.V
-    and ``mean_sq_distance`` = E|U - V|^2, summed directly.  ``kappa_u``
-    and ``kappa_v`` are kappa of C_UU and C_VV, from one call on first
-    read (for a record of a stack, from the stack's one call), and
-    ``normalized`` tells whether both copies lie on the constraint
-    sphere.  A single copy (``v`` None) has only the u entries;
-    the others are None, or nan for the scalars.
+    and ``mean_sq_distance`` = E|U - V|^2, summed directly.
+    ``normalized`` tells whether every copy lies on the constraint sphere.
+    ``kappa_u`` and ``kappa_v`` are kappa of C_UU and C_VV, which
+    ``pair_statistics`` fills from its one ``kappa`` call; a record whose
+    sample held a matrix that kappa refuses computes its own on first
+    read, and raises what it would raise alone.  A single copy (``v``
+    None) has only the u entries; the others are None, or nan for the
+    scalars.
     """
 
     u: np.ndarray
@@ -281,6 +285,7 @@ class PairStatistics:
     c_uv: np.ndarray
     mean_dot: float
     mean_sq_distance: float
+    normalized: bool
 
     def creation(self):
         """Coupling creation (d-2)/(2d-2) <|du||dv| - du.dv>_N."""
@@ -289,6 +294,7 @@ class PairStatistics:
 
     @cached_property
     def _kappas(self):
+        # read only when pair_statistics could not fill it
         if self.v is None:
             return kappa(self.c_uu), np.nan
         return tuple(kappa(np.stack((self.c_uu, self.c_vv))).tolist())
@@ -300,12 +306,6 @@ class PairStatistics:
     @property
     def kappa_v(self):
         return self._kappas[1]
-
-    @cached_property
-    def normalized(self):
-        """Both copies centered with unit energy, the constraint sphere."""
-        return bool(_on_sphere(self.mean_u, self.mean_v, self.c_uu,
-                               self.c_vv))
 
 
 def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
@@ -320,13 +320,12 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
 
     A stack u of shape (S, N, d) (and v alike) gives a list of S records,
     one per configuration, each equal field by field to the call on its
-    configuration alone: the pair pass and each moment product run once
-    over the whole stack, the kappas of every record come from one
-    ``kappa`` call on its S (one copy) or 2S (two copies) marginal
-    matrices, and ``normalized`` from one test over the stack.  When a
-    matrix of the stack fails kappa's checks, each record computes its
-    own kappas on first read instead, and raises what it would raise
-    alone.
+    configuration alone.  A single configuration is a stack of one: the
+    pair pass and each moment product run once over the stack, the
+    kappas of every record come from one ``kappa`` call on its S (one
+    copy) or 2S (two copies) marginal matrices, and ``normalized`` from
+    one test over the stack.  When a matrix of the stack fails kappa's
+    checks, each record computes its own kappas on first read instead.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim not in (2, 3):
@@ -354,6 +353,9 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     if vs is None:
         vs_rows = [None] * len(us)
         joint = [(None, None, None, np.nan, np.nan)] * len(us)
+        # a single copy is tested as both copies of a pair
+        flags = _on_sphere(mean_u, mean_u, c_uu, c_uu).tolist()
+        marginals = c_uu
     else:
         vs_rows = vs
         mean_v, c_vv = weights @ vs, _moment(vs, vs, weights)
@@ -361,26 +363,19 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
         joint = zip(mean_v, c_vv, _moment(us, vs, weights),
                     _weighted_dots(us, vs, weights),
                     _weighted_dots(du, du, weights))
-    records = [PairStatistics(x, y, weights, a, b, *sums_k, mean_k, c_k,
-                              *joint_k)
-               for x, y, sums_k, mean_k, c_k, joint_k
-               in zip(us, vs_rows, sums, mean_u, c_uu, joint)]
-    if not stacked:
-        return records[0]
-    # a stack fills its records' cached properties as their first reads
-    # would, from one evaluation over the stack
-    if vs is not None:
         flags = _on_sphere(mean_u, mean_v, c_uu, c_vv).tolist()
-        for rec, flag in zip(records, flags):
-            rec.__dict__["normalized"] = flag
+        marginals = np.stack((c_uu, c_vv), axis=1)
+    records = [PairStatistics(x, y, weights, a, b, *sums_k, mean_k, c_k,
+                              *joint_k, flag)
+               for x, y, sums_k, mean_k, c_k, joint_k, flag
+               in zip(us, vs_rows, sums, mean_u, c_uu, joint, flags)]
     try:
-        kappas = kappa(c_uu if vs is None
-                       else np.stack((c_uu, c_vv), axis=1)).tolist()
+        kappas = kappa(marginals).tolist()
     except AnalysisError:
-        return records
+        kappas = []
     for rec, k in zip(records, kappas):
-        rec.__dict__["_kappas"] = (k, np.nan) if vs is None else tuple(k)
-    return records
+        rec._kappas = (k, np.nan) if vs is None else tuple(k)
+    return records if stacked else records[0]
 
 
 def _weighted_dots(x, y, w):
@@ -725,6 +720,11 @@ def _check_samples(samples):
         raise BadParams(f"need at least 2 Monte Carlo samples, got {samples}")
 
 
+def _mean_stderr(x):
+    """Sample mean of x and its standard error, as python floats."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
+
+
 def check_wishart_order(n, d, p):
     """Refuse a moment order p < 1, or one whose inverse moment is not
     finite at n particles in dimension d (that needs n - 2p/(d-1) > d)."""
@@ -739,19 +739,18 @@ def wishart_kappa_moment(n, d, p, samples, rng):
     """Monte Carlo estimate of E[(1 - L)^(-p)]^(-1/p) at equilibrium.
 
     L is the top eigenvalue of the empirical second-moment matrix of a
-    uniform constraint-sphere configuration.  The estimate is bounded by
-    (d-1)/d and approaches it as n grows.  ``check_wishart_order`` states
-    the orders it accepts.
+    uniform constraint-sphere configuration, so (1 - L)^(-1) is its
+    ``kappa``.  The estimate is bounded by (d-1)/d and approaches it as n
+    grows.  ``check_wishart_order`` states the orders it accepts.
     """
     _check_samples(samples)
     check_wishart_order(n, d, p)
+    w = np.full(n, 1.0 / n)
     xs = []
     for confs in equilibrium_blocks(n, d, samples, rng):
-        lams = np.linalg.eigvalsh(np.swapaxes(confs, -1, -2) @ confs / n)
         # python floats: numpy's vectorized power can round unlike libm pow
-        xs += [(1.0 - lam) ** (-p) for lam in lams[:, -1].tolist()]
-    m = float(np.mean(xs))
-    se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
+        xs += [k ** p for k in kappa(_moment(confs, confs, w)).tolist()]
+    m, se_m = _mean_stderr(xs)
     est = m ** (-1.0 / p)
     se_est = est * se_m / (p * m)
     return MCEstimate(value=est, stderr=se_est)
@@ -782,8 +781,9 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
 
     is returned alongside for convergence checks.  A MomentBlowup warning
     flags parameter choices whose kappa-moment is not integrable.  The
-    samples are drawn in the blocks of ``system.equilibrium_blocks``; the
-    estimate is the same bit for bit as one sample at a time.
+    samples are drawn in the blocks of ``system.equilibrium_blocks``, and
+    each block's kappas and pair moments come from one ``pair_statistics``
+    call; the estimate is the same bit for bit as one sample at a time.
     """
     _check_samples(samples)
     delta = float(delta)
@@ -799,18 +799,12 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
         warnings.warn(
             f"kappa moment of order {m_kappa:.3g} is outside the integrable "
             f"regime at n = {n}, d = {d}", MomentBlowup)
-    # per block of samples: one stacked moment product, one kappa call and
-    # one pair pass; the powers stay python floats, because numpy's
-    # vectorized power can round unlike libm pow
-    w = np.full(n, 1.0 / n)
-    xs = []
-    for confs in equilibrium_blocks(n, d, samples, rng):
-        kappas = kappa(_moment(confs, confs, w)).tolist()
-        moments = _engine.pair_sums(confs, None, w, m_pair, 1.0)[:, 0].tolist()
-        xs += [k ** m_kappa * (mom * 0.5 ** m_pair)
-               for k, mom in zip(kappas, moments)]
-    m = float(np.mean(xs))
-    se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
+    # the powers stay python floats, because numpy's vectorized power can
+    # round unlike libm pow
+    xs = [rec.kappa_u ** m_kappa * (rec.moment_u * 0.5 ** m_pair)
+          for confs in equilibrium_blocks(n, d, samples, rng)
+          for rec in pair_statistics(confs, None, m_pair)]
+    m, se_m = _mean_stderr(xs)
     expo = 1.0 / (2.0 * p * delta)
     j = m ** (-expo)
     j_se = j * expo * se_m / m
@@ -873,18 +867,10 @@ def counterexample_heavy_tail(m_values, q, d, samples, rng):
 
         g1 = rng.standard_normal((samples, d)) / np.sqrt(d)
         g2 = rng.standard_normal((samples, d)) / np.sqrt(d)
-        a = np.linalg.norm(g1 - g2, axis=1)
-        mean_a = float(np.mean(a))
-        se_a = float(np.std(a, ddof=1) / np.sqrt(samples))
-
-        u2 = np.einsum("id,id->i", g1, g1)
-        mean_u2 = float(np.mean(u2))
-        se_u2 = float(np.std(u2, ddof=1) / np.sqrt(samples))
-
-        chord = np.linalg.norm(_unit_rows(rng, samples, d)
-                               - _unit_rows(rng, samples, d), axis=1)
-        mean_chord = float(np.mean(chord))
-        se_chord = float(np.std(chord, ddof=1) / np.sqrt(samples))
+        mean_a, se_a = _mean_stderr(np.linalg.norm(g1 - g2, axis=1))
+        mean_u2, se_u2 = _mean_stderr(np.einsum("id,id->i", g1, g1))
+        mean_chord, se_chord = _mean_stderr(np.linalg.norm(
+            _unit_rows(rng, samples, d) - _unit_rows(rng, samples, d), axis=1))
 
         # |V - V*| is 0 (both radii 0), M (exactly one at M), or M times a
         # unit chord (both at M); weights are exact
@@ -980,9 +966,7 @@ def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
         se_num = float(np.sqrt(
             (2.0 * (1.0 - beta) * np.std(g_io, ddof=1)) ** 2
             + (beta * np.std(g_ii, ddof=1)) ** 2) / np.sqrt(samples))
-        den_samples = (r_in - c_band) ** 2
-        den = float(np.mean(den_samples))
-        se_den = float(np.std(den_samples, ddof=1) / np.sqrt(samples))
+        den, se_den = _mean_stderr((r_in - c_band) ** 2)
         ratio = num / den
         ratio_se = abs(ratio) * float(np.sqrt((se_num / num) ** 2
                                               + (se_den / den) ** 2))

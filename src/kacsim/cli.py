@@ -71,7 +71,6 @@ INITIAL_LAWS = ("two_temperature", "equilibrium", "identical")
 # check tolerances applied by the runners
 MONOTONE_TOL = 1e-9
 SLACK_TOL = 1e-10
-CORR_TOL = 1e-12
 AREA_RESIDUAL_TOL = 1e-11
 
 # substream index reserved for the constants estimate of a decay run;
@@ -260,10 +259,8 @@ def build_kernel(cfg):
 def _fmt(x):
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return f"{float(x):.17g}"
 
 
@@ -392,7 +389,7 @@ def _decay_sample_checks(times, columns):
             f"mean squared distance increased by {steps[k]:.3e} between "
             f"t = {times[k]:.6g} and t = {times[k + 1]:.6g}")
     corr_min = float(np.min(columns["min_corr"]))
-    if corr_min < -CORR_TOL:
+    if corr_min < -analysis.CORRELATION_TOL:
         issues.append(f"velocity correlation dipped to {corr_min:.3e}")
     slack = columns["weak_slack"]
     finite = slack[np.isfinite(slack)]
@@ -706,8 +703,7 @@ def _run_equilibrium_check(cfg, out_dir):
     m4s = np.concatenate([
         energy_moments(confs)[1]
         for confs in equilibrium_blocks(cfg.n, cfg.d, cfg.samples, rng)])
-    mean = float(np.mean(m4s))
-    se = float(np.std(m4s, ddof=1) / np.sqrt(cfg.samples))
+    mean, se = analysis._mean_stderr(m4s)
     exact = equilibrium_m4(cfg.n, cfg.d)
     limit = (cfg.d + 2.0) / cfg.d
     violations = []

@@ -291,7 +291,9 @@ def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
     """Apply one collision event in place; python reference path.
 
     ``draws`` may carry pre-drawn randomness (w, i, j0, theta, cos_phi, g)
-    to replay a recorded stream; otherwise everything comes from ``rng``.
+    to replay a recorded stream; otherwise the event is a
+    ``draw_event_batch`` of size 1 from ``rng``, so a run of single steps
+    draws in the batches' order.
     Returns (new_time, (i, j)) with the collided pair i != j.  ``v`` must
     be a writeable C-contiguous float64 array (TypeError otherwise), since
     a converted copy would take the event instead.
@@ -323,12 +325,12 @@ def _step(states, kernel, rng, t, rate, draws):
     if rate is None:
         rate = event_rate(kernel, n)
     if draws is None:
-        draws = (float(rng.standard_exponential()), int(rng.integers(0, n)),
-                 int(rng.integers(0, n - 1)), float(kernel.sample(rng)),
-                 float(sample_azimuth_cos(d, rng)),
-                 *(rng.standard_normal(d) for _ in states))
-    w, i, j0, theta, cphi, *gaussians = draws
-    j = j0 + 1 if j0 >= i else j0
+        batch = draw_event_batch(kernel, n, d, rng, 1, len(states) == 2)
+        w, i, j, theta, cphi = (x[0].item() for x in batch[:5])
+        gaussians = [g[0] for g in batch[5:5 + len(states)]]
+    else:
+        w, i, j0, theta, cphi, *gaussians = draws
+        j = j0 + 1 if j0 >= i else j0
     delta, residual, completed, _ = _collide(states, i, j, theta, cphi,
                                              *gaussians)
     return t + w / rate, (i, j), delta, residual, completed

@@ -279,8 +279,38 @@ def test_pair_statistics_of_a_stack_off_the_sphere():
         assert_same_record(records[k], analysis.pair_statistics(us[k], vs[k]))
     with pytest.raises(analysis.PreconditionFailed):
         records[2].kappa_u
+    single = analysis.pair_statistics(us[2], vs[2])
+    assert not single.normalized
+    with pytest.raises(analysis.PreconditionFailed):
+        single.kappa_u
     with pytest.raises(analysis.BadParams):
         analysis.pair_statistics(us[None])
+
+
+def test_pair_statistics_calls_kappa_once(monkeypatch):
+    """One kappa call fills the kappas of a single configuration's record
+    and of every record of a stack, one copy or two; reading the kappas
+    and the sphere flag afterwards calls nothing more."""
+    calls = []
+    real = analysis.kappa
+
+    def spy(s):
+        calls.append(np.shape(s))
+        return real(s)
+
+    monkeypatch.setattr(analysis, "kappa", spy)
+    rng = np.random.default_rng(96)
+    us = system.sample_equilibrium(16, 3, rng, size=3)
+    vs = system.sample_equilibrium(16, 3, rng, size=3)
+    for u, v in ((us[0], vs[0]), (us[0], None), (us, vs), (us, None)):
+        calls.clear()
+        got = analysis.pair_statistics(u, v)
+        records = got if u.ndim == 3 else [got]
+        assert len(calls) == 1
+        for rec in records:
+            assert rec.normalized
+            rec.kappa_u, rec.kappa_v
+        assert len(calls) == 1
 
 
 # 2/(1 - 0.9) (1 + 0.9): the default p at delta = 0.9 is 20.000000000000004
@@ -620,6 +650,28 @@ def test_k_main_estimate_equals_per_sample_loop(n, d, samples):
     assert hc.j_factor == j
     assert hc.j_stderr == j * expo * se_m / m
     assert hc.k_main == hc.k2 * j
+
+
+@pytest.mark.parametrize("n, d, samples", [(256, 3, 200), (64, 5, 100),
+                                           (2048, 32, 5)])
+def test_wishart_kappa_moment_equals_per_sample_loop(n, d, samples):
+    """The blocked estimate against one sample at a time, each with its
+    own draw, second-moment matrix and kappa, and python float powers:
+    equal, not only close."""
+    p = 2.0
+    est = analysis.wishart_kappa_moment(n, d, p, samples,
+                                        np.random.default_rng(n + d))
+    rng = np.random.default_rng(n + d)
+    w = np.full(n, 1.0 / n)
+    xs = np.empty(samples)
+    for s in range(samples):
+        x = system.sample_equilibrium(n, d, rng)
+        xs[s] = analysis.kappa(analysis._moment(x, x, w)) ** p
+    m = float(np.mean(xs))
+    se_m = float(np.std(xs, ddof=1) / np.sqrt(samples))
+    value = m ** (-1.0 / p)
+    assert est.value == value
+    assert est.stderr == value * se_m / (p * m)
 
 
 def test_k_main_estimate_blowup_warning():

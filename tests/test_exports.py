@@ -1,7 +1,9 @@
 """Every name a kacsim module exports must exist, so deleting a function
 cannot leave a stale ``__all__`` entry behind, and every name the benchmark
-wraps must exist too; importing the package must stay cheap."""
+wraps must exist too; importing the package must stay cheap; and each rule
+that is spelled once is called from its one owner."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -87,3 +89,45 @@ def test_benchmark_hooks_find_their_names():
                            "-p", "no:cacheprovider", test],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _calls(path):
+    """(owner, called name) for every call in the module at ``path``.  The
+    owner is ``module.function`` or ``module.Class.method`` of the top-level
+    definition that holds the call (nested functions count as their outer
+    one); the called name is a plain name or an attribute's last part."""
+    found = []
+
+    def walk(node, owner, in_function):
+        for child in ast.iter_child_nodes(node):
+            name, inner = owner, in_function
+            if (isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                    and not in_function):
+                name = f"{owner}.{child.name}"
+                inner = isinstance(child, ast.FunctionDef)
+            if isinstance(child, ast.Call):
+                func = child.func
+                found.append((name, func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None)))
+            walk(child, name, inner)
+
+    walk(ast.parse(path.read_text()), path.stem, False)
+    return found
+
+
+def test_each_rule_has_one_owner():
+    """Outside the engine only pair_statistics runs the pair pass, only
+    kappa and max_eigenvalue take eigenvalues, and in system.py only
+    draw_event_batch draws angles: a second spelling of a rule fails here."""
+    src = Path(kacsim.__file__).resolve().parent
+    calls = [c for path in sorted(src.glob("*.py")) for c in _calls(path)]
+
+    def owners(called, module=""):
+        return {owner for owner, name in calls
+                if name in called and owner.startswith(module)}
+
+    assert {o for o in owners({"pair_sums"}) if not o.startswith("_engine.")
+            } == {"analysis.pair_statistics"}
+    assert owners({"eigvalsh"}) == {"analysis.kappa", "analysis.max_eigenvalue"}
+    assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
+        "system.draw_event_batch"}

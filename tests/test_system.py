@@ -272,6 +272,39 @@ def test_engine_matches_python_step_coupled():
     assert rec.times[-1] == t
 
 
+KERNELS = {"uniform": UNIFORM,
+           "power_law": kernels.make_kernel("power_law", nu=-0.5,
+                                            theta_min=0.0),
+           "dirac": kernels.make_kernel("dirac", theta0=np.pi / 3)}
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("family", sorted(KERNELS))
+def test_step_draws_a_batch_of_one(family, d, copies):
+    """A step given only ``rng`` draws its event as draw_event_batch of
+    size 1: the generator ends where a twin that drew that batch ends, and
+    the states where a step given the batch's draws leaves them."""
+    kernel, n = KERNELS[family], 10
+    step = system.step_kac if copies == 1 else system.step_coupled
+    rng, twin = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
+    states = [system.sample_equilibrium(n, d, np.random.default_rng(c))
+              for c in range(copies)]
+    replay = [x.copy() for x in states]
+    for _ in range(25):
+        got = step(*states, kernel, rng)
+        exps, ii, jj, thetas, cphis, gl, gs = system.draw_event_batch(
+            kernel, n, d, twin, 1, copies == 2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        i, j = int(ii[0]), int(jj[0])
+        draws = (float(exps[0]), i, j - 1 if j > i else j, float(thetas[0]),
+                 float(cphis[0]), gl[0], *gs[:1])
+        want = step(*replay, kernel, draws=draws)
+        assert got[:2] == want[:2] and got[1] == (i, j)
+        for x, y in zip(states, replay):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_simulate_kac_event_count_near_expectation():
     """With rate (n-1) b0 / 2 the event count over [0, T] is Poisson with
     mean rate * T; check within 4 standard deviations."""
