@@ -9,6 +9,11 @@
  * with -ffp-contract=off (and never -ffast-math) so no fused multiply-add
  * changes the rounding; -fno-math-errno only lets sqrt be the instruction.
  *
+ * Each frame rule is spelled once, as in geometry: normalize scales to
+ * unit length, project_off is the two-pass projection, complement_unit and
+ * ortho_axis finish with normalize, and transport_frames builds the frame
+ * of one copy (nv = nu) or two.
+ *
  * kac_pair_sums runs over a stack of configurations, and within one it
  * runs vector lanes that each own a row i.  The lanes are spelled once, in
  * _pair_pass.h, which is included here at two vector widths; on x86-64
@@ -36,21 +41,26 @@
 #define REORTHO_RATIO 1e-8
 #define ANNIHILATION_SQ 1e-24
 
+/* Scale x (length d) to unit length; returns its length before. */
+static double normalize(double *x, int64_t d)
+{
+    double s = 0.0;
+    for (int64_t k = 0; k < d; k++)
+        s += x[k] * x[k];
+    double r = sqrt(s), inv = 1.0 / r;
+    for (int64_t k = 0; k < d; k++)
+        x[k] *= inv;
+    return r;
+}
+
 /* out = (a - b)/|a - b|; returns |a - b|.  Zero difference -> e_0. */
 static double unit_of_diff(const double *a, const double *b, double *out,
                            int64_t d)
 {
-    double s = 0.0;
-    for (int64_t k = 0; k < d; k++) {
+    for (int64_t k = 0; k < d; k++)
         out[k] = a[k] - b[k];
-        s += out[k] * out[k];
-    }
-    double r = sqrt(s);
-    if (r > 0.0) {
-        double inv = 1.0 / r;
-        for (int64_t k = 0; k < d; k++)
-            out[k] *= inv;
-    } else {
+    double r = normalize(out, d);
+    if (!(r > 0.0)) {
         memset(out, 0, (size_t)d * sizeof(double));
         out[0] = 1.0;
     }
@@ -70,43 +80,46 @@ static void ortho_axis(const double *n, double *out, int64_t d)
         }
     }
     double c = n[k0];
-    double s = 0.0;
     for (int64_t k = 0; k < d; k++) {
         double w = -c * n[k];
         if (k == k0)
             w += 1.0;
         out[k] = w;
-        s += w * w;
     }
-    double inv = 1.0 / sqrt(s);
-    for (int64_t k = 0; k < d; k++)
-        out[k] *= inv;
+    normalize(out, d);
 }
 
-/* Remove from x its components along n and, unless m is NULL, along m
- * (both coefficients from the same x); returns |x|^2 afterwards. */
-static double project_out(double *x, const double *n, const double *m,
-                          int64_t d)
+/* Remove from x its components along n, of squared length nn, and, unless
+ * m is NULL, along the unit m (both coefficients from the same x); a
+ * result that keeps less than REORTHO_RATIO of x2 is projected again, as
+ * one pass can leave it off-orthogonal by eps |x| / |result|.  Returns
+ * |x|^2 afterwards.  The rule of geometry._project_off. */
+static double project_off(double *x, const double *n, double nn,
+                          const double *m, double x2, int64_t d)
 {
-    double a = 0.0, b = 0.0;
-    for (int64_t k = 0; k < d; k++) {
-        a += x[k] * n[k];
-        if (m)
-            b += x[k] * m[k];
-    }
     double s = 0.0;
-    for (int64_t k = 0; k < d; k++) {
-        x[k] -= a * n[k];
-        if (m)
-            x[k] -= b * m[k];
-        s += x[k] * x[k];
+    for (int pass = 0; pass < 2 && (pass == 0 || s < REORTHO_RATIO * x2);
+         pass++) {
+        double a = 0.0, b = 0.0;
+        for (int64_t k = 0; k < d; k++) {
+            a += x[k] * n[k];
+            if (m)
+                b += x[k] * m[k];
+        }
+        a /= nn;
+        s = 0.0;
+        for (int64_t k = 0; k < d; k++) {
+            x[k] -= a * n[k];
+            if (m)
+                x[k] -= b * m[k];
+            s += x[k] * x[k];
+        }
     }
     return s;
 }
 
 /* Unit vector along g projected orthogonal to n and m (orthonormal; m may
- * be NULL), the rule of geometry.complement_unit: a g within a relative
- * REORTHO_RATIO of the span is projected twice.  Returns -1, with out not
+ * be NULL), the rule of geometry.complement_unit.  Returns -1, with out not
  * normalized, when the projection keeps |w|^2 <= ANNIHILATION_SQ. */
 static int complement_unit(const double *g, const double *n, const double *m,
                            double *out, int64_t d)
@@ -115,32 +128,18 @@ static int complement_unit(const double *g, const double *n, const double *m,
     for (int64_t k = 0; k < d; k++)
         g2 += g[k] * g[k];
     memcpy(out, g, (size_t)d * sizeof(double));
-    double s = project_out(out, n, m, d);
-    if (s < REORTHO_RATIO * g2)
-        s = project_out(out, n, m, d);
-    if (!(s > ANNIHILATION_SQ))
+    if (!(project_off(out, n, 1.0, m, g2, d) > ANNIHILATION_SQ))
         return -1;
-    double inv = 1.0 / sqrt(s);
-    for (int64_t k = 0; k < d; k++)
-        out[k] *= inv;
+    normalize(out, d);
     return 0;
-}
-
-/* Scale x (length d) to unit length. */
-static void normalize(double *x, int64_t d)
-{
-    double s = 0.0;
-    for (int64_t k = 0; k < d; k++)
-        s += x[k] * x[k];
-    double inv = 1.0 / sqrt(s);
-    for (int64_t k = 0; k < d; k++)
-        x[k] *= inv;
 }
 
 /* The frame of geometry.transport_frames in mu and mv, from the half-angle
  * basis w = nu + nv, z = nu - nv: mu = sin w^ - cos z^, mv = -sin w^ - cos z^
  * with cos = |w|/2, sin = |z|/2.  Returns 1 when gs completed the plane of
- * antipodal directions, 0 otherwise, -1 when gs lies along z. */
+ * antipodal directions, 0 otherwise, -1 when gs lies along z.  Identical
+ * directions (nv = nu for a single copy) take mu = mv = ortho_axis(nu)
+ * and never read gs. */
 static int transport_frames(const double *nu, const double *nv,
                             const double *gs, double *mu, double *mv,
                             int64_t d)
@@ -157,21 +156,8 @@ static int transport_frames(const double *nu, const double *nv,
     int w_short = ww < zz;
     double *lo = w_short ? w : z, *hi = w_short ? z : w;
     double ll = w_short ? ww : zz, hh = w_short ? zz : ww;
-    /* the shorter one projected off the longer: complement_unit's rule on
-     * lo / |lo| against hi / |hi|, unscaled */
-    double s = ll;
-    for (int pass = 0; pass < 2 && (pass == 0 || s < REORTHO_RATIO * ll);
-         pass++) {
-        double a = 0.0;
-        for (int64_t k = 0; k < d; k++)
-            a += lo[k] * hi[k];
-        a /= hh;
-        s = 0.0;
-        for (int64_t k = 0; k < d; k++) {
-            lo[k] -= a * hi[k];
-            s += lo[k] * lo[k];
-        }
-    }
+    /* the shorter one projected off the longer, unscaled */
+    double s = project_off(lo, hi, hh, NULL, ll, d);
     int is_open = !(s > ANNIHILATION_SQ * ll);
     if (is_open && !w_short) {
         ortho_axis(nu, mu, d);
@@ -254,21 +240,20 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
         double *vi = NULL, *vj = NULL;
         double r_u = unit_of_diff(ui, uj, nu, d);
         double r_v = 0.0, c = 0.0;
-        int completed = 0;
         if (v) {
             vi = v + i * d;
             vj = v + j * d;
             r_v = unit_of_diff(vi, vj, nv, d);
             for (int64_t k = 0; k < d; k++)
                 c += nu[k] * nv[k];
-            completed = transport_frames(nu, nv, gs + cursor * d, mu, mv, d);
-            if (completed < 0) {
-                status = -2;
-                break;
-            }
-        } else {
-            /* a single copy takes the frame of identical directions */
-            ortho_axis(nu, mu, d);
+        }
+        /* a single copy takes the frame of identical directions (z = 0),
+         * which never reads gs */
+        int completed = transport_frames(nu, v ? nv : nu,
+                                         v ? gs + cursor * d : NULL, mu, mv, d);
+        if (completed < 0) {
+            status = -2;
+            break;
         }
         if (complement_unit(gl + cursor * d, nu, mu, l_hat, d)) {
             status = -2;

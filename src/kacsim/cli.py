@@ -256,19 +256,18 @@ def build_kernel(cfg):
     return make_kernel("power_law", nu=cfg.nu, theta_min=cfg.theta_min)
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, header, rows):
+    """Write ``rows`` under ``header``, through one row format taken from
+    the first row's types, so each column must keep its type: a str as is,
+    an int in decimal, any other value as a float to 17 significant
+    digits, which reads back bit for bit."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        if rows:
+            fmt = ",".join("%s" if isinstance(x, str)
+                           else "%d" if isinstance(x, int) else "%.17g"
+                           for x in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _jsonable(obj):

@@ -13,8 +13,11 @@ reference stepper ``system._collide`` and the C loop of
 * ``transport_frames``, the in-plane vectors of the rotation that carries
   one relative direction onto the other, built from the half-angle basis
   (n_u + n_v, n_u - n_v) and exact at every angle; only identical and
-  antipodal directions, where the plane is not fixed, are completed.
+  antipodal directions, where the plane is not fixed, are completed (a
+  single copy takes the frame of identical directions, n_v = n_u).
 
+Each rule is spelled once here, as once in the C loop: ``complement_unit``
+and ``transport_frames`` share the two-pass projection ``_project_off``.
 They round as the C loop does (sums in index order by ``sequential_sum``,
 one reciprocal per normalization).  Vectors have shape ``(d,)``, d >= 3.
 """
@@ -34,8 +37,8 @@ __all__ = [
     "transport_frames",
 ]
 
-# complement_unit projects a second time when the first projection keeps
-# less than this fraction of |g|^2; below it the first pass can leave the
+# _project_off projects a second time when the first projection keeps
+# less than this fraction of |w|^2; below it the first pass can leave the
 # result off-orthogonal by more than 1e-12 (eps / sqrt(REORTHO_RATIO)).
 REORTHO_RATIO = 1e-8
 # a projection of a unit vector that keeps |w|^2 <= this annihilated it
@@ -69,27 +72,36 @@ def orthonormal_to(n):
     return w * (1.0 / math.sqrt(sequential_sum(w * w)))
 
 
+def _project_off(w, basis, norms_sq, w2):
+    """``w`` projected off the mutually orthogonal vectors in ``basis``,
+    whose squared lengths are ``norms_sq``, and its squared length.
+
+    The coefficients are all taken from the same vector.  Rounding leaves
+    the result a component along the basis of relative size
+    eps |w| / |result|; where w lies nearly in the basis span that
+    component would break the frame identities, so a result that keeps
+    less than REORTHO_RATIO of ``w2`` = |w|^2 is projected once more.
+    """
+    for _ in range(2):
+        coefs = [sequential_sum(w * b) / bb for b, bb in zip(basis, norms_sq)]
+        for a, b in zip(coefs, basis):
+            w = w - a * b
+        s = sequential_sum(w * w)
+        if not s < REORTHO_RATIO * w2:
+            break
+    return w, s
+
+
 def complement_unit(gauss, basis):
     """Normalize ``gauss`` after projecting out the vectors in ``basis``.
 
-    ``basis`` is a tuple of mutually orthonormal vectors, whose
-    coefficients are all taken from the same vector.  For a standard
+    ``basis`` is a tuple of mutually orthonormal vectors.  For a standard
     Gaussian input the result is uniform on the unit sphere of the
     orthogonal complement.  Raises GeometryError when the projection keeps
     |w|^2 <= ANNIHILATION_SQ; the C event loop stops there too.
     """
     w = np.asarray(gauss, dtype=np.float64)
-    g2 = sequential_sum(w * w)
-    # rounding leaves w a component along the basis of relative size
-    # eps |g| / |w|; where g lies nearly in the basis span that component
-    # would break the frame identities, so project once more
-    for _ in range(2):
-        coefs = [sequential_sum(w * b) for b in basis]
-        for a, b in zip(coefs, basis):
-            w = w - a * b
-        s = sequential_sum(w * w)
-        if not s < REORTHO_RATIO * g2:
-            break
+    w, s = _project_off(w, basis, (1.0,) * len(basis), sequential_sum(w * w))
     if not s > ANNIHILATION_SQ:
         raise GeometryError("complement projection annihilated the sample")
     return w * (1.0 / math.sqrt(s))
@@ -134,12 +146,8 @@ def transport_frames(n_u, n_v, sigma=None):
     cos_h, sin_h = 0.5 * math.sqrt(ww), 0.5 * math.sqrt(zz)
     w_short = ww < zz
     (lo, ll), (hi, hh) = ((w, ww), (z, zz)) if w_short else ((z, zz), (w, ww))
-    # complement_unit's rule on lo / |lo| against hi / |hi|, unscaled
-    for _ in range(2):
-        lo = lo - (sequential_sum(lo * hi) / hh) * hi
-        s = sequential_sum(lo * lo)
-        if not s < REORTHO_RATIO * ll:
-            break
+    # the shorter one projected off the longer, unscaled
+    lo, s = _project_off(lo, (hi,), (hh,), ll)
     is_open = not s > ANNIHILATION_SQ * ll
     if is_open and not w_short:
         m_u = orthonormal_to(n_u)

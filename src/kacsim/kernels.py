@@ -104,10 +104,13 @@ def _uniform_cdf_nodes(theta_min):
 
 
 def _power_mass(theta, theta_min, nu):
-    """integral_{theta_min}^{theta} t^(-nu-1) dt (elementary antiderivative)."""
+    """integral_{theta_min}^{theta} t^(-nu-1) dt, spelled
+    theta_min^(-nu) expm1(-nu log(theta/theta_min)) / (-nu) so that it does
+    not cancel near nu = 0, where it tends to log(theta/theta_min)."""
+    log_ratio = np.log(theta / theta_min)
     if nu == 0.0:
-        return np.log(theta / theta_min)
-    return (np.power(theta, -nu) - np.power(theta_min, -nu)) / (-nu)
+        return log_ratio
+    return np.power(theta_min, -nu) * np.expm1(-nu * log_ratio) / (-nu)
 
 
 def _power_cdf_nodes(theta_min, nu):
@@ -163,6 +166,8 @@ def make_kernel(family, **params):
         theta_min = float(params["theta_min"])
         if not (0.0 <= theta_min < np.pi):
             raise BadAngle(f"theta_min {theta_min} outside [0, pi)")
+        if not np.isfinite(nu):
+            raise KernelError(f"nu = {nu} is not finite")
         if nu >= 2.0:
             raise NonIntegrable(f"nu = {nu} >= 2: sin^2-weighted mass diverges")
         if nu >= 0.0 and theta_min == 0.0:

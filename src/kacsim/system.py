@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine, assignment
-from .geometry import (complement_unit, orthonormal_to, sample_azimuth_cos,
-                       sequential_sum, transport_frames)
+from .geometry import (complement_unit, sample_azimuth_cos, sequential_sum,
+                       transport_frames)
 
 __all__ = [
     "DegenerateInput",
@@ -347,20 +347,17 @@ def _unit_of_diff(a, b):
 
 def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
     """The collision rule on the pair (i, j) of one copy or two, in place,
-    as ``kac_advance`` computes it; one copy takes the frame of identical
-    directions.  A Gaussian that cannot complete the frame raises
-    GeometryError before any state changes.  Returns (delta_pair, residual,
-    completed, error): the pair distance increment and identity residual
-    (None for one copy), whether ``g_sigma`` completed the frame, and the
-    largest relative pair energy or momentum error over the copies."""
+    as ``kac_advance`` computes it.  Both take their frame from
+    ``transport_frames``, one copy as the frame of identical directions
+    (n_v = n_u, which never reads ``g_sigma``).  A Gaussian that cannot
+    complete the frame raises GeometryError before any state changes.
+    Returns (delta_pair, residual, completed, error): the pair distance
+    increment and identity residual (None for one copy), whether
+    ``g_sigma`` completed the frame, and the largest relative pair energy
+    or momentum error over the copies."""
     axes = [_unit_of_diff(x[i], x[j]) for x in states]   # (n_x, r_x)
-    n_u = axes[0][0]
-    if len(states) == 1:
-        frames, completed = [orthonormal_to(n_u)], False
-    else:
-        n_v = axes[1][0]
-        c = sequential_sum(n_u * n_v)
-        *frames, completed = transport_frames(n_u, n_v, g_sigma)
+    (n_u, r_u), (n_v, r_v) = axes[0], axes[-1]
+    *frames, completed = transport_frames(n_u, n_v, g_sigma)
     l_hat = complement_unit(g_l, (n_u, frames[0]))
     sphi = math.sqrt(max(0.0, 1.0 - cphi * cphi))
     ct, st = math.cos(theta), math.sin(theta)
@@ -388,7 +385,7 @@ def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
     ui, uj, vi, vj = u[i], u[j], v[i], v[j]
     d_new = sequential_sum((ui - vi) * (ui - vi) + (uj - vj) * (uj - vj))
     delta = d_new - d_old
-    r_u, r_v = axes[0][1], axes[1][1]
+    c = sequential_sum(n_u * n_v)
     residual = delta + st * st * sphi * sphi * (r_u * r_v - r_u * r_v * c)
     return delta, residual, completed, error
 

@@ -7,6 +7,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,11 +92,11 @@ def test_benchmark_hooks_find_their_names():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _calls(path):
-    """(owner, called name) for every call in the module at ``path``.  The
-    owner is ``module.function`` or ``module.Class.method`` of the top-level
-    definition that holds the call (nested functions count as their outer
-    one); the called name is a plain name or an attribute's last part."""
+def _uses(path, name_of):
+    """(owner, name) for every node of the module at ``path`` that
+    ``name_of`` names.  The owner is ``module.function`` or
+    ``module.Class.method`` of the top-level definition that holds the node
+    (nested functions count as their outer one)."""
     found = []
 
     def walk(node, owner, in_function):
@@ -105,29 +106,65 @@ def _calls(path):
                     and not in_function):
                 name = f"{owner}.{child.name}"
                 inner = isinstance(child, ast.FunctionDef)
-            if isinstance(child, ast.Call):
-                func = child.func
-                found.append((name, func.attr if isinstance(func, ast.Attribute)
-                              else getattr(func, "id", None)))
+            used = name_of(child)
+            if used is not None:
+                found.append((name, used))
             walk(child, name, inner)
 
     walk(ast.parse(path.read_text()), path.stem, False)
     return found
 
 
+def _called(node):
+    """A call's called name: a plain name or an attribute's last part."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None))
+    return None
+
+
+def _read(node):
+    """The identifier of a bare name that is read, not assigned."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return None
+
+
+def _c_bodies(path):
+    """(name, body) of every function defined in the C source at ``path``,
+    whose bodies open and close with a brace alone at column 0."""
+    return re.findall(r"^\w[^;{}]*?\b(\w+)\([^;{}]*\)\n\{\n(.*?)^\}$",
+                      path.read_text(), re.M | re.S)
+
+
 def test_each_rule_has_one_owner():
     """Outside the engine only pair_statistics runs the pair pass, only
     kappa and max_eigenvalue take eigenvalues, and in system.py only
-    draw_event_batch draws angles: a second spelling of a rule fails here."""
+    draw_event_batch draws angles.  The two-pass projection is spelled
+    once per language (the one reader of REORTHO_RATIO), and only
+    transport_frames builds the frame of identical directions, also for
+    a single copy.  A second spelling of a rule fails here."""
     src = Path(kacsim.__file__).resolve().parent
-    calls = [c for path in sorted(src.glob("*.py")) for c in _calls(path)]
+    py = sorted(src.glob("*.py"))
+    calls = [c for path in py for c in _uses(path, _called)]
+    reads = [c for path in py for c in _uses(path, _read)]
+    c_bodies = [b for path in sorted(src.glob("*.[ch]"))
+                for b in _c_bodies(path)]
 
-    def owners(called, module=""):
-        return {owner for owner, name in calls
+    def owners(called, module="", uses=calls):
+        return {owner for owner, name in uses
                 if name in called and owner.startswith(module)}
+
+    def c_owners(pattern):
+        return [name for name, body in c_bodies if re.search(pattern, body)]
 
     assert {o for o in owners({"pair_sums"}) if not o.startswith("_engine.")
             } == {"analysis.pair_statistics"}
     assert owners({"eigvalsh"}) == {"analysis.kappa", "analysis.max_eigenvalue"}
     assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
         "system.draw_event_batch"}
+    assert owners({"REORTHO_RATIO"}, uses=reads) == {"geometry._project_off"}
+    assert c_owners(r"\bREORTHO_RATIO\b") == ["project_off"]
+    assert owners({"orthonormal_to"}) == {"geometry.transport_frames"}
+    assert c_owners(r"\bortho_axis\s*\(") == ["transport_frames"]

@@ -33,6 +33,22 @@ def test_power_law_rate_against_quadrature():
     np.testing.assert_allclose(k.b0, total / mass, rtol=1e-8)
 
 
+@pytest.mark.parametrize("nu", [-1e-8, 1e-9, 1e-7, 1e-5, 0.5])
+def test_power_law_mass_near_nu_zero(nu):
+    """The total mass behind b0 does not cancel near nu = 0 (the difference
+    of powers was off by 3e-8 relative at nu = 1e-9)."""
+    k = kernels.make_kernel("power_law", nu=nu, theta_min=0.1)
+    total, _ = integrate.quad(lambda t: t ** (-1 - nu), 0.1, np.pi,
+                              epsrel=1e-14)
+    np.testing.assert_allclose(k.b0 / k.levy_constant, total, rtol=1e-13)
+
+
+@pytest.mark.parametrize("nu", [np.nan, -np.inf, np.inf])
+def test_non_finite_nu_rejected(nu):
+    with pytest.raises(kernels.KernelError, match="not finite"):
+        kernels.make_kernel("power_law", nu=nu, theta_min=0.1)
+
+
 def test_levy_normalization():
     """Every kernel is scaled so that int sin^2(theta) beta(theta) dtheta = 1."""
     cases = [
