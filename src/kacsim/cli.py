@@ -36,7 +36,6 @@ from .assignment import MAX_ASSIGNMENT_SIZE
 from .kernels import KernelError, make_kernel
 from .system import (
     STREAM_VERSION,
-    _sample_grid,
     align_configurations,
     coupled_run_issues,
     default_m4_init,
@@ -304,9 +303,10 @@ def _write_report(out_dir, cfg, violations, **fields):
 
 
 # The sampled min_corr column holds each sample's raw correlation E U.V;
-# run_decay_experiment takes its running minimum before checking or writing.
+# _decay_replica takes its running minimum before checking or writing.
 TRAJECTORY_COLUMNS = ("mean_sq_distance", "m2", "m4", "creation",
                       "fund_lhs", "fund_rhs", "min_corr", "weak_slack")
+TRAJECTORY_HEADER = ("time",) + TRAJECTORY_COLUMNS + ("replica", "substream")
 
 
 def _decay_observables(delta, p, notes):
@@ -327,7 +327,8 @@ def _decay_observables(delta, p, notes):
     # One function returning the table would do, but perfbench's traced run
     # replaces this one (its wrapper test counts it) and times each callable
     # it returns as analysis.observables.<column>; so the callables and the
-    # ``is`` cache stay until ROADMAP item 3 stops wrapping program names.
+    # ``is`` cache stay until ROADMAP item 1 stops wrapping program names
+    # and item 2 deletes them.
     exponents = analysis.weak_exponents(delta, p)
     kept = {}
 
@@ -398,92 +399,85 @@ def _decay_sample_checks(times, columns):
     return issues
 
 
+def _decay_replica(cfg, kern, rep):
+    """One coupled replica of a decay run from its own substream alone, so
+    it is recomputed from (config, seed, replica) without the others: its
+    sample times, columns, issues, engine checks and trajectory rows."""
+    delta, p, _ = cfg.resolved_exponents()
+    rng = substream(cfg.seed, rep)
+    stream_id = substream_seed(cfg.seed, rep)
+    u0, v0 = _initial_copies(cfg, rng)
+    v0a, _ = align_configurations(u0, v0)
+    # the columns come from the stacked states in one pass after the run
+    traj = simulate_coupled(u0, v0a, kern, rng, horizon=cfg.horizon,
+                            sample_dt=cfg.sample_dt)
+    notes = []
+    cols = {name: read(*traj.states) for name, read
+            in _decay_observables(delta, p, notes).items()}
+    cols["min_corr"] = np.minimum.accumulate(cols["min_corr"])
+    issues = (coupled_run_issues(traj)
+              + _decay_sample_checks(traj.times, cols) + notes)
+    rows = [[t] + [cols[name][k] for name in TRAJECTORY_COLUMNS]
+            + [rep, stream_id] for k, t in enumerate(traj.times)]
+    return traj.times, cols, issues, traj.checks, rows
+
+
 def run_decay_experiment(cfg, out_dir):
-    """Coupled decay runs: per-replica trajectories, aggregate, envelope."""
+    """Coupled decay runs: the constants, ``_decay_replica`` for each
+    replica in order up to the first with an issue, and their aggregate."""
     kern = build_kernel(cfg)
     delta, p, q = cfg.resolved_exponents()
-    grid = _sample_grid(cfg.horizon, cfg.sample_dt)
-
     hc = analysis.k_main_estimate(delta, p, q, cfg.n, cfg.d,
                                   cfg.constant_samples,
                                   substream(cfg.seed, CONSTANTS_STREAM))
     constants = asdict(hc)
     constants["moment_blowup"] = constants.pop("blowup")
 
-    all_cols = {name: [] for name in TRAJECTORY_COLUMNS}
-    violations = []
-    check_extrema = {}
+    done, violations, check_extrema = [], [], {}
     for rep in range(cfg.replicas):
-        rng = substream(cfg.seed, rep)
-        stream_id = substream_seed(cfg.seed, rep)
-        u0, v0 = _initial_copies(cfg, rng)
-        v0a, _ = align_configurations(u0, v0)
-        # the columns come from the stacked states in one pass after the run
-        traj = simulate_coupled(u0, v0a, kern, rng, horizon=cfg.horizon,
-                                sample_dt=cfg.sample_dt)
-        notes = []
-        cols = {name: read(*traj.states) for name, read
-                in _decay_observables(delta, p, notes).items()}
-        cols["min_corr"] = np.minimum.accumulate(cols["min_corr"])
-
-        issues = coupled_run_issues(traj)
-        issues += _decay_sample_checks(traj.times, cols)
-        issues += notes
-        # the fold starts from the first replica's value, so each check
-        # keeps its type (floats stay floats, counts stay ints)
-        for key, val in traj.checks.items():
-            if key in ("worst_residual_time", "worst_delta_time"):
-                continue
-            check_extrema[key] = max(check_extrema.get(key, val), val)
-
-        rows = []
-        for k, t in enumerate(traj.times):
-            row = [t] + [cols[name][k] for name in TRAJECTORY_COLUMNS]
-            rows.append(row + [rep, stream_id])
-        _write_csv(Path(out_dir) / f"trajectory_{rep}.csv",
-                   ("time",) + TRAJECTORY_COLUMNS + ("replica", "substream"),
+        times, cols, issues, checks, rows = _decay_replica(cfg, kern, rep)
+        _write_csv(Path(out_dir) / f"trajectory_{rep}.csv", TRAJECTORY_HEADER,
                    rows)
-
-        for name in TRAJECTORY_COLUMNS:
-            all_cols[name].append(cols[name])
-
+        done.append(cols)
+        # the fold starts from the first replica's value, so each check
+        # keeps its type (floats stay floats, counts stay ints); the
+        # worst_*_time entries are the times of the maxima, not maxima
+        check_extrema = {key: max(check_extrema.get(key, val), val)
+                         for key, val in checks.items()
+                         if not key.startswith("worst_")}
         if issues:
-            violations.append({"replica": rep, "substream": stream_id,
-                               "issues": issues, "checks": traj.checks})
+            violations.append({"replica": rep,
+                               "substream": substream_seed(cfg.seed, rep),
+                               "issues": issues, "checks": checks})
             break
 
-    stacked = {name: np.array(vals) for name, vals in all_cols.items()}
-    n_done = stacked["mean_sq_distance"].shape[0]
-    d0 = float(np.mean(stacked["mean_sq_distance"][:, 0]))
-    m4_0 = float(np.mean(stacked["m4"][:, 0]))
+    # every replica samples the same times; each replica mean is read once
+    n_done = len(done)
+    stacks = {name: np.array([c[name] for c in done])
+              for name in TRAJECTORY_COLUMNS}
+    mean = {name: np.mean(x, axis=0) for name, x in stacks.items()}
+    se = {name: np.std(x, axis=0, ddof=1) / np.sqrt(n_done) if n_done > 1
+          else np.zeros(len(times)) for name, x in stacks.items()}
+    d0 = float(mean["mean_sq_distance"][0])
+    m4_0 = float(mean["m4"][0])
     _, t_star = analysis.order4_bound(max(m4_0, 1.0), cfg.d, 0.0)
-    if d0 > 0:
-        env = analysis.decay_envelope(grid, d0, delta, hc.c_delta_n, t_star)
-    else:
-        env = np.zeros_like(grid)
-
-    header = ["time"]
-    agg_rows = [[t] for t in grid[:stacked["mean_sq_distance"].shape[1]]]
-    for name in TRAJECTORY_COLUMNS:
-        header += [name, name + "_se"]
-        data = stacked[name]
-        mean = np.mean(data, axis=0)
-        se = (np.std(data, axis=0, ddof=1) / np.sqrt(n_done)
-              if n_done > 1 else np.zeros(data.shape[1]))
-        for k, row in enumerate(agg_rows):
-            row += [mean[k], se[k]]
-    header += ["envelope", "n_replicas", "replica", "substream"]
-    for k, row in enumerate(agg_rows):
-        row += [env[k], n_done, -1, cfg.seed]
+    env = (analysis.decay_envelope(times, d0, delta, hc.c_delta_n, t_star)
+           if d0 > 0 else np.zeros_like(times))
+    header = ["time", *(name + end for name in TRAJECTORY_COLUMNS
+                        for end in ("", "_se")),
+              "envelope", "n_replicas", "replica", "substream"]
+    agg_rows = [[t] + [x for name in TRAJECTORY_COLUMNS
+                       for x in (mean[name][k], se[name][k])]
+                + [env[k], n_done, -1, cfg.seed] for k, t in enumerate(times)]
     _write_csv(Path(out_dir) / "aggregate.csv", header, agg_rows)
 
-    msd_mean = np.mean(stacked["mean_sq_distance"], axis=0)
+    d_end = float(mean["mean_sq_distance"][-1])
     return _write_report(
         out_dir, cfg, violations, constants=constants,
         gamma=analysis.gamma_exponent(delta), replicas=n_done, t_star=t_star,
         envelope_d0=d0, initial={"mean_sq_distance": d0, "m4": m4_0},
-        final={"mean_sq_distance": float(msd_mean[-1])},
-        decay_factor=float(d0 / msd_mean[-1]) if msd_mean[-1] > 0 else np.inf,
+        final={"mean_sq_distance": d_end},
+        decay_factor=d0 / d_end if d_end > 0 else np.inf,
         engine_checks=check_extrema)
 
 

@@ -77,7 +77,7 @@ SAMPLE_BLOCK_VALUES = 1 << 14
 # engine tolerances used by coupled_run_issues
 RESIDUAL_TOL = 1e-9
 DELTA_PAIR_TOL = 1e-12
-CONSERVATION_TOL = 1e-9
+CONSERVATION_TOL = 1e-12
 # antipodal events obey the coupling identity like every other event; the
 # benchmark harness in perfbench/ reads their bound under this name
 ANTIPODAL_DELTA_TOL = DELTA_PAIR_TOL
@@ -454,6 +454,9 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
                          f"{sample_dt}")
     if max_events is not None and not max_events >= 0:
         raise ValueError(f"max_events must be nonnegative, got {max_events}")
+    # an empty batch would be drawn again and again, never ending the run
+    if not chunk_size >= 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     rate = event_rate(kernel, n)
     budget = np.inf if max_events is None else float(max_events)
     grid = _sample_grid(horizon, sample_dt)

@@ -249,6 +249,21 @@ def test_decay_run_outputs_and_determinism(tmp_path, capsys):
     assert rep_b == {**report, "config": rep_b["config"]}
 
 
+def test_decay_replica_replays_alone(tmp_path):
+    """A replica is recomputed from (config, seed, replica) alone: replica
+    2, run without replicas 0 and 1, writes kac run's trajectory_2.csv
+    byte for byte."""
+    path = write_config(tmp_path, DECAY_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    cfg = cli.load_config(path)
+    rows = cli._decay_replica(cfg, cli.build_kernel(cfg), 2)[-1]
+    cli._write_csv(tmp_path / "replay.csv", cli.TRAJECTORY_HEADER, rows)
+    assert ((tmp_path / "replay.csv").read_bytes()
+            == (out / "trajectory_2.csv").read_bytes())
+
+
 def test_decay_engine_checks_keep_their_types(tmp_path):
     """report.json's engine_checks hold the per-replica checks' maxima with
     the checks' own types: event counts as ints, every maximum as a float,

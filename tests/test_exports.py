@@ -144,7 +144,9 @@ def test_each_rule_has_one_owner():
     draw_event_batch draws angles.  The two-pass projection is spelled
     once per language (the one reader of REORTHO_RATIO), and only
     transport_frames builds the frame of identical directions, also for
-    a single copy.  A second spelling of a rule fails here."""
+    a single copy.  In cli.py only _decay_replica builds and observes a
+    decay replica, and only system.py reads its private sample grid.  A
+    second spelling of a rule fails here."""
     src = Path(kacsim.__file__).resolve().parent
     py = sorted(src.glob("*.py"))
     calls = [c for path in py for c in _uses(path, _called)]
@@ -168,3 +170,7 @@ def test_each_rule_has_one_owner():
     assert c_owners(r"\bREORTHO_RATIO\b") == ["project_off"]
     assert owners({"orthonormal_to"}) == {"geometry.transport_frames"}
     assert c_owners(r"\bortho_axis\s*\(") == ["transport_frames"]
+    assert owners({"simulate_coupled", "align_configurations",
+                   "_initial_copies", "_decay_observables"}, "cli.") == {
+        "cli._decay_replica"}
+    assert {o.split(".")[0] for o in owners({"_sample_grid"})} == {"system"}

@@ -397,13 +397,15 @@ def test_simulate_horizon_zero_single_snapshot():
     ("sample_dt", dict(horizon=1.0, sample_dt=np.nan)),
     ("sample_dt", dict(horizon=1.0, sample_dt=np.inf)),
     ("max_events", dict(max_events=-3)),
+    ("chunk_size", dict(horizon=1.0, chunk_size=0)),
 ], ids=["horizon-nan", "horizon-inf", "horizon-negative", "dt-negative",
-        "dt-zero", "dt-nan", "dt-inf", "events-negative"])
+        "dt-zero", "dt-nan", "dt-inf", "events-negative", "chunk-zero"])
 def test_simulate_refuses_bad_run_lengths(coupled, name, kw):
     """A horizon, sample spacing or event budget the run cannot honour is
     refused by name, before any event: a nan horizon would never stop, a
     negative one would sample [-1, 0], a nonpositive sample_dt would fail
-    deep in the grid, a negative budget would run no event silently."""
+    deep in the grid, a negative budget would run no event silently, and
+    an empty batch of draws would be drawn again forever."""
     starts = [kac_sphere_point(8, 3, 69 + c)[0] for c in range(1 + coupled)]
     simulate = system.simulate_coupled if coupled else system.simulate_kac
     with pytest.raises(ValueError, match=name):
@@ -534,6 +536,18 @@ def test_coupled_run_issues_flags_bad_checks():
     rec.checks["max_residual"] = 1.0
     issues = system.coupled_run_issues(rec)
     assert issues and "residual" in issues[0]
+
+
+def test_coupled_run_issues_flag_conservation_past_the_roadmap_limit():
+    """A conservation error above 1e-12, the limit the acceptance tests
+    and the benchmark hold each run to, is an issue of the run too."""
+    u0, _ = kac_sphere_point(8, 3, 72)
+    rec = system.simulate_coupled(u0.copy(), u0.copy(), UNIFORM,
+                                  np.random.default_rng(73), horizon=0.5)
+    assert coupled_ok(rec)
+    rec.checks["max_conservation_error"] = 1e-11
+    issues = system.coupled_run_issues(rec)
+    assert len(issues) == 1 and "conservation" in issues[0]
 
 
 def test_align_configurations_nonnegative_correlation():
