@@ -24,8 +24,10 @@
  * for bit at either width.
  *
  * kac_assign, at the end of this file, is scipy's shortest augmenting path
- * solver for the square linear sum assignment, ported line for line under
- * scipy's BSD license (reproduced there).
+ * solver for the square linear sum assignment under scipy's BSD license
+ * (reproduced there): the same duals, arithmetic and tie rule, with each
+ * search scanning its columns in index order, in vector lanes spelled
+ * once in _assign_path.h and built at the pair pass's two widths.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -413,8 +415,8 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
     return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
 }
 
-/* The square linear sum assignment: kac_assign ports, line for line, the
- * shortest augmenting path solver of scipy.optimize.linear_sum_assignment,
+/* The square linear sum assignment: kac_assign is the shortest augmenting
+ * path solver of scipy.optimize.linear_sum_assignment,
  * scipy/optimize/rectangular_lsap/rectangular_lsap.cpp (author PM Larsen),
  * which follows the pseudocode on pages 1685-1686 of
  *
@@ -422,10 +424,11 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
  *     IEEE Transactions on Aerospace and Electronic Systems
  *     52(4):1679-1696, August 2016. doi: 10.1109/TAES.2016.140952
  *
- * Only the square, minimizing case is kept.  The reverse-ordered remaining
- * list, its swap removal, the tie rule and the dual updates are scipy's,
- * so the permutation is scipy's, ties included.  That code is under the
- * following license:
+ * Only the square, minimizing case is kept.  The duals, the arithmetic of
+ * every reduced cost, the tie rule and the augmentation are scipy's, so
+ * the permutation is scipy's, ties included; each search scans its
+ * columns in index order, not in the order of scipy's remaining list (see
+ * _assign_path.h).  scipy's code is under the following license:
  *
  * Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
  * All rights reserved.
@@ -459,83 +462,66 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
  * OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
  */
 
+/* The solver's arrays: work holds six rows of doubles (u, v, spc, key,
+ * vscan, rank) and iwork six rows of int64s (path, row4col, sr, sc,
+ * remaining, settled), each ASSIGN_STRIDE(n) long: the 4-wide scan reads
+ * its last vector past column n - 1, from padding that kac_assign fills
+ * once (key +inf, vscan -inf, rank -1).  In one search, spc holds a
+ * column's shortest path cost once it is settled, key the costs of the
+ * columns not yet settled (+inf after) and vscan their duals v (-inf
+ * after); rank orders a column for scipy's tie rule by its place in
+ * scipy's remaining list, and settled lists the columns in the order the
+ * search settled them. */
+#define ASSIGN_STRIDE(n) ((n) + 4)
+
+struct assign_work {
+    int64_t n;
+    const double *cost;
+    double *u, *v, *spc, *key, *vscan, *rank;
+    int64_t *col4row, *path, *row4col, *sr, *sc, *remaining, *settled;
+};
+
 /* One shortest augmenting path from row i, a Dijkstra search over the
  * reduced costs that stops at the first free column it settles.  Returns
- * that column (the sink), with the path's length in *p_min_val, or -1 when
- * every reduced cost is infinite. */
-static int64_t augmenting_path(int64_t nc, const double *cost,
-                               const double *u, const double *v,
-                               int64_t *path, const int64_t *row4col,
-                               double *shortest_path_costs, int64_t i,
-                               int64_t *sr, int64_t *sc, int64_t *remaining,
-                               double *p_min_val)
+ * that column (the sink), with the path's length in *p_min_val and the
+ * path's columns' predecessor rows in path, or -1 when every reduced cost
+ * is infinite.  Spelled once, in _assign_path.h, at the pair pass's two
+ * widths: augmenting_path_2 on every CPU (with the x86 min instruction
+ * there) and, on x86-64, augmenting_path_4 for AVX2.  Both settle the
+ * same columns, so they find the same paths. */
+#define VW 2
+#define ASSIGN_PATH augmenting_path_2
+#define ASSIGN_TARGET
+#define VEC_MIN __builtin_ia32_minpd
+#include "_assign_path.h"
+
+#if defined(__x86_64__)
+#define VW 4
+#define ASSIGN_PATH augmenting_path_4
+#define ASSIGN_TARGET __attribute__((target("avx2")))
+#define VEC_MIN __builtin_ia32_minpd256
+#include "_assign_path.h"
+#endif
+
+typedef int64_t (*augmenting_path)(const struct assign_work *, int64_t,
+                                   double *);
+
+/* kac_assign (see there) with one width of the search. */
+static int assign(const double *cost, int64_t n, int64_t *col4row,
+                  double *work, int64_t *iwork, augmenting_path search)
 {
-    double min_val = 0;
-
-    /* filled in reverse order, so a constant cost matrix gives the
-     * identity */
-    int64_t num_remaining = nc;
-    for (int64_t it = 0; it < nc; it++)
-        remaining[it] = nc - it - 1;
-
-    for (int64_t k = 0; k < nc; k++) {
-        sr[k] = 0;
-        sc[k] = 0;
-        shortest_path_costs[k] = INFINITY;
+    int64_t m = ASSIGN_STRIDE(n);
+    struct assign_work w = {
+        n, cost, work, work + m, work + 2 * m, work + 3 * m, work + 4 * m,
+        work + 5 * m, col4row, iwork, iwork + m, iwork + 2 * m, iwork + 3 * m,
+        iwork + 4 * m, iwork + 5 * m};
+    double *u = w.u, *v = w.v, *shortest_path_costs = w.spc;
+    int64_t *path = w.path, *row4col = w.row4col, *sr = w.sr, *sc = w.sc;
+    for (int64_t k = n; k < m; k++) {
+        w.key[k] = INFINITY;
+        w.vscan[k] = -INFINITY;
+        w.rank[k] = -1.0;
     }
-
-    int64_t sink = -1;
-    while (sink == -1) {
-        int64_t index = -1;
-        double lowest = INFINITY;
-        sr[i] = 1;
-
-        for (int64_t it = 0; it < num_remaining; it++) {
-            int64_t j = remaining[it];
-
-            double r = min_val + cost[i * nc + j] - u[i] - v[j];
-            if (r < shortest_path_costs[j]) {
-                path[j] = i;
-                shortest_path_costs[j] = r;
-            }
-
-            /* among columns at the lowest cost, take one that is free, so
-             * the search ends there (this matters for integer costs with
-             * many ties) */
-            if (shortest_path_costs[j] < lowest ||
-                (shortest_path_costs[j] == lowest && row4col[j] == -1)) {
-                lowest = shortest_path_costs[j];
-                index = it;
-            }
-        }
-
-        min_val = lowest;
-        if (min_val == INFINITY)
-            return -1;
-
-        int64_t j = remaining[index];
-        if (row4col[j] == -1)
-            sink = j;
-        else
-            i = row4col[j];
-
-        sc[j] = 1;
-        remaining[index] = remaining[--num_remaining];
-    }
-
-    *p_min_val = min_val;
-    return sink;
-}
-
-/* Permutation col4row minimizing sum_i cost[i, col4row[i]] over the n x n
- * cost matrix (C order).  work holds 3 n doubles and iwork 5 n int64s.
- * Returns 0, or -1 when no finite assignment exists. */
-int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
-               int64_t *iwork)
-{
-    double *u = work, *v = work + n, *shortest_path_costs = work + 2 * n;
-    int64_t *path = iwork, *row4col = iwork + n, *sr = iwork + 2 * n;
-    int64_t *sc = iwork + 3 * n, *remaining = iwork + 4 * n;
     for (int64_t k = 0; k < n; k++) {
         u[k] = 0;
         v[k] = 0;
@@ -547,9 +533,7 @@ int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
     /* iteratively build the solution */
     for (int64_t cur_row = 0; cur_row < n; cur_row++) {
         double min_val;
-        int64_t sink = augmenting_path(n, cost, u, v, path, row4col,
-                                       shortest_path_costs, cur_row, sr, sc,
-                                       remaining, &min_val);
+        int64_t sink = search(&w, cur_row, &min_val);
         if (sink < 0)
             return -1;
 
@@ -577,4 +561,25 @@ int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
         }
     }
     return 0;
+}
+
+/* Permutation col4row minimizing sum_i cost[i, col4row[i]] over the n x n
+ * cost matrix (C order).  work holds 6 (n + 4) doubles and iwork 6 (n + 4)
+ * int64s.  Returns 0, or -1 when no finite assignment exists.  kac_assign
+ * runs the 4-wide search on CPUs with AVX2, else kac_assign_2, which runs
+ * the 2-wide one on every CPU and is exported for the tests. */
+int kac_assign_2(const double *cost, int64_t n, int64_t *col4row,
+                 double *work, int64_t *iwork)
+{
+    return assign(cost, n, col4row, work, iwork, augmenting_path_2);
+}
+
+int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
+               int64_t *iwork)
+{
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2"))
+        return assign(cost, n, col4row, work, iwork, augmenting_path_4);
+#endif
+    return kac_assign_2(cost, n, col4row, work, iwork);
 }

@@ -40,10 +40,15 @@ for bit.
 
 The slot pairing is ``kac_assign``, behind ``assign``: scipy's shortest
 augmenting path solver for the square linear sum assignment
-(``scipy.optimize.linear_sum_assignment``), ported line for line, so it
-returns scipy's permutation, ties included, without loading
-scipy.optimize.  On the python backend ``assign`` runs the same loop in
-numpy, the same permutation, about twenty times slower.
+(``scipy.optimize.linear_sum_assignment``) with the same duals, arithmetic
+and tie rule, so it returns scipy's permutation, ties included, without
+loading scipy.optimize.  Each search scans its columns in index order,
+in branch-free vector lanes that carry every column's place in scipy's
+scan order for the tie rule; the lanes are spelled once, in
+``_assign_path.h``, and built at the pair pass's two widths, and
+``kac_assign`` runs the wider one on CPUs with AVX2.  On the python
+backend ``assign`` runs scipy's loop in numpy, the same permutation,
+about seventy times slower at N = 256.
 
 Accumulator layout (a float64 array of 8 slots, mutated in place; a single
 copy fills only acc[2] and acc[4] and leaves the pair-distance slots alone):
@@ -90,8 +95,10 @@ from .geometry import GeometryError
 HAVE_NUMBA = False
 
 _SOURCE = Path(__file__).with_name("_engine.c")
-# the pair pass, which _engine.c includes once per vector width
-_PASS = _SOURCE.with_name("_pair_pass.h")
+# the headers _engine.c includes once per vector width: the pair pass and
+# the assignment solver's search
+_HEADERS = tuple(_SOURCE.with_name(name)
+                 for name in ("_pair_pass.h", "_assign_path.h"))
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off keeps the compiler from fusing a*b + c, so the
@@ -115,6 +122,11 @@ _BYTES = ctypes.c_char * 0
 # kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each at
 # the wider width
 _PAIR_WORK = 16
+# kac_assign's work holds six rows of doubles and its iwork six rows of
+# int64s, each n + _ASSIGN_PAD long: the 4-wide scan reads its last vector
+# past the last column
+_ASSIGN_ROWS = 6
+_ASSIGN_PAD = 4
 
 
 def _address(x):
@@ -127,7 +139,8 @@ def _address(x):
 def _library_path(cache_dir):
     """Cache path of the shared library: a hash of the sources, flags and
     host."""
-    h = hashlib.sha256(_SOURCE.read_bytes() + _PASS.read_bytes())
+    h = hashlib.sha256(b"".join(path.read_bytes()
+                                for path in (_SOURCE, *_HEADERS)))
     h.update(" ".join((_CC,) + _CFLAGS + (sys.platform, platform.machine()))
              .encode())
     return Path(cache_dir) / f"_engine_{h.hexdigest()[:16]}.so"
@@ -398,19 +411,20 @@ def assign(cost):
     if _LIB is None:
         status = _python_assign(cost, perm)
     else:
+        m = _ASSIGN_ROWS * (n + _ASSIGN_PAD)
         status = _LIB.kac_assign(_address(cost), n, _address(perm),
-                                 _address(np.empty(3 * n)),
-                                 _address(np.empty(5 * n, dtype=np.int64)))
+                                 _address(np.empty(m)),
+                                 _address(np.empty(m, dtype=np.int64)))
     if status:
         raise ValueError("the cost matrix admits no finite assignment")
     return perm
 
 
 def _python_assign(cost, col4row):
-    """kac_assign in numpy: each augmenting path scans the remaining columns
-    in one vectorized step, with the C loop's reductions, tie rule, swap
-    removal and dual updates, so it fills col4row with the same
-    permutation.  Returns the C status."""
+    """scipy's loop in numpy, the oracle of kac_assign: each augmenting path
+    scans the remaining columns in one vectorized step, with scipy's
+    reductions, tie rule, swap removal and dual updates, so it fills
+    col4row with kac_assign's permutation.  Returns the C status."""
     n = cost.shape[0]
     u, v = np.zeros(n), np.zeros(n)
     path, row4col = np.full(n, -1), np.full(n, -1)
@@ -430,8 +444,8 @@ def _python_assign(cost, col4row):
             better = r < shortest_path_costs[cols]
             path[cols[better]] = i
             shortest_path_costs[cols[better]] = r[better]
-            # the C scan keeps the first column at the lowest cost, unless
-            # a free column ties with it: then the last free one
+            # scipy's scan keeps the first column at the lowest cost,
+            # unless a free column ties with it: then the last free one
             costs = shortest_path_costs[cols]
             ties = np.flatnonzero(costs == costs.min())
             free = ties[row4col[cols[ties]] == -1]

@@ -5,9 +5,10 @@ run the two initial configurations are aligned by the permutation that
 minimizes the summed squared distance between paired velocities.  The
 minimization is a linear sum assignment problem.  This module builds and
 checks the cost matrix; the search is ``_engine.assign``, the shortest
-augmenting path solver of scipy.optimize.linear_sum_assignment ported to
-the engine's C library (with a numpy port of the same loop as its
-fallback), so it returns scipy's permutation without loading scipy.
+augmenting path solver of scipy.optimize.linear_sum_assignment in the
+engine's C library, with the same duals, arithmetic and tie rule, scanned
+in column order (and scipy's loop in numpy as its fallback), so it returns
+scipy's permutation without loading scipy.
 """
 
 from __future__ import annotations

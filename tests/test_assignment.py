@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -7,11 +9,25 @@ import pytest
 from kacsim import _engine, assignment, cli
 
 
-@pytest.fixture(params=["c", "python"])
+def _bind_2wide(monkeypatch):
+    """Bind the portable 2-wide solver kac_assign_2 in place of the
+    library's own kac_assign (the 4-wide one on x86-64 CPUs with AVX2)
+    until the test ends."""
+    narrow = _engine._LIB.kac_assign_2
+    narrow.argtypes = _engine._SIGNATURES["kac_assign"]
+    narrow.restype = ctypes.c_int
+    monkeypatch.setattr(_engine, "_LIB",
+                        types.SimpleNamespace(kac_assign=narrow))
+
+
+@pytest.fixture(params=["c", "c2", "python"])
 def backend(request, monkeypatch):
-    """Solve on the C library and on the forced numpy fallback."""
-    if request.param == "c" and _engine.BACKEND != "c":
+    """Solve on the C library at its own width, on its 2-wide build (c2)
+    and on the forced numpy fallback."""
+    if request.param != "python" and _engine.BACKEND != "c":
         pytest.skip("the C library is not loaded")
+    if request.param == "c2":
+        _bind_2wide(monkeypatch)
     if request.param == "python":
         monkeypatch.setattr(_engine, "_LIB", None)
     return request.param
@@ -58,6 +74,56 @@ def test_integer_costs_as_scipy(backend):
     for n in [2, 3, 4, 5, 8, 13, 40, 100]:
         for _ in range(6):
             assert_scipy_solution(rng.integers(0, 4, (n, n)).astype(float))
+
+
+def _tie_heavy_costs(rng):
+    """About 2000 square cost matrices on which the searches tie at almost
+    every step: entries in {0, 1, 2}, in {0, ..., 9} and multiples of 1.5,
+    zero and constant matrices, and Gaussian ones among them.  Every n
+    from 1 to 17 (so the scan's partial last vector meets every offset at
+    both widths) and a few n up to 64."""
+    sizes = [n for n in range(1, 18) for _ in range(108)]
+    sizes += [24, 31, 32, 33, 48, 63, 64] * 24
+    for k, n in enumerate(sizes):
+        kind = k % 6
+        if kind == 0:
+            yield rng.integers(0, 3, (n, n)).astype(float)
+        elif kind == 1:
+            yield rng.integers(0, 10, (n, n)).astype(float)
+        elif kind == 2:
+            yield 1.5 * rng.integers(0, 6, (n, n))
+        elif kind == 3:
+            yield np.zeros((n, n))
+        elif kind == 4:
+            yield np.full((n, n), 0.5 * rng.integers(1, 5))
+        else:
+            yield rng.standard_normal((n, n))
+
+
+def test_tie_heavy_costs_as_scipy(backend):
+    """The tie rule in every case the sizes and ties give: _engine.assign
+    returns scipy's permutation on each matrix."""
+    from scipy.optimize import linear_sum_assignment
+
+    for cost in _tie_heavy_costs(np.random.default_rng(950)):
+        assert np.array_equal(_engine.assign(cost),
+                              linear_sum_assignment(cost)[1]), cost
+
+
+@pytest.mark.skipif(_engine.BACKEND != "c",
+                    reason="the C library is not loaded")
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("law", cli.INITIAL_LAWS)
+def test_both_widths_pair_decay_starts_alike(law, n, monkeypatch):
+    """kac_assign_2 gives the library's own kac_assign's permutation on
+    decay starts of every law."""
+    cfg = dataclasses.replace(cli.ExperimentConfig(), n=n, initial_law=law)
+    costs = [assignment.pairing_cost(*cli._initial_copies(
+        cfg, np.random.default_rng(960 + seed))) for seed in range(6)]
+    want = [_engine.assign(cost) for cost in costs]
+    _bind_2wide(monkeypatch)
+    for cost, perm in zip(costs, want):
+        assert np.array_equal(_engine.assign(cost), perm)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])

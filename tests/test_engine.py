@@ -819,17 +819,35 @@ def test_pair_sums_on_the_python_backend(monkeypatch):
         np.testing.assert_allclose(got, c_sums, rtol=1e-12, atol=0)
 
 
+def _local_includes():
+    """The names of the files _engine.c includes with quotes."""
+    return re.findall(r'^#include "([^"]+)"', _engine._SOURCE.read_text(),
+                      re.M)
+
+
 def test_library_key_hashes_the_pass(tmp_path, monkeypatch):
-    """The cache key changes when the included pair pass changes, so an
-    edited _pair_pass.h never loads a library built from the old one."""
-    for name in ("_SOURCE", "_PASS"):
-        path = getattr(_engine, name)
-        shutil.copy(path, tmp_path / path.name)
-        monkeypatch.setattr(_engine, name, tmp_path / path.name)
-    before = _engine._library_path(tmp_path)
-    with open(_engine._PASS, "a") as f:
-        f.write("\n")
-    assert _engine._library_path(tmp_path) != before
+    """The cache key changes when any header _engine.c includes changes
+    (the pair pass, the assignment search), so an edited header never
+    loads a library built from the old one."""
+    monkeypatch.setattr(_engine, "_SOURCE",
+                        Path(shutil.copy(_engine._SOURCE, tmp_path)))
+    monkeypatch.setattr(_engine, "_HEADERS", tuple(
+        Path(shutil.copy(path, tmp_path)) for path in _engine._HEADERS))
+    for name in set(_local_includes()):
+        before = _engine._library_path(tmp_path)
+        with open(tmp_path / name, "a") as f:
+            f.write("\n")
+        assert _engine._library_path(tmp_path) != before, name
+
+
+def test_included_headers_ship_with_the_package():
+    """Every header _engine.c includes is installed beside it, so a built
+    package can compile the library."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    data = tomllib.loads(pyproject.read_text())
+    shipped = data["tool"]["setuptools"]["package-data"]["kacsim"]
+    assert {"_engine.c", *_local_includes()} <= set(shipped)
 
 
 @pytest.mark.skipif(shutil.which(_engine._CC) is None,
