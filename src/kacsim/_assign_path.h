@@ -2,7 +2,7 @@
  * _engine.c includes this file once per width, with VW (doubles per
  * vector), ASSIGN_PATH (the function's name), ASSIGN_TARGET (its
  * attributes, for the ISA the width needs) and VEC_MIN (the x86 min
- * builtin at this width) defined; the names below are suffixed with VW,
+ * intrinsic at this width) defined; the names below are suffixed with VW,
  * and the macros are undefined at the end.
  *
  * scipy scans the columns left in a list that starts in reverse order and

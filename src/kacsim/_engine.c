@@ -16,18 +16,19 @@
  *
  * kac_pair_sums runs over a stack of configurations, and within one it
  * runs vector lanes that each own a row i.  The lanes are spelled once, in
- * _pair_pass.h, which is included here at two vector widths; on x86-64
- * the wider one is built for AVX2 and picked on CPUs that have it (no
- * -march flag, so one library serves every CPU).  The lane-order rule:
- * each lane adds to its row in j order, exactly +0.0 for the pairs it
- * does not own, and every lane rounds alike, so the sums are the same bit
- * for bit at either width.
+ * _pair_pass.h, which is included here at three vector widths: 2 doubles
+ * per vector on every CPU and, on x86-64, 4 built for AVX2 and 8 for
+ * AVX-512F, picked on CPUs that have them (no -march flag, so one library
+ * serves every CPU; kac_widths names the widths a CPU runs).  The
+ * lane-order rule: each lane adds to its row in j order, exactly +0.0 for
+ * the pairs it does not own, and every lane rounds alike, so the sums are
+ * the same bit for bit at every width.
  *
  * kac_assign, at the end of this file, is scipy's shortest augmenting path
  * solver for the square linear sum assignment under scipy's BSD license
  * (reproduced there): the same duals, arithmetic and tie rule, with each
  * search scanning its columns in index order, in vector lanes spelled
- * once in _assign_path.h and built at the pair pass's two widths.
+ * once in _assign_path.h and built at the pair pass's three widths.
  *
  * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
  * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
@@ -39,6 +40,9 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #define REORTHO_RATIO 1e-8
 #define ANNIHILATION_SQ 1e-24
@@ -367,11 +371,28 @@ static int64_t integer_exponent(double e)
 #define PASTE_(a, b) a##b
 #define PASTE(a, b) PASTE_(a, b)
 
-/* The pass at two vector widths: two 2-double vectors, the width of SSE2
- * and NEON, built for every CPU and exported for the tests; on x86-64 also
- * two 4-double vectors built for AVX2, which kac_pair_sums runs on CPUs
- * that have it (2-wide lanes were slower there, and 4-wide vectors without
- * AVX2 are kept in memory). */
+/* The vector widths, in doubles per vector, that this CPU runs, as a bit
+ * set: 2 on every CPU, and on x86-64 also 4 with AVX2 and 8 with AVX-512F
+ * (which libgcc reports only where the OS saves the wider registers). */
+int kac_widths(void)
+{
+    int widths = 2;
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2"))
+        widths |= 4;
+    if (__builtin_cpu_supports("avx512f"))
+        widths |= 8;
+#endif
+    return widths;
+}
+
+/* The pass at three vector widths, each exported as kac_pair_sums_<VW>
+ * for the tests: two 2-double vectors (4 rows), the width of SSE2 and
+ * NEON, built for every CPU; on x86-64 also two 4-double vectors (8 rows)
+ * built for AVX2 and two 8-double vectors (16 rows) built for AVX-512F,
+ * which kac_pair_sums runs on CPUs that have them from the row counts
+ * below (narrower lanes were slower there, and wider vectors without
+ * their ISA are kept in memory). */
 #define VW 2
 #define PAIR_PASS kac_pair_sums_2
 #define PAIR_TARGET
@@ -379,38 +400,49 @@ static int64_t integer_exponent(double e)
 
 #if defined(__x86_64__)
 #define VW 4
-#define PAIR_PASS pair_sums_4
+#define PAIR_PASS kac_pair_sums_4
 #define PAIR_TARGET __attribute__((target("avx2")))
-/* declared static first, so the definition is not exported */
-static int pair_sums_4(const double *u, const double *v, const double *w,
-                       int64_t s, int64_t n, int64_t d, double a, double b,
-                       double *out, double *work);
+#include "_pair_pass.h"
+
+#define VW 8
+#define PAIR_PASS kac_pair_sums_8
+#define PAIR_TARGET __attribute__((target("avx512f")))
 #include "_pair_pass.h"
 #endif
+
+/* kac_pair_sums runs the 16-row blocks from PAIR_ROWS_8 rows on and the
+ * 8-row blocks from PAIR_ROWS_4: below, a block's dead lanes, pow
+ * included, cost more than its wider vectors save.  The widths give the
+ * same sums, so the choice changes no bit. */
+#define PAIR_ROWS_8 32
+#define PAIR_ROWS_4 8
 
 /* For each of s configurations (u, v) of a stack, sums over all ordered
  * pairs (i, j), weighted by w_i w_j, of
  *   out[0] |du|^(2a)        out[1] |dv|^(2b)
  *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
  * with du = u_i - u_j, dv = v_i - v_j; u, v are (s, n, d), w is (n,) and
- * shared, out is (s, 4) and work (2 LANES d,), at most (16 d,).  Integral
+ * shared, out is (s, 4) and work (2 LANES d,), at most (32 d,).  Integral
  * exponents are raised by repeated squaring, others by pow.  One loop over
  * i < j per configuration, with no memory beyond work: the terms are
  * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
  * fills out[0] of each configuration only.
  *
  * Vector lanes each own a row i and sum it over j > i in j order; the rows
- * are added to the totals in i order.  Every lane rounds alike at either
+ * are added to the totals in i order.  Every lane rounds alike at every
  * width (uu, vv and uv summed from 0 over k, the same squaring sequence,
- * sqrt(uu vv) - uv and uu vv - uv^2), so both widths give the same sums
+ * sqrt(uu vv) - uv and uu vv - uv^2), so every width gives the same sums
  * bit for bit. */
 int kac_pair_sums(const double *u, const double *v, const double *w,
                   int64_t s, int64_t n, int64_t d, double a, double b,
                   double *out, double *work)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2"))
-        return pair_sums_4(u, v, w, s, n, d, a, b, out, work);
+    int widths = kac_widths();
+    if (widths & 8 && n >= PAIR_ROWS_8)
+        return kac_pair_sums_8(u, v, w, s, n, d, a, b, out, work);
+    if (widths & 4 && n >= PAIR_ROWS_4)
+        return kac_pair_sums_4(u, v, w, s, n, d, a, b, out, work);
 #endif
     return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
 }
@@ -464,15 +496,15 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
 
 /* The solver's arrays: work holds six rows of doubles (u, v, spc, key,
  * vscan, rank) and iwork six rows of int64s (path, row4col, sr, sc,
- * remaining, settled), each ASSIGN_STRIDE(n) long: the 4-wide scan reads
- * its last vector past column n - 1, from padding that kac_assign fills
+ * remaining, settled), each ASSIGN_STRIDE(n) long: the 8-wide scan reads
+ * its last vector up to 7 past column n - 1, from padding that assign fills
  * once (key +inf, vscan -inf, rank -1).  In one search, spc holds a
  * column's shortest path cost once it is settled, key the costs of the
  * columns not yet settled (+inf after) and vscan their duals v (-inf
  * after); rank orders a column for scipy's tie rule by its place in
  * scipy's remaining list, and settled lists the columns in the order the
  * search settled them. */
-#define ASSIGN_STRIDE(n) ((n) + 4)
+#define ASSIGN_STRIDE(n) ((n) + 8)
 
 struct assign_work {
     int64_t n;
@@ -485,21 +517,28 @@ struct assign_work {
  * reduced costs that stops at the first free column it settles.  Returns
  * that column (the sink), with the path's length in *p_min_val and the
  * path's columns' predecessor rows in path, or -1 when every reduced cost
- * is infinite.  Spelled once, in _assign_path.h, at the pair pass's two
+ * is infinite.  Spelled once, in _assign_path.h, at the pair pass's three
  * widths: augmenting_path_2 on every CPU (with the x86 min instruction
- * there) and, on x86-64, augmenting_path_4 for AVX2.  Both settle the
- * same columns, so they find the same paths. */
+ * there) and, on x86-64, augmenting_path_4 for AVX2 and augmenting_path_8
+ * for AVX-512F.  All settle the same columns, so they find the same
+ * paths. */
 #define VW 2
 #define ASSIGN_PATH augmenting_path_2
 #define ASSIGN_TARGET
-#define VEC_MIN __builtin_ia32_minpd
+#define VEC_MIN _mm_min_pd
 #include "_assign_path.h"
 
 #if defined(__x86_64__)
 #define VW 4
 #define ASSIGN_PATH augmenting_path_4
 #define ASSIGN_TARGET __attribute__((target("avx2")))
-#define VEC_MIN __builtin_ia32_minpd256
+#define VEC_MIN _mm256_min_pd
+#include "_assign_path.h"
+
+#define VW 8
+#define ASSIGN_PATH augmenting_path_8
+#define ASSIGN_TARGET __attribute__((target("avx512f")))
+#define VEC_MIN _mm512_min_pd
 #include "_assign_path.h"
 #endif
 
@@ -564,22 +603,39 @@ static int assign(const double *cost, int64_t n, int64_t *col4row,
 }
 
 /* Permutation col4row minimizing sum_i cost[i, col4row[i]] over the n x n
- * cost matrix (C order).  work holds 6 (n + 4) doubles and iwork 6 (n + 4)
+ * cost matrix (C order).  work holds 6 (n + 8) doubles and iwork 6 (n + 8)
  * int64s.  Returns 0, or -1 when no finite assignment exists.  kac_assign
- * runs the 4-wide search on CPUs with AVX2, else kac_assign_2, which runs
- * the 2-wide one on every CPU and is exported for the tests. */
+ * runs the widest search the CPU has (see kac_widths); kac_assign_<VW>
+ * runs the VW-wide one and is exported for the tests. */
 int kac_assign_2(const double *cost, int64_t n, int64_t *col4row,
                  double *work, int64_t *iwork)
 {
     return assign(cost, n, col4row, work, iwork, augmenting_path_2);
 }
 
+#if defined(__x86_64__)
+int kac_assign_4(const double *cost, int64_t n, int64_t *col4row,
+                 double *work, int64_t *iwork)
+{
+    return assign(cost, n, col4row, work, iwork, augmenting_path_4);
+}
+
+int kac_assign_8(const double *cost, int64_t n, int64_t *col4row,
+                 double *work, int64_t *iwork)
+{
+    return assign(cost, n, col4row, work, iwork, augmenting_path_8);
+}
+#endif
+
 int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
                int64_t *iwork)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2"))
-        return assign(cost, n, col4row, work, iwork, augmenting_path_4);
+    int widths = kac_widths();
+    if (widths & 8)
+        return kac_assign_8(cost, n, col4row, work, iwork);
+    if (widths & 4)
+        return kac_assign_4(cost, n, col4row, work, iwork);
 #endif
     return kac_assign_2(cost, n, col4row, work, iwork);
 }

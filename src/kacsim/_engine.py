@@ -31,12 +31,15 @@ per lane, reading them from a small transposed tile in a work buffer that
 ``pair_sums`` allocates; every lane streams the j's in order and adds
 exactly +0.0 for the pairs its row does not own, so each row is summed in
 j order.  The loop is spelled once, in ``_pair_pass.h``, and ``_engine.c``
-builds it at two widths: two 2-double vectors on every CPU and, on x86-64,
-two 4-double vectors for AVX2, which ``kac_pair_sums`` runs on CPUs that
-have it.  Both widths give the same sums bit for bit.  On the python
-backend ``pair_sums`` sums the numpy pair matrices of
-``analysis._pair_matrices`` instead, which agree up to rounding, not bit
-for bit.
+builds it at three widths: two 2-double vectors on every CPU and, on
+x86-64, two 4-double vectors for AVX2 and two 8-double vectors for
+AVX-512F.  ``kac_pair_sums`` runs the widest the CPU has, 16-row blocks
+from 32 rows on and 8-row blocks from 8 (below those, a block's dead
+lanes cost more than its wider vectors save).  Every width gives the same
+sums bit for bit; ``kac_widths`` names the widths the CPU runs, and the
+tests run each through its own entry point.  On the python backend
+``pair_sums`` sums the numpy pair matrices of ``analysis._pair_matrices``
+instead, which agree up to rounding, not bit for bit.
 
 The slot pairing is ``kac_assign``, behind ``assign``: scipy's shortest
 augmenting path solver for the square linear sum assignment
@@ -45,8 +48,8 @@ and tie rule, so it returns scipy's permutation, ties included, without
 loading scipy.optimize.  Each search scans its columns in index order,
 in branch-free vector lanes that carry every column's place in scipy's
 scan order for the tie rule; the lanes are spelled once, in
-``_assign_path.h``, and built at the pair pass's two widths, and
-``kac_assign`` runs the wider one on CPUs with AVX2.  On the python
+``_assign_path.h``, and built at the pair pass's three widths, and
+``kac_assign`` runs the widest the CPU has.  On the python
 backend ``assign`` runs scipy's loop in numpy, the same permutation,
 about seventy times slower at N = 256.
 
@@ -117,16 +120,17 @@ _SIGNATURES = {
     "kac_pair_sums": (_ptr, _ptr, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr,
                       _ptr),
     "kac_assign": (_ptr, _i64, _ptr, _ptr, _ptr),
+    "kac_widths": (),
 }
 _BYTES = ctypes.c_char * 0
-# kac_pair_sums' work holds two (d, LANES) tiles, LANES = 8 rows each at
-# the wider width
-_PAIR_WORK = 16
+# kac_pair_sums' work holds two (d, LANES) tiles, LANES = 16 rows each at
+# the widest width
+_PAIR_WORK = 32
 # kac_assign's work holds six rows of doubles and its iwork six rows of
-# int64s, each n + _ASSIGN_PAD long: the 4-wide scan reads its last vector
-# past the last column
+# int64s, each n + _ASSIGN_PAD long: the 8-wide scan reads its last vector
+# up to 7 past the last column
 _ASSIGN_ROWS = 6
-_ASSIGN_PAD = 4
+_ASSIGN_PAD = 8
 
 
 def _address(x):

@@ -60,9 +60,9 @@ LANE_FN void vec_add(vec r[2], double wj, const vec *x0, const vec *x1,
  * j > i0 + l and +0.0 elsewhere, also past the last row; a row sum starts
  * at +0.0, so the +0.0's leave it as it is and it is the sum over
  * j > i0 + l in j order.  The block's rows are read from (d, LANES) tiles
- * in work, one cache line per coordinate at the wider width: transposed
- * (d, n) copies would put the d loads of a power-of-two n, such as 2048,
- * in one cache set. */
+ * in work, one cache line per coordinate at 4 doubles per vector and two
+ * at 8: transposed (d, n) copies would put the d loads of a power-of-two
+ * n, such as 2048, in one cache set. */
 PAIR_TARGET
 int PAIR_PASS(const double *u, const double *v, const double *w, int64_t s,
               int64_t n, int64_t d, double a, double b, double *out,

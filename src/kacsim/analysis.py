@@ -40,6 +40,7 @@ Contents:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -757,13 +758,35 @@ def wishart_kappa_moment(n, d, p, samples, rng):
 
 
 def gaussian_even_moment(d, m):
-    """E |G|^(2m) for G ~ N(0, Id/d), via log-gamma for stability."""
-    # scipy is imported where it is used, so importing the package stays
-    # cheap (scipy.special and scipy.stats cost ~70 MB and ~1 s)
-    from scipy.special import gammaln
+    """E |G|^(2m) for G ~ N(0, Id/d), m >= 0: (2/d)^m Gamma(h + m) / Gamma(h)
+    with h = d/2, from the standard library alone, so a decay run loads no
+    scipy.
 
-    return float(np.exp(m * np.log(2.0 / d) + gammaln(d / 2.0 + m)
-                        - gammaln(d / 2.0)))
+    With m = n + f, n whole and 0 <= f < 1, the whole part is the product
+    of the n factors (h + f + k) / h, k = 0 .. n - 1, each near 1: for
+    whole m and d from 3 to 39 within 1e-15 of the exact rational.  The
+    fraction takes math.lgamma only at h0 = h - r in [1, 2) (or h itself,
+    below that), where log-gamma is small and its rounding stays small
+    after exp, and the factors (h0 + f + k) / (h0 + k), k < r, bring h0
+    back up to h: (2/d)^f Gamma(h + f) / Gamma(h) to about 2e-15.
+    """
+    if not m >= 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    h = d / 2.0
+    n = math.floor(m)
+    f = m - n
+    x = 1.0
+    if f:
+        r = max(math.floor(h) - 1, 0)
+        h0 = h - r
+        x = (2.0 / d) ** f * math.exp(math.lgamma(h0 + f) - math.lgamma(h0))
+        for k in range(r):
+            x *= (h0 + f + k) / (h0 + k)
+    for k in range(n):
+        x *= (h + f + k) / h
+        if x == math.inf:
+            break
+    return x
 
 
 def k_main_estimate(delta, p, q, n, d, samples, rng):

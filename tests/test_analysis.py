@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -598,10 +600,26 @@ def test_decay_envelope_monotone():
 
 
 def test_gaussian_even_moment():
-    np.testing.assert_allclose(analysis.gaussian_even_moment(3, 1), 1.0,
-                               rtol=1e-13)
-    np.testing.assert_allclose(analysis.gaussian_even_moment(3, 2), 5.0 / 3.0,
-                               rtol=1e-13)
+    """Whole m: within 2e-15 relative of the exact rational
+    prod_k (d/2 + k) / (d/2).  Fractional m: within 1e-14 of mpmath's
+    (2/d)^m Gamma(d/2 + m) / Gamma(d/2) (scipy's gammaln form was off by up
+    to 9.5e-14 on this grid)."""
+    for d in range(3, 40):
+        h, exact = Fraction(d, 2), Fraction(1)
+        for m in range(1, 40):
+            exact *= (h + m - 1) / h
+            got = analysis.gaussian_even_moment(d, m)
+            assert abs(Fraction(got) - exact) <= Fraction(2e-15) * exact, (d, m)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        for m in (0.5, 3.7, 6.3, 20.5, 38.00000000000001, 99.9):
+            for d in (3, 4, 5, 8, 16, 32, 64):
+                mm, h = mpmath.mpf(m), mpmath.mpf(d) / 2
+                want = (1 / h) ** mm * mpmath.gamma(h + mm) / mpmath.gamma(h)
+                got = analysis.gaussian_even_moment(d, m)
+                assert abs(got / want - 1) < 1e-14, (d, m)
+    with pytest.raises(ValueError, match="m >= 0"):
+        analysis.gaussian_even_moment(3, -0.5)
 
 
 def test_wishart_kappa_moment():

@@ -1,35 +1,27 @@
-import ctypes
 import dataclasses
 import itertools
-import types
 
 import numpy as np
 import pytest
 
 from kacsim import _engine, assignment, cli
+from test_engine import bind_width, cpu_widths
 
 
-def _bind_2wide(monkeypatch):
-    """Bind the portable 2-wide solver kac_assign_2 in place of the
-    library's own kac_assign (the 4-wide one on x86-64 CPUs with AVX2)
-    until the test ends."""
-    narrow = _engine._LIB.kac_assign_2
-    narrow.argtypes = _engine._SIGNATURES["kac_assign"]
-    narrow.restype = ctypes.c_int
-    monkeypatch.setattr(_engine, "_LIB",
-                        types.SimpleNamespace(kac_assign=narrow))
-
-
-@pytest.fixture(params=["c", "c2", "python"])
+@pytest.fixture(params=["c", "c2", "c4", "c8", "python"])
 def backend(request, monkeypatch):
-    """Solve on the C library at its own width, on its 2-wide build (c2)
-    and on the forced numpy fallback."""
+    """Solve on the C library at its own width, on its 2-, 4- and 8-wide
+    builds (c2, c4, c8; a width the CPU lacks is skipped by name) and on
+    the forced numpy fallback."""
     if request.param != "python" and _engine.BACKEND != "c":
         pytest.skip("the C library is not loaded")
-    if request.param == "c2":
-        _bind_2wide(monkeypatch)
     if request.param == "python":
         monkeypatch.setattr(_engine, "_LIB", None)
+    elif request.param != "c":
+        width = int(request.param[1:])
+        if width not in cpu_widths():
+            pytest.skip(f"the CPU has no {width}-wide lanes")
+        bind_width(monkeypatch, _engine._LIB, "kac_assign", width)
     return request.param
 
 
@@ -81,7 +73,7 @@ def _tie_heavy_costs(rng):
     every step: entries in {0, 1, 2}, in {0, ..., 9} and multiples of 1.5,
     zero and constant matrices, and Gaussian ones among them.  Every n
     from 1 to 17 (so the scan's partial last vector meets every offset at
-    both widths) and a few n up to 64."""
+    every width) and a few n up to 64."""
     sizes = [n for n in range(1, 18) for _ in range(108)]
     sizes += [24, 31, 32, 33, 48, 63, 64] * 24
     for k, n in enumerate(sizes):
@@ -115,15 +107,17 @@ def test_tie_heavy_costs_as_scipy(backend):
 @pytest.mark.parametrize("n", [16, 256])
 @pytest.mark.parametrize("law", cli.INITIAL_LAWS)
 def test_both_widths_pair_decay_starts_alike(law, n, monkeypatch):
-    """kac_assign_2 gives the library's own kac_assign's permutation on
-    decay starts of every law."""
+    """Every width the CPU runs (kac_assign_2, _4, _8) gives the library's
+    own kac_assign's permutation on decay starts of every law."""
     cfg = dataclasses.replace(cli.ExperimentConfig(), n=n, initial_law=law)
     costs = [assignment.pairing_cost(*cli._initial_copies(
         cfg, np.random.default_rng(960 + seed))) for seed in range(6)]
     want = [_engine.assign(cost) for cost in costs]
-    _bind_2wide(monkeypatch)
-    for cost, perm in zip(costs, want):
-        assert np.array_equal(_engine.assign(cost), perm)
+    lib = _engine._LIB
+    for width in cpu_widths():
+        bind_width(monkeypatch, lib, "kac_assign", width)
+        for cost, perm in zip(costs, want):
+            assert np.array_equal(_engine.assign(cost), perm), width
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])

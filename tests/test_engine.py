@@ -9,7 +9,7 @@ with ``system.step_kac``; the python fallback is forced and compared with
 the C loop on multi-batch runs with reprojection.  The python stepper
 rounds as the C loop does, so every comparison is exact.  The pair pass
 ``pair_sums`` is checked against closed forms here and against the numpy
-pair matrices in test_analysis, at both vector widths of the pass.
+pair matrices in test_analysis, at every vector width the CPU runs.
 """
 
 import ctypes
@@ -484,10 +484,11 @@ def test_pair_sums_closed_forms(d):
 # itself under equal weights at (a, a), with a and b drawn in turn from
 # _GOLDEN_EXPONENTS.  Written down from a scalar loop over the pairs, one
 # at a time (the lanes switched off); the lanes must give them bit for bit
-# at both widths.  The entries from n = 15 to 25 sit at the edges of the
-# 8-row lane blocks, those from n = 3 to 13 at the edges of the 4-row
-# blocks; they were written down from earlier passes that gave the scalar
-# loop's sums.
+# at every width.  The entries from n = 31 to 49 sit at the edges of the
+# 16-row lane blocks, those from n = 15 to 25 at the edges of the 8-row
+# blocks and those from n = 3 to 13 at the edges of the 4-row blocks; the
+# last two groups were written down from earlier passes that gave the
+# scalar loop's sums.
 _GOLDEN_EXPONENTS = (1.0, 2.0, 6.0, 19.0, 1.5, 2.0000000000000004,
                      38.00000000000001)
 _GOLDEN = {
@@ -699,6 +700,84 @@ _GOLDEN = {
         '0x1.2d91a5668ab1ap+11', '0x1.06b75c510c0e3p+7', '0x1.7c7f4addb31fep+3',
         '0x1.012ebbe825aa6p+9', '0x1.2d91a5668ab10p+11',
     ),
+    (31, 3): (
+        '0x1.145584d796267p+188', '0x1.442da0e6163ecp+13', '0x1.d719d88bb0267p+2',
+        '0x1.967027ba4ff70p+4', '0x1.f773e6d658ccbp+23', '0x1.88997f24157f8p+187',
+        '0x1.88997f24157f8p+187', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (31, 4): (
+        '0x1.4bc857d800000p+4', '0x1.6a8e50030bf3ap+56', '0x1.5479b0cc05dbap+3',
+        '0x1.76b0bb0ee1690p+5', '0x1.a809f9cb21da3p+98',
+    ),
+    (31, 32): (
+        '0x1.fc06db3ce9399p+13', '0x1.8e7fad2dadbb7p+7', '0x1.59fa8e1920d16p+6',
+        '0x1.c79d14e6fb9cap+11', '0x1.a194c08579b7fp+10',
+    ),
+    (32, 3): (
+        '0x1.fc2be97e957fep+23', '0x1.0786f71bc4b2dp+4', '0x1.e9ff740e89808p+2',
+        '0x1.a4c4726c874e0p+4', '0x1.4fcb9fc4a773cp+7', '0x1.2a580db26e0c8p+23',
+        '0x1.2a580db26e0c8p+23', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (32, 4): (
+        '0x1.a809f9ffcc43ap+98', '0x1.c201b25cdb305p+118', '0x1.62e256c834c09p+3',
+        '0x1.835c50bf2a768p+5', '0x1.c32a6148eca55p+205',
+    ),
+    (32, 32): (
+        '0x1.b325b81a62c8ep+10', '0x1.5eca058200000p+5', '0x1.67e1674dbcd96p+6',
+        '0x1.dadb13b4d111cp+11', '0x1.6a37f80080000p+7',
+    ),
+    (33, 3): (
+        '0x1.66aa8d5f860f4p+7', '0x1.0e52531c6b1c0p+4', '0x1.0093a7e553410p+3',
+        '0x1.b5aee76f7adc0p+4', '0x1.66aa8d5f860f0p+7', '0x1.52dccbf3e0e9bp+6',
+        '0x1.52dccbf3e0e9bp+6', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (33, 4): (
+        '0x1.c32a6148ecbfbp+205', '0x1.15179ef765bbbp+15', '0x1.7453b7f114d59p+3',
+        '0x1.9298a959dd500p+5', '0x1.b400b3fa64b4cp+26',
+    ),
+    (33, 32): (
+        '0x1.81b489b900000p+7', '0x1.2101638a6b509p+96', '0x1.7daf4f626abdcp+6',
+        '0x1.f7dadf1b7097bp+11', '0x1.03fc6551c312fp+138',
+    ),
+    (47, 3): (
+        '0x1.81a4917c60642p+8', '0x1.0b275884a4cc6p+4', '0x1.eac4ddbed1d01p+3',
+        '0x1.9ed4e1e10c42cp+5', '0x1.b78503a06b94ap+6', '0x1.583cfdf89f81dp+6',
+        '0x1.583cfdf89f81dp+6', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (47, 4): (
+        '0x1.4491884a9f586p+28', '0x1.85a7c4f2627f5p+5', '0x1.676ad83a29ab8p+4',
+        '0x1.9237eb777bf42p+6', '0x1.5ccfe4d0d1fb0p+9',
+    ),
+    (47, 32): (
+        '0x1.41af0363a66dcp+146', '0x1.825c03b854f23p+198', '0x1.833c468aa8a8cp+7',
+        '0x1.05bcbbdb52ce7p+13', '0x1.ab4e3c5a49aa6p+299',
+    ),
+    (48, 3): (
+        '0x1.cbd7c305e6fc5p+6', '0x1.43b4139a00000p+3', '0x1.01a86715e4c0dp+4',
+        '0x1.b242a8a55b5fcp+5', '0x1.1bd219b000000p+5', '0x1.87bcff826ae83p+4',
+        '0x1.87bcff826ae83p+4', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (48, 4): (
+        '0x1.68d19fd3d696ep+9', '0x1.970a7e5264380p+5', '0x1.7837edf4ee18cp+4',
+        '0x1.a502c3a93dba8p+6', '0x1.68d19fd3d696ap+9',
+    ),
+    (48, 32): (
+        '0x1.ab4e3c5c5a3dbp+299', '0x1.95c3f02032c4ap+29', '0x1.94802d832d998p+7',
+        '0x1.10bc9c2cae9e6p+13', '0x1.1e3ad74382108p+43',
+    ),
+    (49, 3): (
+        '0x1.2d2730f000000p+5', '0x1.1488abc7e8c22p+50', '0x1.0cec78769091ap+4',
+        '0x1.ce1735797aa00p+5', '0x1.cd934f709d248p+91', '0x1.e100ea092b651p+2',
+        '0x1.e100ea092b651p+2', '0x0.0p+0', '0x0.0p+0',
+    ),
+    (49, 4): (
+        '0x1.786131a2cafd8p+9', '0x1.b01cd326fe283p+4', '0x1.8b5437b8aa9dep+4',
+        '0x1.bf95f63a62e52p+6', '0x1.7bf9c109f5fb4p+7',
+    ),
+    (49, 32): (
+        '0x1.250586891c95bp+43', '0x1.21e8927f61f14p+11', '0x1.acd28a78890b7p+7',
+        '0x1.1f9d671f10e28p+13', '0x1.5668be14d61b4p+15',
+    ),
 }
 
 
@@ -713,26 +792,64 @@ def _golden_inputs(n, d):
     return u, v, (1 + np.arange(n) % 5) / 64.0
 
 
-def _each_width(monkeypatch):
-    """Yield once with the library's own kac_pair_sums (the 4-wide pass on
-    x86-64 CPUs with AVX2, else the 2-wide one), then once with the 2-wide
-    pass bound in its place until the test ends, so both widths are tested
-    on every CPU."""
-    yield "dispatched"
-    narrow = _engine._LIB.kac_pair_sums_2
-    narrow.argtypes = _engine._SIGNATURES["kac_pair_sums"]
-    narrow.restype = ctypes.c_int
+# the library's vector widths, in doubles per vector: kac_widths names
+# those this CPU runs, and each has its own entry point <kernel>_<width>
+WIDTHS = (2, 4, 8)
+
+
+def cpu_widths():
+    """The widths this CPU runs the library's lanes at."""
+    return [width for width in WIDTHS if _engine._LIB.kac_widths() & width]
+
+
+def bind_width(monkeypatch, lib, kernel, width):
+    """Bind the library ``lib``'s entry point at one width,
+    ``<kernel>_<width>`` (kac_pair_sums_8, kac_assign_2, ...), in place of
+    ``kernel``, which picks its width itself, until the test ends."""
+    func = getattr(lib, f"{kernel}_{width}")
+    func.argtypes = _engine._SIGNATURES[kernel]
+    func.restype = ctypes.c_int
     monkeypatch.setattr(_engine, "_LIB",
-                        types.SimpleNamespace(kac_pair_sums=narrow))
-    yield "2-wide"
+                        types.SimpleNamespace(**{kernel: func}))
+
+
+def _each_width(monkeypatch):
+    """Yield once with the library's own kac_pair_sums, which picks its
+    width from the CPU and n, then once per width the CPU runs with that
+    width's pass bound in its place until the test ends
+    (test_library_runs_each_width_the_cpu_has names a width left out)."""
+    lib = _engine._LIB
+    yield "dispatched"
+    for width in cpu_widths():
+        bind_width(monkeypatch, lib, "kac_pair_sums", width)
+        yield f"{width}-wide"
+
+
+@needs_c
+@pytest.mark.parametrize("width, flag", [(4, "avx2"), (8, "avx512f")])
+def test_library_runs_each_width_the_cpu_has(width, flag):
+    """kac_widths reports the 4- and 8-wide lanes where the CPU reports
+    AVX2 and AVX-512F, so the dispatch and the tests reach them; a width
+    the CPU lacks is skipped here by name, as its lanes go untested."""
+    try:
+        info = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+    flags = re.search(r"^flags\s*:(.*)$", info, re.M)
+    if flags is None:
+        pytest.skip("/proc/cpuinfo names no x86 flags")
+    if flag not in flags.group(1).split():
+        pytest.skip(f"the CPU has no {flag}: the {width}-wide lanes go "
+                    "untested")
+    assert _engine._LIB.kac_widths() & width
 
 
 @needs_c
 def test_pair_sums_golden(monkeypatch):
-    """n below, at and past multiples of the 4- and 8-row lane blocks,
+    """n below, at and past multiples of the 4-, 8- and 16-row lane blocks,
     integral exponents (repeated squaring) and others (pow), single and
     coupled passes, coincident rows and u == v: equal to the scalar loop's
-    sums at both widths."""
+    sums at every width."""
     for width in _each_width(monkeypatch):
         for idx, ((n, d), want) in enumerate(_GOLDEN.items()):
             a = _GOLDEN_EXPONENTS[idx % 7]
@@ -750,7 +867,7 @@ def test_pair_sums_golden(monkeypatch):
 @pytest.mark.parametrize("n, d", [(15, 3), (25, 4), (33, 32)])
 def test_stacked_pair_sums_equal_each_configuration(n, d, monkeypatch):
     """One call over a stack (s, n, d) gives each configuration's sums bit
-    for bit, coupled and single, under shared weights, at both widths."""
+    for bit, coupled and single, under shared weights, at every width."""
     rng = np.random.default_rng(n + d)
     u, v = rng.standard_normal((2, 6, n, d))
     w = rng.dirichlet(np.ones(n))
@@ -768,8 +885,8 @@ def test_stacked_pair_sums_equal_each_configuration(n, d, monkeypatch):
 @needs_c
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_dead_lanes_add_nothing(n, monkeypatch):
-    """A lane adds exactly +0.0 for a pair its row does not own, at both
-    widths.  The last row, at distance^2 inf from the others, shares a
+    """A lane adds exactly +0.0 for a pair its row does not own, at every
+    width.  The last row, at distance^2 inf from the others, shares a
     block with rows before it, whose j's its lane meets without owning
     those pairs: the sum is inf, where a zero weight on those terms would
     make it nan and adding them would count the pairs twice.  Coincident rows far
