@@ -38,8 +38,8 @@ from 32 rows on and 8-row blocks from 8 (below those, a block's dead
 lanes cost more than its wider vectors save).  Every width gives the same
 sums bit for bit; ``kac_widths`` names the widths the CPU runs, and the
 tests run each through its own entry point.  On the python backend
-``pair_sums`` sums the numpy pair matrices of ``analysis._pair_matrices``
-instead, which agree up to rounding, not bit for bit.
+``pair_sums`` runs ``_python_pair_sums``, the pass in numpy in the lanes'
+arithmetic order, which gives the same sums bit for bit.
 
 The slot pairing is ``kac_assign``, behind ``assign``: scipy's shortest
 augmenting path solver for the square linear sum assignment
@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import subprocess
@@ -92,7 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GeometryError
+from .geometry import GeometryError, sequential_sum
 
 # numba is no longer used; perfbench/run.py still reads this flag
 HAVE_NUMBA = False
@@ -364,8 +365,8 @@ def pair_sums(u, v, w, a, b):
     A stack ``u`` of shape (s, n, d) (and ``v`` alike) gives an (s, 4)
     array from one call, each row equal to the call on its configuration;
     the weights are shared.  The sums assume a, b > 0
-    (``analysis.pair_statistics`` checks).  On the python backend the same
-    sums come from the numpy pair matrices, one configuration at a time.
+    (``analysis.pair_statistics`` checks).  On the python backend
+    ``_python_pair_sums`` gives the same sums bit for bit.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -389,19 +390,53 @@ def pair_sums(u, v, w, a, b):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _python_pair_sums(u, v, w, a, b, out):
-    """kac_pair_sums in python: the sums over analysis._pair_matrices of
-    each configuration of the stacks u and v (or None), into the rows of
-    out."""
-    from .analysis import _pair_matrices
-
+    """kac_pair_sums in python, into out, in the lanes' arithmetic order:
+    row i sums w_j t_ij over j from +0.0, exactly +0.0 where j <= i (an
+    inf or nan there adds nothing), and the rows add up in i order."""
+    n, d = u.shape[1:]
+    live = np.arange(n) > np.arange(n)[:, None]
+    lanes = np.zeros((n, n + 1))
     for c, row in enumerate(out):
-        d2u, d2v, dots = _pair_matrices(u[c], None if v is None else v[c])
-        row[0] = w @ d2u ** a @ w
+        # the pair dots, summed over k from zeros (np.sum sums pairwise)
+        uu, vv, uv = np.zeros((3, n, n))
+        for k in range(d):
+            du = u[c, :, k, None] - u[c, :, k]
+            uu += du * du
+            if v is not None:
+                dv = v[c, :, k, None] - v[c, :, k]
+                vv += dv * dv
+                uv += du * dv
+        terms = [_power(uu, a)]
         if v is not None:
-            row[1] = w @ d2v ** b @ w
-            row[2] = w @ (np.sqrt(d2u) * np.sqrt(d2v) - dots) @ w
-            row[3] = w @ (d2u * d2v - dots * dots) @ w
+            uuvv = uu * vv
+            terms += [_power(vv, b), np.sqrt(uuvv) - uv, uuvv - uv * uv]
+        for m, t in enumerate(terms):
+            lanes[:, 1:] = np.where(live, w * t, 0.0)
+            rows = np.add.accumulate(lanes, axis=1)[:, -1]
+            row[m] = 2.0 * sequential_sum(w * rows)
+
+
+def _power(x, e):
+    """x ** e as the lanes raise it: by repeated squaring under
+    integer_exponent's rule, else by libm pow on each element (numpy's
+    power can round unlike libm), inf where pow overflows, as in C."""
+    if not (0.0 <= e <= 1024.0 and e == math.floor(e)):
+        out = x.ravel().tolist()
+        for i, t in enumerate(out):
+            try:
+                out[i] = math.pow(t, e)
+            except OverflowError:
+                out[i] = math.inf
+        return np.reshape(out, x.shape)
+    k, r = int(e), np.ones_like(x)
+    while k:
+        if k & 1:
+            r = r * x
+        k >>= 1
+        x = x * x
+    return r
 
 
 def assign(cost):

@@ -22,9 +22,8 @@ Contents:
   the stack (a decay replica's whole sample grid, a block of equilibrium
   samples).  The pass is ``_engine.pair_sums``, which also runs over a
   stack of samples: one C loop in O(N) memory, or on the python backend
-  sums over the numpy N x N matrices of ``_pair_matrices``, which are also
-  the C loop's test oracle.  Also the coupling creation
-  ``coupling_creation``;
+  the same loop in numpy, with the same sums bit for bit.  Also the
+  coupling creation ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
 * Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
@@ -217,32 +216,6 @@ def kappa(s):
     return float(out) if not lead else out
 
 
-def _pair_matrices(u, v=None):
-    """|u_i - u_j|^2, |v_i - v_j|^2 and (u_i - u_j).(v_i - v_j) over all
-    ordered pairs, as N x N matrices (squares clipped at 0, diagonals
-    exactly 0; the last two are None when ``v`` is None).
-
-    The readable oracle of the C pair pass, and its stand-in on the python
-    backend (``_engine.pair_sums`` sums them there); nothing else builds
-    pair matrices.
-    """
-    def zero_diagonal(m):
-        np.fill_diagonal(m, 0.0)
-        return m
-
-    def sq_dists(x):
-        sq = np.einsum("id,id->i", x, x)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        return zero_diagonal(np.maximum(d2, 0.0, out=d2))
-
-    if v is None:
-        return sq_dists(u), None, None
-    g = u @ v.T
-    dg = np.einsum("id,id->i", u, v)
-    return (sq_dists(u), sq_dists(v),
-            zero_diagonal(dg[:, None] + dg[None, :] - g - g.T))
-
-
 def _moment(x, y, w):
     """Weighted second-moment matrix sum_k w_k x_k y_k^T, also over stacks
     (..., n, d) of x and y."""
@@ -316,8 +289,8 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     <|u-u*|^(2a)>, <|v-v*|^(2b)> (both > 0); ``weights`` default to 1/N
     each, which makes every sum the average over the N (or N^2 ordered
     pair) terms.  The pair sums come from one pass, ``_engine.pair_sums``:
-    the C loop in O(N) memory, or on the python backend the numpy
-    matrices of ``_pair_matrices``.
+    the C loop in O(N) memory, or on the python backend its numpy
+    reference, which gives the same sums bit for bit.
 
     A stack u of shape (S, N, d) (and v alike) gives a list of S records,
     one per configuration, each equal field by field to the call on its

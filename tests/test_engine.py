@@ -816,13 +816,18 @@ def bind_width(monkeypatch, lib, kernel, width):
 def _each_width(monkeypatch):
     """Yield once with the library's own kac_pair_sums, which picks its
     width from the CPU and n, then once per width the CPU runs with that
-    width's pass bound in its place until the test ends
-    (test_library_runs_each_width_the_cpu_has names a width left out)."""
+    width's pass bound in its place
+    (test_library_runs_each_width_the_cpu_has names a width left out),
+    then once on the python backend (``_LIB`` None), which stays until the
+    test ends.  Without the library only the python leg runs."""
     lib = _engine._LIB
-    yield "dispatched"
-    for width in cpu_widths():
-        bind_width(monkeypatch, lib, "kac_pair_sums", width)
-        yield f"{width}-wide"
+    if lib is not None:
+        yield "dispatched"
+        for width in cpu_widths():
+            bind_width(monkeypatch, lib, "kac_pair_sums", width)
+            yield f"{width}-wide"
+    monkeypatch.setattr(_engine, "_LIB", None)
+    yield "python"
 
 
 @needs_c
@@ -844,12 +849,11 @@ def test_library_runs_each_width_the_cpu_has(width, flag):
     assert _engine._LIB.kac_widths() & width
 
 
-@needs_c
 def test_pair_sums_golden(monkeypatch):
     """n below, at and past multiples of the 4-, 8- and 16-row lane blocks,
     integral exponents (repeated squaring) and others (pow), single and
     coupled passes, coincident rows and u == v: equal to the scalar loop's
-    sums at every width."""
+    sums at every width and on the python backend."""
     for width in _each_width(monkeypatch):
         for idx, ((n, d), want) in enumerate(_GOLDEN.items()):
             a = _GOLDEN_EXPONENTS[idx % 7]
@@ -863,11 +867,11 @@ def test_pair_sums_golden(monkeypatch):
             assert [float(x).hex() for x in got] == list(want), (width, n, d)
 
 
-@needs_c
 @pytest.mark.parametrize("n, d", [(15, 3), (25, 4), (33, 32)])
 def test_stacked_pair_sums_equal_each_configuration(n, d, monkeypatch):
     """One call over a stack (s, n, d) gives each configuration's sums bit
-    for bit, coupled and single, under shared weights, at every width."""
+    for bit, coupled and single, under shared weights, at every width and
+    on the python backend."""
     rng = np.random.default_rng(n + d)
     u, v = rng.standard_normal((2, 6, n, d))
     w = rng.dirichlet(np.ones(n))
@@ -882,11 +886,10 @@ def test_stacked_pair_sums_equal_each_configuration(n, d, monkeypatch):
         assert _engine.pair_sums(u[:0], None, w, 1.0, 1.0).shape == (0, 4)
 
 
-@needs_c
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_dead_lanes_add_nothing(n, monkeypatch):
     """A lane adds exactly +0.0 for a pair its row does not own, at every
-    width.  The last row, at distance^2 inf from the others, shares a
+    width and on the python backend.  The last row, at distance^2 inf from the others, shares a
     block with rows before it, whose j's its lane meets without owning
     those pairs: the sum is inf, where a zero weight on those terms would
     make it nan and adding them would count the pairs twice.  Coincident rows far
@@ -912,10 +915,10 @@ def test_pair_sums_reject_mismatched_shapes():
 
 
 def test_pair_sums_on_the_python_backend(monkeypatch):
-    """Without the library, pair_sums sums the numpy pair matrices: each
+    """Without the library, pair_sums runs the numpy reference: each
     configuration of a stack (shared weights) as the single call on it,
-    nan past out[0] for a single copy, the same shape checks, and within
-    1e-12 relative of the C pass when that is loaded."""
+    nan past out[0] for a single copy, the same shape checks, and the C
+    pass's sums bit for bit when that is loaded."""
     rng = np.random.default_rng(14)
     u, v = rng.standard_normal((2, 3, 9, 4))
     w = rng.dirichlet(np.ones(9))
@@ -933,7 +936,7 @@ def test_pair_sums_on_the_python_backend(monkeypatch):
     with pytest.raises(ValueError, match="pair sums need"):
         _engine.pair_sums(u, v[:, :8], w, 1.0, 1.0)
     if c_sums is not None:
-        np.testing.assert_allclose(got, c_sums, rtol=1e-12, atol=0)
+        assert np.array_equal(got, c_sums)
 
 
 def _local_includes():

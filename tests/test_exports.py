@@ -138,15 +138,33 @@ def _c_bodies(path):
                       path.read_text(), re.M | re.S)
 
 
+def _imported(path):
+    """The modules that the module at ``path`` imports anywhere in it, by
+    their last dotted part (``from . import analysis`` and ``from .analysis
+    import x`` both give "analysis")."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            else:
+                names |= {alias.name for alias in node.names}
+    return names
+
+
 def test_each_rule_has_one_owner():
-    """Outside the engine only pair_statistics runs the pair pass, only
-    kappa and max_eigenvalue take eigenvalues, and in system.py only
-    draw_event_batch draws angles.  The two-pass projection is spelled
-    once per language (the one reader of REORTHO_RATIO), and only
-    transport_frames builds the frame of identical directions, also for
-    a single copy.  In cli.py only _decay_replica builds and observes a
-    decay replica, and only system.py reads its private sample grid.  A
-    second spelling of a rule fails here."""
+    """Outside the engine only pair_statistics runs the pair pass; in the
+    engine only pair_sums runs its python reference, and _engine.py
+    imports nothing from analysis.  Only kappa and max_eigenvalue take
+    eigenvalues, and in system.py only draw_event_batch draws angles.  The
+    two-pass projection is spelled once per language (the one reader of
+    REORTHO_RATIO), and only transport_frames builds the frame of
+    identical directions, also for a single copy.  In cli.py only
+    _decay_replica builds and observes a decay replica, and only system.py
+    reads its private sample grid.  A second spelling of a rule fails
+    here."""
     src = Path(kacsim.__file__).resolve().parent
     py = sorted(src.glob("*.py"))
     calls = [c for path in py for c in _uses(path, _called)]
@@ -163,6 +181,8 @@ def test_each_rule_has_one_owner():
 
     assert {o for o in owners({"pair_sums"}) if not o.startswith("_engine.")
             } == {"analysis.pair_statistics"}
+    assert owners({"_python_pair_sums"}) == {"_engine.pair_sums"}
+    assert "analysis" not in _imported(src / "_engine.py")
     assert owners({"eigvalsh"}) == {"analysis.kappa", "analysis.max_eigenvalue"}
     assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
         "system.draw_event_batch"}

@@ -1,32 +1,38 @@
-"""Golden outputs: every ``kac run`` kind, bit for bit.
+"""Golden outputs: every ``kac run`` kind, bit for bit, on both engine
+backends.
 
-Each case runs one config through ``cli.run_experiment`` and compares every
-file it writes with ``tests/golden/<case>.json``: each CSV cell and each
-report.json value (report.json flattened to dotted keys, ``config.out``
-left out).  Floats are stored as ``float.hex``, so the comparison is exact,
-except for the values that pass through LAPACK (eigenvalues in ``kappa``
-and the Wishart moment, least squares in the band slope): another CPU's
-BLAS may round their last bits apart, so they are compared within
-LAPACK_RTOL relative.  A failure names each value that moved and by how
-much.
+Each case runs one config through ``cli.run_experiment``, once on the C
+library and once on the python reference (``_engine._LIB`` None), and
+compares every file it writes with ``tests/golden/<case>.json``: each CSV
+cell and each report.json value (report.json flattened to dotted keys,
+``config.out`` left out).  Floats are stored as ``float.hex``, so the
+comparison is exact, except for the values that pass through LAPACK
+(eigenvalues in ``kappa`` and the Wishart moment, least squares in the
+band slope): another CPU's BLAS may round their last bits apart, so they
+are compared within LAPACK_RTOL relative.  A failure names each value
+that moved and by how much.
 
 An output that moves on purpose (a stream change, say) is re-pinned by
 regenerating the files, never by editing them:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the change says which values moved and why.
+and the change says which values moved and why.  The script writes the C
+backend's files; if the python backend writes different ones for any
+case, it names the cases, writes nothing and exits non-zero, so an output
+of one backend alone is never pinned.
 """
 
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from kacsim import cli
+from kacsim import _engine, cli
 from test_cli import DECAY_CFG, INEQUALITY_CFG, STUDIES, study_config
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -155,14 +161,29 @@ def _compare(golden, got):
     return [ln for ln in lines if ln]
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_outputs_match_golden(name, tmp_path):
+def check_case(name, tmp_path):
+    """Run case ``name`` and fail naming every value that moved from its
+    golden file."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     moved = _compare(golden, run_case(name, tmp_path))
     shown = "\n".join(moved[:30])
     more = f"\n... and {len(moved) - 30} more" if len(moved) > 30 else ""
     assert not moved, (f"{len(moved)} values moved from "
                        f"tests/golden/{name}.json:\n{shown}{more}")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_outputs_match_golden(name, tmp_path):
+    """On the backend the import selected: the C library where it loads."""
+    check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_python_backend_matches_golden(name, tmp_path, monkeypatch):
+    """With the library forced off: the python stepper, pairing and pair
+    pass give the same files bit for bit."""
+    monkeypatch.setattr(_engine, "_LIB", None)
+    check_case(name, tmp_path)
 
 
 def test_compare_names_what_moved():
@@ -191,16 +212,40 @@ def test_compare_names_what_moved():
 
 
 def regenerate(tmp_root):
-    """Write every case's golden file from the code as it is."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    """Write every case's golden file from the code as it is, on the C
+    backend, after checking that the python backend writes the same; when
+    it does not, name the cases that differ, write nothing and return
+    False."""
+    lib = _engine._LIB
+    if lib is None:
+        print("the C library is not loaded: nothing written")
+        return False
+    files, differ = {}, []
     for name in CASES:
-        tmp = Path(tmp_root) / name
-        tmp.mkdir()
-        text = json.dumps(run_case(name, tmp), indent=1, sort_keys=True)
+        runs = []
+        for backend in ("c", "python"):
+            tmp = Path(tmp_root) / backend / name
+            tmp.mkdir(parents=True)
+            _engine._LIB = lib if backend == "c" else None
+            try:
+                runs.append(run_case(name, tmp))
+            finally:
+                _engine._LIB = lib
+        if runs[0] != runs[1]:
+            differ.append(name)
+        files[name] = runs[0]
+    if differ:
+        print(f"the python backend differs on {', '.join(differ)}: "
+              "nothing written")
+        return False
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, run in files.items():
+        text = json.dumps(run, indent=1, sort_keys=True)
         (GOLDEN_DIR / f"{name}.json").write_text(text + "\n")
         print(f"wrote {GOLDEN_DIR / name}.json")
+    return True
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp_root:
-        regenerate(tmp_root)
+        sys.exit(0 if regenerate(tmp_root) else 1)
