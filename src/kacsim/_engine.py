@@ -17,8 +17,9 @@ later imports only load it; a build deletes the libraries of earlier
 sources there.  If the compiler or the load fails, a
 RuntimeWarning names the error and the advance functions run the python
 reference stepper ``system._collide`` on each slot of the same batch
-instead: the same results bit for bit (final states, times and every
-accumulator slot), about a thousand times slower.  ``BACKEND`` names the
+instead, reprojecting by ``system.project_to_constraint_sphere``: the
+same results bit for bit (final states, times and every accumulator
+slot), about a thousand times slower.  ``BACKEND`` names the
 active engine, ``"c"`` or ``"python"``.
 
 The pair pass is ``kac_pair_sums``, behind ``pair_sums``: the weighted
@@ -312,7 +313,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
                     cursor, proj_ctr, proj_every, acc):
     """kac_advance in python: system._collide on each batch slot, with the
     same stops, accumulator updates and reprojection."""
-    from .system import _collide, _reproject
+    from .system import _collide, project_to_constraint_sphere
 
     thetas, cphis, exps, pi, pj, *gaussians = batch
     n = states[0].shape[0]
@@ -349,7 +350,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
         proj_ctr += 1
         if proj_ctr >= proj_every:
             for x in states:
-                _reproject(x)
+                project_to_constraint_sphere(x)
             proj_ctr = 0
         t_next = t + float(exps[cursor]) / rate
         cursor += 1

@@ -47,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from .system import DegenerateInput, InvariantViolation, equilibrium_blocks
+from .system import (DegenerateInput, InvariantViolation, _weighted_dots,
+                     equilibrium_blocks)
 
 __all__ = [
     "AnalysisError",
@@ -352,15 +353,6 @@ def pair_statistics(u, v=None, a=1.0, b=1.0, weights=None):
     return records if stacked else records[0]
 
 
-def _weighted_dots(x, y, w):
-    """sum_k w_k x_k.y_k for each configuration of the stacks x, y (S, N,
-    d), as python floats.  Each is one dot of w with the row of x_k.y_k,
-    as ``w @ row`` on one configuration; an (S, N) @ (N,) product would
-    round differently."""
-    rows = np.einsum("snd,snd->sn", x, y)
-    return (rows[:, None, :] @ w)[:, 0].tolist()
-
-
 def coupling_creation(u, v):
     """Two-body coupling creation (d-2)/(2d-2) <|du||dv| - du.dv>_N.
 
@@ -414,8 +406,7 @@ class DiscreteCoupledDistribution:
         w = self.weights
         u = self.atoms_u - w @ self.atoms_u
         v = self.atoms_v - w @ self.atoms_v
-        eu = float(w @ np.einsum("kd,kd->k", u, u))
-        ev = float(w @ np.einsum("kd,kd->k", v, v))
+        eu, ev = _weighted_dots(np.stack((u, v)), np.stack((u, v)), w)
         if eu <= 0.0 or ev <= 0.0:
             raise BadParams("cannot normalize a marginal with zero energy")
         return DiscreteCoupledDistribution(u / np.sqrt(eu), v / np.sqrt(ev), w)
@@ -695,8 +686,13 @@ def _check_samples(samples):
 
 
 def _mean_stderr(x):
-    """Sample mean of x and its standard error, as python floats."""
-    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
+    """Sample mean of x over its first axis and its standard error: python
+    floats for a 1-D x, arrays otherwise.  One sample has error zero."""
+    x = np.asarray(x)
+    mean = np.mean(x, axis=0)
+    se = (np.std(x, axis=0, ddof=1) / np.sqrt(len(x)) if len(x) > 1
+          else np.zeros_like(mean))
+    return (float(mean), float(se)) if x.ndim == 1 else (mean, se)
 
 
 def check_wishart_order(n, d, p):

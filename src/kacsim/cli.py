@@ -36,6 +36,7 @@ from .assignment import MAX_ASSIGNMENT_SIZE
 from .kernels import KernelError, make_kernel
 from .system import (
     STREAM_VERSION,
+    _weighted_dots,
     align_configurations,
     coupled_run_issues,
     default_m4_init,
@@ -453,11 +454,9 @@ def run_decay_experiment(cfg, out_dir):
 
     # every replica samples the same times; each replica mean is read once
     n_done = len(done)
-    stacks = {name: np.array([c[name] for c in done])
-              for name in TRAJECTORY_COLUMNS}
-    mean = {name: np.mean(x, axis=0) for name, x in stacks.items()}
-    se = {name: np.std(x, axis=0, ddof=1) / np.sqrt(n_done) if n_done > 1
-          else np.zeros(len(times)) for name, x in stacks.items()}
+    mean, se = {}, {}
+    for name in TRAJECTORY_COLUMNS:
+        mean[name], se[name] = analysis._mean_stderr([c[name] for c in done])
     d0 = float(mean["mean_sq_distance"][0])
     m4_0 = float(mean["m4"][0])
     _, t_star = analysis.order4_bound(max(m4_0, 1.0), cfg.d, 0.0)
@@ -537,7 +536,7 @@ def _random_constrained_pair(cfg, rng):
     rho = float(rng.uniform(0.0, 1.0))
     g = sample_equilibrium(cfg.n, cfg.d, rng)
     v = project_to_constraint_sphere(rho * u + np.sqrt(1.0 - rho * rho) * g)
-    if float(np.mean(np.sum(u * v, axis=1))) < 0.0:
+    if _weighted_dots(u[None], v[None], np.full(cfg.n, 1.0 / cfg.n))[0] < 0.0:
         v = -v
     return u, v
 

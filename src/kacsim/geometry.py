@@ -19,7 +19,8 @@ reference stepper ``system._collide`` and the C loop of
 Each rule is spelled once here, as once in the C loop: ``complement_unit``
 and ``transport_frames`` share the two-pass projection ``_project_off``.
 They round as the C loop does (sums in index order by ``sequential_sum``,
-one reciprocal per normalization).  Vectors have shape ``(d,)``, d >= 3.
+one reciprocal per normalization, in ``normalized``).  Vectors have shape
+``(d,)``, d >= 3.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "sequential_sum",
+    "normalized",
     "orthonormal_to",
     "complement_unit",
     "sample_azimuth_cos",
@@ -59,6 +61,13 @@ def sequential_sum(x):
     return s
 
 
+def normalized(x):
+    """(x / |x|, |x|) as the C loop's ``normalize`` rounds them: one multiply
+    by the reciprocal of the length; a zero x comes back undivided."""
+    r = math.sqrt(sequential_sum(x * x))
+    return (x * (1.0 / r) if r > 0.0 else x), r
+
+
 def orthonormal_to(n):
     """Deterministic unit vector orthogonal to ``n``.
 
@@ -69,7 +78,7 @@ def orthonormal_to(n):
     k = int(np.argmin(np.abs(n)))
     w = -n[k] * n
     w[k] += 1.0
-    return w * (1.0 / math.sqrt(sequential_sum(w * w)))
+    return normalized(w)[0]
 
 
 def _project_off(w, basis, norms_sq, w2):
@@ -104,7 +113,7 @@ def complement_unit(gauss, basis):
     w, s = _project_off(w, basis, (1.0,) * len(basis), sequential_sum(w * w))
     if not s > ANNIHILATION_SQ:
         raise GeometryError("complement projection annihilated the sample")
-    return w * (1.0 / math.sqrt(s))
+    return normalized(w)[0]
 
 
 def sample_azimuth_cos(d, rng, size=None):

@@ -16,7 +16,8 @@ TrajectoryRecord computes its ``columns`` on first read.  ``_collide`` is
 the python reference for one copy or two, in the C loop's arithmetic
 order, so it reproduces it bit for bit; ``step_kac``/``step_coupled`` call
 it for single events (the oracle of the C loop) and the engine's fallback
-on each batch slot.
+on each batch slot.  ``project_to_constraint_sphere``, the one python
+reprojection, also rounds as the C loop does.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine, assignment
-from .geometry import (complement_unit, sample_azimuth_cos, sequential_sum,
-                       transport_frames)
+from .geometry import (complement_unit, normalized, sample_azimuth_cos,
+                       sequential_sum, transport_frames)
 
 __all__ = [
     "DegenerateInput",
@@ -136,9 +137,10 @@ class TrajectoryRecord:
             return {"m2": m2, "m4": m4}
         u, = first
         diff = u - v
-        msd = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
-        corr = np.mean(np.sum(u * v, axis=-1), axis=-1)
-        return {"mean_sq_distance": msd, "corr": corr, "m2": m2, "m4": m4}
+        # the pair_statistics records' E|U - V|^2 and E U.V, bit for bit
+        w = np.full(u.shape[-2], 1.0 / u.shape[-2])
+        return {"mean_sq_distance": np.array(_weighted_dots(diff, diff, w)),
+                "corr": np.array(_weighted_dots(u, v, w)), "m2": m2, "m4": m4}
 
     def column(self, name):
         return self.columns[name]
@@ -151,17 +153,32 @@ def energy_moments(x):
     return np.mean(sq, axis=-1), np.mean(sq * sq, axis=-1)
 
 
+def _weighted_dots(x, y, w):
+    """sum_k w_k x_k.y_k for each configuration of the stacks x, y (S, N,
+    d), as python floats.  Each is one dot of w with the row of x_k.y_k,
+    as ``w @ row`` on one configuration; an (S, N) @ (N,) product would
+    round differently."""
+    rows = np.einsum("snd,snd->sn", x, y)
+    return (rows[:, None, :] @ w)[:, 0].tolist()
+
+
 def project_to_constraint_sphere(v):
     """Map a configuration (n, d), or each one of a stack (..., n, d), to
-    zero mean and unit mean energy, in place."""
+    zero mean and unit mean energy, in place, as the C loop's ``reproject``
+    rounds it: each coordinate's mean, then the squared length s, summed
+    in index order by ``np.add.accumulate`` (so a stack gives each of its
+    configurations as alone), and one multiply by sqrt(n / s)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim < 2 or v.shape[-2] < 2 or v.shape[-1] < 3:
         raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
-    v -= v.mean(axis=-2, keepdims=True)
-    s = np.mean(np.sum(v * v, axis=-1), axis=-1)
+    n = v.shape[-2]
+    # C's sums start from +0.0, which turns a sum of -0.0 into +0.0
+    v -= (np.add.accumulate(v, axis=-2)[..., -1:, :] + 0.0) / n
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    s = np.add.accumulate(flat * flat, axis=-1)[..., -1]
     if not np.all(s > 0.0):
         raise DegenerateInput("configuration has zero energy after centering")
-    v /= np.sqrt(s)[..., None, None]
+    v *= np.sqrt(n / s)[..., None, None]
     return v
 
 
@@ -171,7 +188,7 @@ def check_configuration(v, tol=1e-10):
     if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 3:
         raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
     mom = np.max(np.abs(v.mean(axis=0)))
-    energy = np.mean(np.sum(v * v, axis=1))
+    energy = energy_moments(v)[0]
     if mom > tol or abs(energy - 1.0) > tol:
         raise InvariantViolation(
             f"constraint violation: |mean| = {mom:.3e}, energy = {energy:.17g}")
@@ -338,11 +355,8 @@ def _step(states, kernel, rng, t, rate, draws):
 
 def _unit_of_diff(a, b):
     """(a - b)/|a - b| and |a - b|; a zero difference gives e_0."""
-    x = a - b
-    r = math.sqrt(sequential_sum(x * x))
-    if r == 0.0:
-        return np.eye(1, x.size)[0], 0.0
-    return x * (1.0 / r), r
+    x, r = normalized(a - b)
+    return (x if r > 0.0 else np.eye(1, x.size)[0]), r
 
 
 def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
@@ -370,7 +384,7 @@ def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
         out = ct * n_x + st * (cphi * m_x + sphi * l_hat)
         # force an exactly unit outgoing direction; an l_hat off-orthogonal
         # by rounding would otherwise leak into the pair energy
-        out = out * (1.0 / math.sqrt(sequential_sum(out * out)))
+        out = normalized(out)[0]
         x[i] = a = 0.5 * (s + r_x * out)
         x[j] = b = 0.5 * (s - r_x * out)
         e_new = sequential_sum(a * a + b * b)
@@ -388,16 +402,6 @@ def _collide(states, i, j, theta, cphi, g_l, g_sigma=None):
     c = sequential_sum(n_u * n_v)
     residual = delta + st * st * sphi * sphi * (r_u * r_v - r_u * r_v * c)
     return delta, residual, completed, error
-
-
-def _reproject(x):
-    """project_to_constraint_sphere in the C loop's order, in place; the
-    public one keeps numpy's order, which the initial states are built by."""
-    mean = np.zeros(x.shape[1])
-    for row in x:
-        mean += row
-    x -= mean / len(x)
-    x *= math.sqrt(len(x) / sequential_sum(x * x))
 
 
 def draw_event_batch(kernel, n, d, rng, size, coupled):
@@ -445,6 +449,8 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
     n, d = states[0].shape
     if horizon is None and max_events is None:
         raise ValueError("need horizon or max_events")
+    if horizon is None and sample_dt is not None:
+        raise ValueError("sample_dt needs a horizon, which its grid runs to")
     # written so that nan fails each test
     if horizon is not None and not 0.0 <= horizon < np.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got "

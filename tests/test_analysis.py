@@ -625,6 +625,19 @@ def test_gaussian_even_moment():
         analysis.gaussian_even_moment(3, -0.5)
 
 
+def test_mean_stderr_over_the_first_axis():
+    """A 1-D sample gives python floats; replicas stacked as rows give
+    numpy's mean and standard error over axis 0, bit for bit, and a single
+    replica has standard error zero."""
+    x = np.random.default_rng(3).standard_normal((7, 4))
+    mean, se = analysis._mean_stderr(x)
+    assert np.array_equal(mean, np.mean(x, axis=0))
+    assert np.array_equal(se, np.std(x, axis=0, ddof=1) / np.sqrt(7))
+    assert [type(y) for y in analysis._mean_stderr(x[:, 0])] == [float, float]
+    mean, se = analysis._mean_stderr(x[:1])
+    assert np.array_equal(mean, x[0]) and np.array_equal(se, np.zeros(4))
+
+
 def test_wishart_kappa_moment():
     rng = np.random.default_rng(93)
     with pytest.raises(analysis.BadParams):

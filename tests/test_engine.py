@@ -456,6 +456,27 @@ def test_python_fallback_warns_and_matches_c(monkeypatch, tmp_path, d):
 
 
 @needs_c
+@pytest.mark.parametrize("d", [3, 4, 32])
+# numpy's pairwise sums change order from 8 terms on; these n straddle that
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 64])
+def test_fallback_reprojects_as_the_c_loop(monkeypatch, n, d):
+    """Reprojecting after every event, the forced fallback ends in the C
+    loop's states and times bit for bit, so
+    system.project_to_constraint_sphere is the loop's reproject."""
+    rng = np.random.default_rng(100 * n + d)
+    u = system.sample_equilibrium(n, d, rng)
+    v = system.two_temperature_initial(n, d, rng)
+
+    def run():
+        return system.simulate_coupled(u, v, UNIFORM, np.random.default_rng(n),
+                                       max_events=40, reproject_every=1,
+                                       chunk_size=16)
+    on_c = run()
+    monkeypatch.setattr(_engine, "_LIB", None)
+    _assert_same_run(on_c, run())
+
+
+@needs_c
 @pytest.mark.parametrize("d", [3, 7])
 def test_pair_sums_closed_forms(d):
     """kac_pair_sums at a = b = 1 gives 2 (sum w|x|^2 - |sum w x|^2) in

@@ -138,6 +138,18 @@ def _c_bodies(path):
                       path.read_text(), re.M | re.S)
 
 
+def _normalizing(node):
+    """The halves of a normalization: "length" for a
+    ``sqrt(sequential_sum(...))``, "reciprocal" for a ``1.0 / sqrt(...)``."""
+    if _called(node) == "sqrt" and _called(node.args[0]) == "sequential_sum":
+        return "length"
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and getattr(node.left, "value", None) == 1.0
+            and _called(node.right) == "sqrt"):
+        return "reciprocal"
+    return None
+
+
 def _imported(path):
     """The modules that the module at ``path`` imports anywhere in it, by
     their last dotted part (``from . import analysis`` and ``from .analysis
@@ -163,12 +175,21 @@ def test_each_rule_has_one_owner():
     REORTHO_RATIO), and only transport_frames builds the frame of
     identical directions, also for a single copy.  In cli.py only
     _decay_replica builds and observes a decay replica, and only system.py
-    reads its private sample grid.  A second spelling of a rule fails
-    here."""
+    reads its private sample grid.  The sphere: the fallback reprojects
+    through project_to_constraint_sphere, the one python reprojection, as
+    the C loop through reproject.  In the collision geometry only
+    normalized, as C's normalize, takes a vector's length and scales by
+    its reciprocal (transport_frames folds its factors).  E U.V,
+    E|U - V|^2 and a law's marginal energies come from _weighted_dots.
+    In system.py and cli.py only energy_moments averages over particles
+    (check_configuration also averages the momentum), and only
+    _mean_stderr and the band study's two-part error take a standard
+    deviation.  A second spelling of a rule fails here."""
     src = Path(kacsim.__file__).resolve().parent
     py = sorted(src.glob("*.py"))
     calls = [c for path in py for c in _uses(path, _called)]
     reads = [c for path in py for c in _uses(path, _read)]
+    norms = [c for path in py for c in _uses(path, _normalizing)]
     c_bodies = [b for path in sorted(src.glob("*.[ch]"))
                 for b in _c_bodies(path)]
 
@@ -194,3 +215,22 @@ def test_each_rule_has_one_owner():
                    "_initial_copies", "_decay_observables"}, "cli.") == {
         "cli._decay_replica"}
     assert {o.split(".")[0] for o in owners({"_sample_grid"})} == {"system"}
+    assert owners({"project_to_constraint_sphere"}, "_engine.") == {
+        "_engine._python_advance"}
+    assert owners({"accumulate"}, "system.") == {
+        "system.project_to_constraint_sphere"}
+    assert c_owners(r"\breproject\s*\(") == ["kac_advance"]
+    assert owners({"length", "reciprocal"}, "geometry.", norms) | owners(
+        {"length", "reciprocal"}, "system.", norms) == {
+        "geometry.normalized", "geometry.transport_frames"}
+    assert c_owners(r"\b1\.0 / (r|sqrt)\b") == ["normalize", "transport_frames"]
+    assert owners({"_weighted_dots"}) == {
+        "analysis.pair_statistics", "system.TrajectoryRecord.columns",
+        "cli._random_constrained_pair",
+        "analysis.DiscreteCoupledDistribution.normalize"}
+    assert owners({"mean"}, "system.") | owners({"mean"}, "cli.") == {
+        "system.energy_moments", "system.check_configuration"}
+    assert owners({"energy_moments"}, "system.") == {
+        "system.TrajectoryRecord.columns", "system.check_configuration"}
+    assert owners({"std"}) == {"analysis._mean_stderr",
+                               "analysis.counterexample_radial_band"}

@@ -17,10 +17,11 @@ regenerating the files, never by editing them:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the change says which values moved and why.  The script writes the C
-backend's files; if the python backend writes different ones for any
-case, it names the cases, writes nothing and exits non-zero, so an output
-of one backend alone is never pinned.
+and the change says which values moved and why.  The script first prints
+for each case how many values moved and the largest relative move.  It
+writes the C backend's files; if the python backend writes different ones
+for any case, it names the cases, writes nothing and exits non-zero, so an
+output of one backend alone is never pinned.
 """
 
 import json
@@ -116,7 +117,8 @@ def _encode_report(path):
 
 
 def _moved(where, gold, got, tolerant):
-    """None when ``got`` matches ``gold``, else a line saying how it moved."""
+    """None when ``got`` matches ``gold``, else a line saying how it moved
+    and the relative move (nan for a move with no size)."""
     if isinstance(gold, float) and isinstance(got, float):
         if gold == got or (math.isnan(gold) and math.isnan(got)):
             return None
@@ -125,39 +127,48 @@ def _moved(where, gold, got, tolerant):
         if tolerant and math.isfinite(diff) and rel <= LAPACK_RTOL:
             return None
         return (f"{where}: {got!r}, golden {gold!r}, moved by {diff:.3e} "
-                f"({rel:.2e} relative)")
+                f"({rel:.2e} relative)", rel)
     # 0 == 0.0, so the types are compared too
     if gold == got and type(gold) is type(got):
         return None
-    return f"{where}: {got!r}, golden {gold!r}"
+    return f"{where}: {got!r}, golden {gold!r}", math.nan
 
 
 def _compare(golden, got):
     """Lines naming every value of ``got`` that differs from ``golden``."""
+    return [line for line, _ in _moves(golden, got)]
+
+
+def _moves(golden, got, exact=False):
+    """(line, relative move) for every value of ``got`` that differs from
+    ``golden``; LAPACK values within LAPACK_RTOL pass unless ``exact``."""
+    nan = math.nan
     if golden.keys() != got.keys():
-        return [f"files {sorted(got)}, golden {sorted(golden)}"]
+        return [(f"files {sorted(got)}, golden {sorted(golden)}", nan)]
     lines = []
     for fname, gold in golden.items():
         new = got[fname]
         if fname.endswith(".json"):
             if gold.keys() != new.keys():
-                lines.append(f"{fname}: keys added {sorted(new.keys() - gold.keys())}"
-                             f", removed {sorted(gold.keys() - new.keys())}")
+                lines.append((f"{fname}: keys added "
+                              f"{sorted(new.keys() - gold.keys())}, removed "
+                              f"{sorted(gold.keys() - new.keys())}", nan))
             for key in sorted(gold.keys() & new.keys()):
                 lines.append(_moved(f"{fname} {key}", _decode(gold[key]),
-                                    _decode(new[key]),
-                                    bool(LAPACK_KEYS.fullmatch(key))))
+                                    _decode(new[key]), not exact
+                                    and bool(LAPACK_KEYS.fullmatch(key))))
             continue
         header = gold["header"]
         if new["header"] != header or len(new["rows"]) != len(gold["rows"]):
-            lines.append(f"{fname}: header {new['header']} and "
-                         f"{len(new['rows'])} rows, golden {header} and "
-                         f"{len(gold['rows'])} rows")
+            lines.append((f"{fname}: header {new['header']} and "
+                          f"{len(new['rows'])} rows, golden {header} and "
+                          f"{len(gold['rows'])} rows", nan))
             continue
         for k, (a, b) in enumerate(zip(gold["rows"], new["rows"])):
             for col, x, y in zip(header, a.split(","), b.split(",")):
                 lines.append(_moved(f"{fname} row {k} {col}", _decode(x),
-                                    _decode(y), col in LAPACK_COLUMNS))
+                                    _decode(y),
+                                    not exact and col in LAPACK_COLUMNS))
     return [ln for ln in lines if ln]
 
 
@@ -215,7 +226,8 @@ def regenerate(tmp_root):
     """Write every case's golden file from the code as it is, on the C
     backend, after checking that the python backend writes the same; when
     it does not, name the cases that differ, write nothing and return
-    False."""
+    False.  First print, for each case, how many values moved from its
+    golden file, exactly, and the largest relative move among them."""
     lib = _engine._LIB
     if lib is None:
         print("the C library is not loaded: nothing written")
@@ -234,6 +246,12 @@ def regenerate(tmp_root):
         if runs[0] != runs[1]:
             differ.append(name)
         files[name] = runs[0]
+        path = GOLDEN_DIR / f"{name}.json"
+        if path.exists():
+            moves = _moves(json.loads(path.read_text()), runs[0], exact=True)
+            rels = [rel for _, rel in moves if not math.isnan(rel)]
+            print(f"{name}: {len(moves)} values moved, {len(rels)} of them "
+                  f"floats, by at most {max(rels, default=0.0):.2e} relative")
     if differ:
         print(f"the python backend differs on {', '.join(differ)}: "
               "nothing written")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacsim import _engine, kernels, system
+from kacsim import _engine, analysis, kernels, system
 
 UNIFORM = kernels.make_kernel("uniform", theta_min=0.0)
 
@@ -70,6 +70,26 @@ def test_stacked_sample_equals_sequential_draws(n, d, size):
     assert stack.shape == (size, n, d)
     assert np.array_equal(stack, np.stack(one_by_one))
     assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
+# numpy's pairwise sums change order from 8 terms on; these n straddle that
+@pytest.mark.parametrize("d", [3, 4, 32])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 64])
+def test_stacks_project_as_each_configuration(n, d):
+    """project_to_constraint_sphere on a stack gives each configuration as
+    it gives it alone, bit for bit, also from a column-major copy (its sums
+    run in index order whatever the memory order), and so does a stacked
+    equilibrium draw against draws one at a time."""
+    rng = np.random.default_rng(100 * n + d)
+    stack = rng.uniform(-3.0, 5.0, (4, n, d))
+    alone = [system.project_to_constraint_sphere(np.asfortranarray(x))
+             for x in stack]
+    assert np.array_equal(system.project_to_constraint_sphere(stack),
+                          np.stack(alone))
+    stacked_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+    one_by_one = [system.sample_equilibrium(n, d, rng) for _ in range(4)]
+    assert np.array_equal(system.sample_equilibrium(n, d, stacked_rng, size=4),
+                          np.stack(one_by_one))
 
 
 def test_equilibrium_blocks_span_several_blocks():
@@ -396,16 +416,19 @@ def test_simulate_horizon_zero_single_snapshot():
     ("sample_dt", dict(horizon=1.0, sample_dt=0.0)),
     ("sample_dt", dict(horizon=1.0, sample_dt=np.nan)),
     ("sample_dt", dict(horizon=1.0, sample_dt=np.inf)),
+    ("sample_dt", dict(sample_dt=0.5, max_events=500)),
     ("max_events", dict(max_events=-3)),
     ("chunk_size", dict(horizon=1.0, chunk_size=0)),
 ], ids=["horizon-nan", "horizon-inf", "horizon-negative", "dt-negative",
-        "dt-zero", "dt-nan", "dt-inf", "events-negative", "chunk-zero"])
+        "dt-zero", "dt-nan", "dt-inf", "dt-without-horizon", "events-negative",
+        "chunk-zero"])
 def test_simulate_refuses_bad_run_lengths(coupled, name, kw):
     """A horizon, sample spacing or event budget the run cannot honour is
     refused by name, before any event: a nan horizon would never stop, a
     negative one would sample [-1, 0], a nonpositive sample_dt would fail
-    deep in the grid, a negative budget would run no event silently, and
-    an empty batch of draws would be drawn again forever."""
+    deep in the grid, a sample_dt without a horizon would be ignored, a
+    negative budget would run no event silently, and an empty batch of
+    draws would be drawn again forever."""
     starts = [kac_sphere_point(8, 3, 69 + c)[0] for c in range(1 + coupled)]
     simulate = system.simulate_coupled if coupled else system.simulate_kac
     with pytest.raises(ValueError, match=name):
@@ -494,7 +517,8 @@ def test_record_stacks_the_sampled_states(coupled):
 @pytest.mark.parametrize("n", [2, 7, 129, 256])
 def test_columns_equal_the_per_sample_formulas(n):
     """The columns, computed over the stacks, equal each sample's own
-    formula bit for bit, for one copy and for two."""
+    formula bit for bit, for one copy and for two; a pair's
+    mean_sq_distance and corr equal the pair_statistics records' fields."""
     rng = np.random.default_rng(n)
     u, v = rng.standard_normal((2, 6, n, 3))
 
@@ -514,10 +538,10 @@ def test_columns_equal_the_per_sample_formulas(n):
     pair = system.TrajectoryRecord(times=np.arange(6.0), states=(u, v),
                                    checks={})
     want = {"mean_sq_distance": per_sample(
-                lambda a, b: float(np.mean(np.sum((a - b) ** 2, axis=1))),
+                lambda a, b: analysis.pair_statistics(a, b).mean_sq_distance,
                 u, v),
             "corr": per_sample(
-                lambda a, b: float(np.mean(np.sum(a * b, axis=1))), u, v),
+                lambda a, b: analysis.pair_statistics(a, b).mean_dot, u, v),
             "m2": m2, "m4": m4}
     assert pair.columns.keys() == want.keys()
     for name, col in want.items():
