@@ -26,9 +26,10 @@ Contents:
   coupling creation ``coupling_creation``;
 * alignment inequalities: ``fund_inequality_report``,
   ``trace_inequality_report``, ``area_decomposition``;
-* Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``;
+* Hölder machinery: ``holder_constants``, ``pathwise_weak_inequality``,
+  and the weak family's rules ``check_delta`` and ``conjugate_exponent``;
 * fourth-moment dynamics: ``delta4``, ``order4_bound``, ``gamma_exponent``,
-  ``time_integral_floor``, ``decay_envelope``;
+  ``decay_envelope``;
 * equilibrium estimates: ``wishart_kappa_moment``, ``k_main_estimate``;
 * two degeneration studies: ``counterexample_heavy_tail`` and
   ``counterexample_radial_band``;
@@ -47,8 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from .system import (DegenerateInput, InvariantViolation, _weighted_dots,
-                     equilibrium_blocks)
+from .geometry import _weighted_dots
+from .system import InvariantViolation, _check_shape, equilibrium_blocks
 
 __all__ = [
     "AnalysisError",
@@ -72,12 +73,12 @@ __all__ = [
     "trace_inequality_report",
     "area_decomposition",
     "holder_constants",
+    "check_delta",
     "conjugate_exponent",
     "pathwise_weak_inequality",
     "delta4",
     "order4_bound",
     "gamma_exponent",
-    "time_integral_floor",
     "decay_envelope",
     "wishart_kappa_moment",
     "check_wishart_order",
@@ -166,20 +167,41 @@ class AreaDecomposition:
     residual: float
 
 
-def _as_matrix(s, name="S"):
+def _as_matrix(s, name="S", stacked=False):
+    """``s`` as floats, once it is a square matrix, or with ``stacked`` a
+    stack (..., d, d) of them."""
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if (s.ndim < 2 or s.ndim > 2 and not stacked
+            or s.shape[-1] != s.shape[-2]):
         raise BadParams(f"{name} must be square, got shape {s.shape}")
     return s
 
 
+def _spectrum(s, unit_trace=False):
+    """Ascending eigenvalues of each matrix of a stack S (..., d, d), or of
+    one, from one eigvalsh of (S + S^T)/2.  The first matrix that is not
+    symmetric within SYMMETRY_TOL, or with ``unit_trace`` has a trace off 1
+    by more than TRACE_TOL, raises what it would raise alone."""
+    s = _as_matrix(s, stacked=True)
+    lead = s.shape[:-2]
+    s_t = s.swapaxes(-1, -2)
+    tr = s.trace(axis1=-2, axis2=-1)
+    bad_trace = (abs(tr - 1.0) > TRACE_TOL) & unit_trace
+    scale = 1.0 + abs(s).reshape(lead + (-1,)).max(axis=-1)
+    asym = abs(s - s_t).reshape(lead + (-1,)).max(axis=-1)
+    bad = bad_trace | (asym > SYMMETRY_TOL * scale)
+    if bad.any():
+        first = np.unravel_index(bad.argmax(), lead)
+        if bad_trace[first]:
+            raise PreconditionFailed(
+                f"kappa needs unit trace, got {float(tr[first]):.12g}")
+        raise BadParams("matrix is not symmetric within tolerance")
+    return np.linalg.eigvalsh(0.5 * (s + s_t))
+
+
 def max_eigenvalue(s):
     """Largest eigenvalue of a symmetric matrix (symmetry within 1e-12)."""
-    s = _as_matrix(s)
-    scale = 1.0 + np.max(np.abs(s))
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL * scale:
-        raise BadParams("matrix is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (s + s.T))[-1])
+    return float(_spectrum(_as_matrix(s))[-1])
 
 
 def kappa(s):
@@ -193,28 +215,12 @@ def kappa(s):
     kappa of its matrix alone; the first matrix that fails a check raises
     what it would raise alone.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise BadParams(f"S must be square, got shape {s.shape}")
-    lead = s.shape[:-2]
-    s_t = s.swapaxes(-1, -2)
-    tr = s.trace(axis1=-2, axis2=-1)
-    bad_trace = abs(tr - 1.0) > TRACE_TOL
-    scale = 1.0 + abs(s).reshape(lead + (-1,)).max(axis=-1)
-    asym = abs(s - s_t).reshape(lead + (-1,)).max(axis=-1)
-    bad = bad_trace | (asym > SYMMETRY_TOL * scale)
-    if bad.any():
-        first = np.unravel_index(bad.argmax(), lead)
-        if bad_trace[first]:
-            raise PreconditionFailed(
-                f"kappa needs unit trace, got {float(tr[first]):.12g}")
-        raise BadParams("matrix is not symmetric within tolerance")
-    spectrum = np.linalg.eigvalsh(0.5 * (s + s_t))
+    spectrum = _spectrum(s, unit_trace=True)
     rest = spectrum[..., :-1].sum(axis=-1)
     # rank one (+inf) where the top eigenvalue reaches 1, without dividing
-    out = np.divide(1.0, rest, out=np.full(lead, np.inf),
+    out = np.divide(1.0, rest, out=np.full(rest.shape, np.inf),
                     where=~(spectrum[..., -1] >= 1.0 - RANK_DEFECT_TOL))
-    return float(out) if not lead else out
+    return out if out.ndim else float(out)
 
 
 def _moment(x, y, w):
@@ -516,8 +522,18 @@ def area_decomposition(pairs):
                              residual=total - (term1 + term2 + term3))
 
 
+def check_delta(delta, upper=math.inf):
+    """``delta`` as a float, once 0 < delta < ``upper`` (the decay
+    constants need delta < 1)."""
+    delta = float(delta)
+    if not 0.0 < delta < upper:
+        raise BadParams(f"need 0 < delta < {upper:g}, got {delta}"
+                        if upper < math.inf else f"need delta > 0, got {delta}")
+    return delta
+
+
 def conjugate_exponent(p):
-    """q with 1/p + 1/q = 1."""
+    """q with 1/p + 1/q = 1, once p > 1."""
     p = float(p)
     if p <= 1.0:
         raise BadParams(f"need p > 1, got {p}")
@@ -534,10 +550,8 @@ def holder_constants(delta, p, d):
 
     Both are strictly positive for every d >= 3 and delta > 0.
     """
-    delta = float(delta)
+    delta = check_delta(delta)
     p = float(p)
-    if delta <= 0:
-        raise BadParams(f"need delta > 0, got {delta}")
     if d < 3:
         raise BadParams(f"need d >= 3, got {d}")
     q = conjugate_exponent(p)
@@ -554,9 +568,7 @@ def weak_exponents(delta, p):
     <|u-u*|^(2p(1+delta))>_N, <|v-v*|^(2q(1+delta))>_N that
     ``pathwise_weak_inequality`` reads: pass them to ``pair_statistics``.
     q is the conjugate of p."""
-    delta = float(delta)
-    if delta <= 0:
-        raise BadParams(f"need delta > 0, got {delta}")
+    delta = check_delta(delta)
     return float(p) * (1.0 + delta), conjugate_exponent(p) * (1.0 + delta)
 
 
@@ -574,9 +586,7 @@ def pathwise_weak_inequality(pairs, delta, p):
     u = v is 0/0 and is returned flagged with nan sides.
     """
     _check_pair_record(pairs)
-    n, d = pairs.u.shape
-    if n < 2 or d < 3:
-        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {(n, d)}")
+    d = _check_shape(pairs.u).shape[1]
     exponents = weak_exponents(delta, p)
     if (pairs.a, pairs.b) != exponents:
         raise BadParams(f"pair moments taken at exponents ({pairs.a}, "
@@ -653,17 +663,7 @@ def order4_bound(m4_0, d, t):
 
 def gamma_exponent(delta):
     """Exponent gamma = 1/4 + 1/(4 delta) of the time-integral bound."""
-    delta = float(delta)
-    if delta <= 0:
-        raise BadParams(f"need delta > 0, got {delta}")
-    return 0.25 + 0.25 / delta
-
-
-def time_integral_floor(t, t_star, d, gamma):
-    """Lower bound ((2d+4)/d)^(-gamma) (t - t_star)^+ for int_0^t m4(s)^(-gamma) ds."""
-    t = np.asarray(t, dtype=np.float64)
-    out = ((2.0 * d + 4.0) / d) ** (-gamma) * np.maximum(t - t_star, 0.0)
-    return out if out.ndim else float(out)
+    return 0.25 + 0.25 / check_delta(delta)
 
 
 def decay_envelope(t, d0, delta, c_delta_n, t_star):
@@ -758,7 +758,7 @@ def gaussian_even_moment(d, m):
     return x
 
 
-def k_main_estimate(delta, p, q, n, d, samples, rng):
+def k_main_estimate(delta, p, n, d, samples, rng):
     """Equilibrium estimate of the main decay constant and c_delta_n.
 
     Estimates J = E[kappa^(p(1+2 delta)) <(|U-U*|/sqrt(2))^(2p(1+delta))>_N]
@@ -771,21 +771,18 @@ def k_main_estimate(delta, p, q, n, d, samples, rng):
 
         ((d-1)/d)^(1+1/(2 delta)) E(|G_d|^(2p(1+delta)))^(-1/(2 p delta)),
 
-    is returned alongside for convergence checks.  A MomentBlowup warning
+    is returned alongside for convergence checks (q is p's conjugate, and
+    0 < delta < 1).  A MomentBlowup warning
     flags parameter choices whose kappa-moment is not integrable.  The
     samples are drawn in the blocks of ``system.equilibrium_blocks``, and
     each block's kappas and pair moments come from one ``pair_statistics``
     call; the estimate is the same bit for bit as one sample at a time.
     """
     _check_samples(samples)
-    delta = float(delta)
-    if not (0.0 < delta < 1.0):
-        raise BadParams(f"need 0 < delta < 1, got {delta}")
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-10:
-        raise BadParams(f"p = {p} and q = {q} are not conjugate")
-    hc = holder_constants(delta, p, d)
+    hc = holder_constants(check_delta(delta, 1.0), p, d)
+    delta, p = hc.delta, hc.p
     m_kappa = p * (1.0 + 2.0 * delta)
-    m_pair = p * (1.0 + delta)
+    m_pair = weak_exponents(delta, p)[0]
     blowup = n - 2.0 * m_kappa / (d - 1.0) <= d
     if blowup:
         warnings.warn(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _engine
+from .geometry import _weighted_dots
 
 __all__ = ["SizeLimit", "pairing_cost", "solve_assignment", "optimal_pairing",
            "sym_distance"]
@@ -88,6 +89,6 @@ def sym_distance(u, v):
     # re-evaluate the matched cost from the raw differences: the Gram
     # expansion used for the solve loses ~1e-15 per entry to cancellation,
     # which would put permuted copies at ~1e-8 instead of 0
-    diff = u - v[perm]
-    total = float(np.einsum("id,id->", diff, diff))
-    return float(np.sqrt(total / u.shape[0]))
+    diff = (u - v[perm])[None]
+    n = u.shape[0]
+    return float(np.sqrt(_weighted_dots(diff, diff, np.full(n, 1.0 / n))[0]))

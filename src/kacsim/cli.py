@@ -33,10 +33,10 @@ import numpy as np
 
 from . import _engine, analysis
 from .assignment import MAX_ASSIGNMENT_SIZE
+from .geometry import _weighted_dots
 from .kernels import KernelError, make_kernel
 from .system import (
     STREAM_VERSION,
-    _weighted_dots,
     align_configurations,
     coupled_run_issues,
     default_m4_init,
@@ -118,16 +118,14 @@ class ExperimentConfig:
             self.m4_init = default_m4_init(self.d)
 
     def resolved_exponents(self):
-        """(delta, p, q) with p's default filled in and q its conjugate."""
+        """(delta, p) with p's default filled in; q is p's conjugate."""
         delta = float(self.delta)
         p = float(self.p)
         if p == 0.0:
             if delta >= 1.0:
                 raise ConfigError("delta >= 1 requires an explicit p")
             p = 2.0 / (1.0 - delta)
-        if p <= 1.0:
-            raise ConfigError(f"need p > 1, got {p}")
-        return delta, p, analysis.conjugate_exponent(p)
+        return delta, p
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -209,10 +207,6 @@ def validate_config(cfg):
             f"initial_law must be one of {INITIAL_LAWS}, got {cfg.initial_law!r}")
 
     if cfg.kind == "decay":
-        # the decay constants (analysis.k_main_estimate) need delta < 1
-        if not 0 < cfg.delta < 1:
-            raise ConfigError(f"need 0 < delta < 1, got {cfg.delta}")
-        cfg.resolved_exponents()
         if cfg.constant_samples < 2:
             raise ConfigError("constant_samples must be at least 2")
         if cfg.n > MAX_ASSIGNMENT_SIZE:
@@ -226,16 +220,17 @@ def validate_config(cfg):
     if cfg.kind == "inequalities":
         if cfg.n_discrete < 0 or cfg.n_config < 0:
             raise ConfigError("sweep sizes must be >= 0")
-        if cfg.delta <= 0:
-            raise ConfigError(f"need delta > 0, got {cfg.delta}")
-        cfg.resolved_exponents()
     if cfg.kind in ("counterexample1", "counterexample2", "wishart",
                     "equilibrium-check"):
         if cfg.samples < 2:
             raise ConfigError("samples must be at least 2")
-    # the studies' parameter rules live with the estimators, which apply
-    # them to every value before their first draw
+    # the parameter rules (delta, p and the studies') live with the
+    # estimators, which apply them to every value before their first draw
     try:
+        if cfg.kind == "decay":
+            analysis.check_delta(cfg.delta, 1.0)
+        if cfg.kind in ("decay", "inequalities"):
+            analysis.weak_exponents(*cfg.resolved_exponents())
         if cfg.kind == "counterexample1":
             analysis.heavy_tail_radii(cfg.m_values, cfg.q_moment)
         if cfg.kind == "counterexample2":
@@ -404,7 +399,7 @@ def _decay_replica(cfg, kern, rep):
     """One coupled replica of a decay run from its own substream alone, so
     it is recomputed from (config, seed, replica) without the others: its
     sample times, columns, issues, engine checks and trajectory rows."""
-    delta, p, _ = cfg.resolved_exponents()
+    delta, p = cfg.resolved_exponents()
     rng = substream(cfg.seed, rep)
     stream_id = substream_seed(cfg.seed, rep)
     u0, v0 = _initial_copies(cfg, rng)
@@ -427,9 +422,8 @@ def run_decay_experiment(cfg, out_dir):
     """Coupled decay runs: the constants, ``_decay_replica`` for each
     replica in order up to the first with an issue, and their aggregate."""
     kern = build_kernel(cfg)
-    delta, p, q = cfg.resolved_exponents()
-    hc = analysis.k_main_estimate(delta, p, q, cfg.n, cfg.d,
-                                  cfg.constant_samples,
+    delta, p = cfg.resolved_exponents()
+    hc = analysis.k_main_estimate(delta, p, cfg.n, cfg.d, cfg.constant_samples,
                                   substream(cfg.seed, CONSTANTS_STREAM))
     constants = asdict(hc)
     constants["moment_blowup"] = constants.pop("blowup")
@@ -543,7 +537,7 @@ def _random_constrained_pair(cfg, rng):
 
 def run_inequality_sweep(cfg, out_dir):
     """Randomized slack sweep; exit 1 when any inequality is violated."""
-    delta, p, _ = cfg.resolved_exponents()
+    delta, p = cfg.resolved_exponents()
     exponents = analysis.weak_exponents(delta, p)
     rows = []
     mins = {}

@@ -19,7 +19,8 @@ reference stepper ``system._collide`` and the C loop of
 Each rule is spelled once here, as once in the C loop: ``complement_unit``
 and ``transport_frames`` share the two-pass projection ``_project_off``.
 They round as the C loop does (sums in index order by ``sequential_sum``,
-one reciprocal per normalization, in ``normalized``).  Vectors have shape
+one reciprocal per normalization, in ``normalized``).  ``_weighted_dots``
+is the one E U.V and E|U - V|^2 of the package.  Vectors have shape
 ``(d,)``, d >= 3.
 """
 
@@ -59,6 +60,15 @@ def sequential_sum(x):
     for xk in np.ravel(x).tolist():
         s += xk
     return s
+
+
+def _weighted_dots(x, y, w):
+    """sum_k w_k x_k.y_k for each configuration of the stacks x, y (S, N,
+    d), as python floats.  Each is one dot of w with the row of x_k.y_k,
+    as ``w @ row`` on one configuration; an (S, N) @ (N,) product would
+    round differently."""
+    rows = np.einsum("snd,snd->sn", x, y)
+    return (rows[:, None, :] @ w)[:, 0].tolist()
 
 
 def normalized(x):

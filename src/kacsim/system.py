@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine, assignment
-from .geometry import (complement_unit, normalized, sample_azimuth_cos,
-                       sequential_sum, transport_frames)
+from .geometry import (_weighted_dots, complement_unit, normalized,
+                       sample_azimuth_cos, sequential_sum, transport_frames)
 
 __all__ = [
     "DegenerateInput",
@@ -153,13 +153,14 @@ def energy_moments(x):
     return np.mean(sq, axis=-1), np.mean(sq * sq, axis=-1)
 
 
-def _weighted_dots(x, y, w):
-    """sum_k w_k x_k.y_k for each configuration of the stacks x, y (S, N,
-    d), as python floats.  Each is one dot of w with the row of x_k.y_k,
-    as ``w @ row`` on one configuration; an (S, N) @ (N,) product would
-    round differently."""
-    rows = np.einsum("snd,snd->sn", x, y)
-    return (rows[:, None, :] @ w)[:, 0].tolist()
+def _check_shape(v, stacked=False):
+    """``v`` as floats, once it is a configuration (n >= 2, d >= 3) or,
+    with ``stacked``, a stack (..., n, d) of them."""
+    v = np.asarray(v, dtype=np.float64)
+    if (v.ndim < 2 or v.ndim > 2 and not stacked or v.shape[-2] < 2
+            or v.shape[-1] < 3):
+        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
+    return v
 
 
 def project_to_constraint_sphere(v):
@@ -168,9 +169,7 @@ def project_to_constraint_sphere(v):
     rounds it: each coordinate's mean, then the squared length s, summed
     in index order by ``np.add.accumulate`` (so a stack gives each of its
     configurations as alone), and one multiply by sqrt(n / s)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim < 2 or v.shape[-2] < 2 or v.shape[-1] < 3:
-        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
+    v = _check_shape(v, stacked=True)
     n = v.shape[-2]
     # C's sums start from +0.0, which turns a sum of -0.0 into +0.0
     v -= (np.add.accumulate(v, axis=-2)[..., -1:, :] + 0.0) / n
@@ -184,9 +183,7 @@ def project_to_constraint_sphere(v):
 
 def check_configuration(v, tol=1e-10):
     """Verify the mean-zero and unit-mean-energy constraints within tol."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 3:
-        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
+    v = _check_shape(v)
     mom = np.max(np.abs(v.mean(axis=0)))
     energy = energy_moments(v)[0]
     if mom > tol or abs(energy - 1.0) > tol:

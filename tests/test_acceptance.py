@@ -160,7 +160,7 @@ def test_07_constant_magnitude():
     """The main constant in the large-N, large-d, delta near 1 proxy regime
     (N=2048, d=32, delta=0.9) comes out at the 1e-3 order of magnitude."""
     t0 = time.time()
-    res = analysis.k_main_estimate(0.9, 20.0, 20.0 / 19.0, 2048, 32, 150,
+    res = analysis.k_main_estimate(0.9, 20.0, 2048, 32, 150,
                                    system.substream(0, cli.CONSTANTS_STREAM))
     elapsed = time.time() - t0
     ok = (1e-4 <= res.c_delta_n <= 1e-2 and not res.blowup

@@ -30,8 +30,6 @@ def two_radius_equality_case(d=3, r1=1.2):
 def test_max_eigenvalue():
     s = np.diag([0.5, 0.3, 0.2])
     assert analysis.max_eigenvalue(s) == 0.5
-    with pytest.raises(analysis.BadParams):
-        analysis.max_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_kappa_isotropic_exact():
@@ -63,20 +61,43 @@ def test_kappa_generic_value():
                                rtol=1e-12)
 
 
-def test_kappa_preconditions():
-    with pytest.raises(analysis.PreconditionFailed):
-        analysis.kappa(np.eye(3))  # trace 3
-    bad = np.eye(3) / 3.0
-    bad[0, 1] = 0.1
-    with pytest.raises(analysis.BadParams):
-        analysis.kappa(bad)
+ISO3 = np.eye(3) / 3.0
+ASYM = ISO3 + np.diag([0.1, 0.1], 1)     # unit trace, not symmetric
+NOT_SYMMETRIC = "matrix is not symmetric within tolerance"
+
+
+@pytest.mark.parametrize("func, s, error, message", [
+    (analysis.kappa, np.eye(3), analysis.PreconditionFailed,
+     "kappa needs unit trace, got 3"),
+    (analysis.kappa, ASYM, analysis.BadParams, NOT_SYMMETRIC),
     # in a stack, the first failing matrix raises as it would alone
-    with pytest.raises(analysis.BadParams):
-        analysis.kappa(np.stack([np.eye(3) / 3.0, bad, np.eye(3)]))
-    with pytest.raises(analysis.PreconditionFailed, match="got 3"):
-        analysis.kappa(np.stack([np.eye(3), bad]))
-    with pytest.raises(analysis.BadParams):
-        analysis.kappa(np.ones((2, 3, 4)))
+    (analysis.kappa, np.stack([ISO3, ASYM, np.eye(3)]), analysis.BadParams,
+     NOT_SYMMETRIC),
+    (analysis.kappa, np.stack([np.eye(3), ASYM]), analysis.PreconditionFailed,
+     "kappa needs unit trace, got 3"),
+    (analysis.kappa, np.stack([ASYM, np.eye(3)]), analysis.BadParams,
+     NOT_SYMMETRIC),
+    (analysis.kappa, np.ones((2, 3, 4)), analysis.BadParams,
+     "S must be square, got shape (2, 3, 4)"),
+    (analysis.kappa, np.ones(3), analysis.BadParams,
+     "S must be square, got shape (3,)"),
+    (analysis.max_eigenvalue, np.array([[0.0, 1.0], [0.5, 0.0]]),
+     analysis.BadParams, NOT_SYMMETRIC),
+    # max_eigenvalue takes one matrix, whatever its trace
+    (analysis.max_eigenvalue, np.stack([ISO3, ISO3]), analysis.BadParams,
+     "S must be square, got shape (2, 3, 3)"),
+    (analysis.max_eigenvalue, np.ones((2, 3)), analysis.BadParams,
+     "S must be square, got shape (2, 3)"),
+], ids=["kappa-trace", "kappa-asymmetric", "kappa-stack-asymmetric-first",
+        "kappa-stack-trace-first", "kappa-stack-asymmetric-then-trace",
+        "kappa-stack-not-square", "kappa-vector",
+        "max_eigenvalue-asymmetric", "max_eigenvalue-stack",
+        "max_eigenvalue-not-square"])
+def test_spectrum_preconditions(func, s, error, message):
+    """Each refusal keeps its exception type and its message."""
+    with pytest.raises(error) as info:
+        func(s)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_kappa_of_a_stack_equals_each_matrix():
@@ -587,12 +608,10 @@ def test_order4_bound_shapes_and_t_star():
         analysis.order4_bound(0.5, 3, 0.0)
 
 
-def test_gamma_and_time_integral_floor():
-    np.testing.assert_allclose(analysis.gamma_exponent(0.5), 0.75)
-    gam = analysis.gamma_exponent(0.5)
-    val = analysis.time_integral_floor(4.0, 1.0, 3, gam)
-    np.testing.assert_allclose(val, (10.0 / 3.0) ** -0.75 * 3.0, rtol=1e-12)
-    assert analysis.time_integral_floor(0.5, 1.0, 3, gam) == 0.0
+def test_gamma_exponent():
+    assert analysis.gamma_exponent(0.5) == 0.75
+    with pytest.raises(analysis.BadParams, match="need delta > 0, got 0.0"):
+        analysis.gamma_exponent(0.0)
 
 
 def test_decay_envelope_monotone():
@@ -653,7 +672,7 @@ def test_wishart_kappa_moment():
 
 def test_k_main_estimate_converges_to_limit():
     rng = np.random.default_rng(94)
-    hc = analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 512, 3, 60, rng)
+    hc = analysis.k_main_estimate(0.5, 4.0, 512, 3, 60, rng)
     assert not hc.blowup
     assert abs(hc.j_factor - hc.j_limit) / hc.j_limit < 0.1
     assert hc.k_main == pytest.approx(hc.k2 * hc.j_factor)
@@ -666,8 +685,8 @@ def test_k_main_estimate_equals_per_sample_loop(n, d, samples):
     """The blocked estimate against one sample at a time, each with its
     own draw, moment record and kappa, and python float powers: the
     constants are equal, not only close."""
-    delta, p, q = 0.5, 4.0, 4.0 / 3.0
-    hc = analysis.k_main_estimate(delta, p, q, n, d, samples,
+    delta, p = 0.5, 4.0
+    hc = analysis.k_main_estimate(delta, p, n, d, samples,
                                   np.random.default_rng(n + d))
     rng = np.random.default_rng(n + d)
     m_kappa, m_pair = p * (1.0 + 2.0 * delta), p * (1.0 + delta)
@@ -711,9 +730,11 @@ def test_wishart_kappa_moment_equals_per_sample_loop(n, d, samples):
 def test_k_main_estimate_blowup_warning():
     rng = np.random.default_rng(95)
     with pytest.warns(analysis.MomentBlowup):
-        analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 8, 3, 5, rng)
-    with pytest.raises(analysis.BadParams):
-        analysis.k_main_estimate(0.5, 4.0, 1.5, 64, 3, 5, rng)
+        analysis.k_main_estimate(0.5, 4.0, 8, 3, 5, rng)
+    with pytest.raises(analysis.BadParams, match="need 0 < delta < 1"):
+        analysis.k_main_estimate(1.0, 4.0, 64, 3, 5, rng)
+    with pytest.raises(analysis.BadParams, match="need p > 1"):
+        analysis.k_main_estimate(0.5, 1.0, 64, 3, 5, rng)
 
 
 def test_counterexample_heavy_tail_trend():
@@ -762,8 +783,7 @@ def test_estimators_need_two_samples(samples):
     no mean): each estimator refuses them instead of returning nan."""
     rng = np.random.default_rng(5)
     calls = (
-        lambda: analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, samples,
-                                         rng),
+        lambda: analysis.k_main_estimate(0.5, 4.0, 64, 3, samples, rng),
         lambda: analysis.wishart_kappa_moment(16, 3, 2.0, samples, rng),
         lambda: analysis.counterexample_heavy_tail((10.0,), 1.5, 3, samples,
                                                    rng),

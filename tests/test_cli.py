@@ -106,10 +106,30 @@ def test_validate_config_range_checks(tmp_path):
 
 def test_resolved_exponents_default_conjugacy(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, DECAY_CFG))
-    delta, p, q = cfg.resolved_exponents()
-    assert delta == 0.5
-    np.testing.assert_allclose(p, 2.0 / (1.0 - delta))
+    delta, p = cfg.resolved_exponents()
+    assert (delta, p) == (0.5, 2.0 / (1.0 - 0.5))
+    q = cli.analysis.holder_constants(delta, p, cfg.d).q
+    assert q == p / (p - 1.0)
     np.testing.assert_allclose(1.0 / p + 1.0 / q, 1.0)
+
+
+@pytest.mark.parametrize("base, extra, message", [
+    (INEQUALITY_CFG, "delta = 0.0\n", "need delta > 0, got 0.0"),
+    (INEQUALITY_CFG, "p = 0.5\n", "need p > 1, got 0.5"),
+    (INEQUALITY_CFG, "delta = 1.5\n", "delta >= 1 requires an explicit p"),
+    (DECAY_CFG, "delta = 0.0\n", "need 0 < delta < 1, got 0.0"),
+    (DECAY_CFG, "delta = 1.5\np = 3\n", "need 0 < delta < 1, got 1.5"),
+    (DECAY_CFG, "p = 1.0\n", "need p > 1, got 1.0"),
+], ids=["inequalities_delta_zero", "inequalities_p_below_1",
+        "inequalities_delta_above_1_default_p", "decay_delta_zero",
+        "decay_delta_above_1", "decay_p_1"])
+def test_exponent_rules_name_their_parameter(tmp_path, capsys, base, extra,
+                                             message):
+    """The weak family's delta and p rules live in analysis; a config that
+    breaks one exits 2 with the rule's message."""
+    path = write_config(tmp_path, override(base, extra))
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_main_validate_prints_config(tmp_path, capsys):
@@ -388,7 +408,7 @@ def test_decay_pair_pass_never_falls_back_to_numpy(tmp_path, monkeypatch):
 
     def constants():
         # 100 samples at n = 64, d = 3 come in more than one block
-        hc = cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 100,
+        hc = cli.analysis.k_main_estimate(0.5, 4.0, 64, 3, 100,
                                           np.random.default_rng(1))
         return hc.j_factor, hc.j_stderr, hc.k_main, hc.c_delta_n
 
@@ -464,7 +484,7 @@ def test_each_sample_builds_one_record(tmp_path, monkeypatch):
     assert list(sweep(0, 3) - fixed) == [3, 2 * 3]
 
     calls.clear()
-    cli.analysis.k_main_estimate(0.5, 4.0, 4.0 / 3.0, 64, 3, 5,
+    cli.analysis.k_main_estimate(0.5, 4.0, 64, 3, 5,
                                  np.random.default_rng(1))
     assert calls == {"pair_sums": 5, "kappa": 5}
 

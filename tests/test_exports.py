@@ -138,6 +138,22 @@ def _c_bodies(path):
                       path.read_text(), re.M | re.S)
 
 
+# the message of each parameter rule of the weak family and of the shape
+# rule, by the fragment that names it
+RULE_MESSAGES = {"delta": "need delta > 0", "p": "need p > 1",
+                 "shape": "need shape (n >= 2, d >= 3)"}
+
+
+def _says(node):
+    """The rule whose message a string constant spells (an f-string's
+    constant parts included), from RULE_MESSAGES."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        for rule, fragment in RULE_MESSAGES.items():
+            if fragment in node.value:
+                return rule
+    return None
+
+
 def _normalizing(node):
     """The halves of a normalization: "length" for a
     ``sqrt(sequential_sum(...))``, "reciprocal" for a ``1.0 / sqrt(...)``."""
@@ -169,8 +185,11 @@ def _imported(path):
 def test_each_rule_has_one_owner():
     """Outside the engine only pair_statistics runs the pair pass; in the
     engine only pair_sums runs its python reference, and _engine.py
-    imports nothing from analysis.  Only kappa and max_eigenvalue take
-    eigenvalues, and in system.py only draw_event_batch draws angles.  The
+    imports nothing from analysis.  Only _spectrum, which kappa and
+    max_eigenvalue call, takes eigenvalues, and in system.py only
+    draw_event_batch draws angles.  One function spells each parameter
+    rule of the weak family (check_delta delta > 0, conjugate_exponent
+    p > 1) and system._check_shape the shape rule (n >= 2, d >= 3).  The
     two-pass projection is spelled once per language (the one reader of
     REORTHO_RATIO), and only transport_frames builds the frame of
     identical directions, also for a single copy.  In cli.py only
@@ -180,7 +199,9 @@ def test_each_rule_has_one_owner():
     the C loop through reproject.  In the collision geometry only
     normalized, as C's normalize, takes a vector's length and scales by
     its reciprocal (transport_frames folds its factors).  E U.V,
-    E|U - V|^2 and a law's marginal energies come from _weighted_dots.
+    E|U - V|^2, the pairing's distance and a law's marginal energies come
+    from _weighted_dots, defined once, in geometry; in system.py,
+    assignment.py and cli.py only pairing_cost calls einsum.
     In system.py and cli.py only energy_moments averages over particles
     (check_configuration also averages the momentum), and only
     _mean_stderr and the band study's two-part error take a standard
@@ -190,6 +211,7 @@ def test_each_rule_has_one_owner():
     calls = [c for path in py for c in _uses(path, _called)]
     reads = [c for path in py for c in _uses(path, _read)]
     norms = [c for path in py for c in _uses(path, _normalizing)]
+    says = [c for path in py for c in _uses(path, _says)]
     c_bodies = [b for path in sorted(src.glob("*.[ch]"))
                 for b in _c_bodies(path)]
 
@@ -204,7 +226,12 @@ def test_each_rule_has_one_owner():
             } == {"analysis.pair_statistics"}
     assert owners({"_python_pair_sums"}) == {"_engine.pair_sums"}
     assert "analysis" not in _imported(src / "_engine.py")
-    assert owners({"eigvalsh"}) == {"analysis.kappa", "analysis.max_eigenvalue"}
+    assert owners({"eigvalsh"}) == {"analysis._spectrum"}
+    assert owners({"_spectrum"}) == {"analysis.kappa",
+                                     "analysis.max_eigenvalue"}
+    assert owners({"delta"}, uses=says) == {"analysis.check_delta"}
+    assert owners({"p"}, uses=says) == {"analysis.conjugate_exponent"}
+    assert owners({"shape"}, uses=says) == {"system._check_shape"}
     assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
         "system.draw_event_batch"}
     assert owners({"REORTHO_RATIO"}, uses=reads) == {"geometry._project_off"}
@@ -226,8 +253,12 @@ def test_each_rule_has_one_owner():
     assert c_owners(r"\b1\.0 / (r|sqrt)\b") == ["normalize", "transport_frames"]
     assert owners({"_weighted_dots"}) == {
         "analysis.pair_statistics", "system.TrajectoryRecord.columns",
-        "cli._random_constrained_pair",
+        "cli._random_constrained_pair", "assignment.sym_distance",
         "analysis.DiscreteCoupledDistribution.normalize"}
+    assert set().union(*(owners({"einsum"}, m) for m in (
+        "system.", "assignment.", "cli."))) == {"assignment.pairing_cost"}
+    assert [path.stem for path in py if re.search(
+        r"^def _weighted_dots\b", path.read_text(), re.M)] == ["geometry"]
     assert owners({"mean"}, "system.") | owners({"mean"}, "cli.") == {
         "system.energy_moments", "system.check_configuration"}
     assert owners({"energy_moments"}, "system.") == {

@@ -6,11 +6,13 @@ library and once on the python reference (``_engine._LIB`` None), and
 compares every file it writes with ``tests/golden/<case>.json``: each CSV
 cell and each report.json value (report.json flattened to dotted keys,
 ``config.out`` left out).  Floats are stored as ``float.hex``, so the
-comparison is exact, except for the values that pass through LAPACK
-(eigenvalues in ``kappa`` and the Wishart moment, least squares in the
-band slope): another CPU's BLAS may round their last bits apart, so they
-are compared within LAPACK_RTOL relative.  A failure names each value
-that moved and by how much.
+comparison is exact (the CSV writer prints an integral float such as 1.0
+as "1", which is stored as that text: in a column that holds any float
+it compares as a float, elsewhere as an int), except for the values that
+pass through LAPACK (eigenvalues in ``kappa`` and the Wishart moment,
+least squares in the band slope): another CPU's BLAS may round their
+last bits apart, so they are compared within LAPACK_RTOL relative.  A
+failure names each value that moved and by how much.
 
 An output that moves on purpose (a stream change, say) is re-pinned by
 regenerating the files, never by editing them:
@@ -82,6 +84,14 @@ def _decode(x):
                                or x in ("inf", "-inf", "nan")):
         return float.fromhex(x)
     return x
+
+
+def _decode_cell(text, float_column):
+    """A CSV cell as stored: an integer-looking one as a float in a float
+    column and as an int elsewhere, any other by ``_decode``."""
+    if INT.fullmatch(text):
+        return float(text) if float_column else int(text)
+    return _decode(text)
 
 
 def _encode_csv(path):
@@ -164,10 +174,14 @@ def _moves(golden, got, exact=False):
                           f"{len(new['rows'])} rows, golden {header} and "
                           f"{len(gold['rows'])} rows", nan))
             continue
-        for k, (a, b) in enumerate(zip(gold["rows"], new["rows"])):
-            for col, x, y in zip(header, a.split(","), b.split(",")):
-                lines.append(_moved(f"{fname} row {k} {col}", _decode(x),
-                                    _decode(y),
+        rows = [[row.split(",") for row in f["rows"]] for f in (gold, new)]
+        floats = [any(isinstance(_decode(c), float) for c in cells)
+                  for cells in zip(*rows[0], *rows[1])]
+        for k, (a, b) in enumerate(zip(*rows)):
+            for col, is_float, x, y in zip(header, floats, a, b):
+                lines.append(_moved(f"{fname} row {k} {col}",
+                                    _decode_cell(x, is_float),
+                                    _decode_cell(y, is_float),
                                     not exact and col in LAPACK_COLUMNS))
     return [ln for ln in lines if ln]
 
@@ -220,6 +234,20 @@ def test_compare_names_what_moved():
     moved = _compare({"report.json": {"n": 0}},
                      {"report.json": {"n": (0.0).hex()}})
     assert moved == ["report.json n: 0.0, golden 0"]
+    # the CSV writer prints a float 1.0 as "1", pinned as that text: in a
+    # float column its move has a size, and an int column stays ints
+    def m2_row(*rows):
+        return {"t.csv": {"header": ["m2", "replica"], "rows": list(rows)}}
+
+    above = 1.0 + math.ulp(1.0)
+    gold = m2_row("1,0", f"{(0.5).hex()},1")
+    moves = _moves(gold, m2_row(f"{above.hex()},0", f"{(0.5).hex()},2"))
+    assert moves == [
+        (f"t.csv row 0 m2: {above!r}, golden 1.0, moved by 2.220e-16 "
+         f"(2.22e-16 relative)", math.ulp(1.0) / above),
+        ("t.csv row 1 replica: 2, golden 1", moves[1][1])]
+    assert math.isnan(moves[1][1])
+    assert _compare(gold, m2_row(f"{(1.0).hex()},0", f"{(0.5).hex()},1")) == []
 
 
 def regenerate(tmp_root):
