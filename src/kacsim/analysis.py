@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
-from .geometry import _weighted_dots
+from .geometry import _check_dimension, _weighted_dots
 from .system import InvariantViolation, _check_shape, equilibrium_blocks
 
 __all__ = [
@@ -551,16 +551,14 @@ def holder_constants(delta, p, d):
     Both are strictly positive for every d >= 3 and delta > 0.
     """
     delta = check_delta(delta)
-    p = float(p)
-    if d < 3:
-        raise BadParams(f"need d >= 3, got {d}")
+    _check_dimension(d, BadParams)
     q = conjugate_exponent(p)
     shared = ((d - 2.0) / (d - 1.0)
               * (1.0 + delta) ** (1.0 + 1.0 / delta)
               / (1.0 + 2.0 * delta) ** (1.0 + 1.0 / (2.0 * delta)))
     k1 = 2.0 ** (-3.0 - 1.0 / (2.0 * delta)) * shared
     k2 = 2.0 ** (-4.5 - 2.0 / delta) * shared
-    return HolderConstants(delta=delta, p=p, q=q, k1=k1, k2=k2)
+    return HolderConstants(delta=delta, p=float(p), q=q, k1=k1, k2=k2)
 
 
 def weak_exponents(delta, p):
@@ -628,10 +626,7 @@ def delta4(v, v_star, d=None):
     """
     v = np.asarray(v, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
-    if d is None:
-        d = v.shape[-1]
-    if d < 3:
-        raise BadParams(f"need d >= 3, got {d}")
+    d = _check_dimension(v.shape[-1] if d is None else d, BadParams)
     a = np.sum(v * v, axis=-1)
     b = np.sum(v_star * v_star, axis=-1)
     ip = np.sum(v * v_star, axis=-1)
@@ -698,6 +693,7 @@ def _mean_stderr(x):
 def check_wishart_order(n, d, p):
     """Refuse a moment order p < 1, or one whose inverse moment is not
     finite at n particles in dimension d (that needs n - 2p/(d-1) > d)."""
+    _check_dimension(d, BadParams)
     if p < 1:
         raise BadParams(f"need p >= 1, got {p}")
     if n - 2.0 * p / (d - 1.0) <= d:

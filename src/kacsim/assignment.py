@@ -28,6 +28,14 @@ class SizeLimit(ValueError):
     """Problem too large for the dense assignment solver."""
 
 
+def _check_size(n):
+    """``n`` once the dense solver, which is cubic, takes n rows."""
+    if n > MAX_ASSIGNMENT_SIZE:
+        raise SizeLimit(f"need n <= {MAX_ASSIGNMENT_SIZE} rows for the dense "
+                        f"assignment solver, got {n}")
+    return n
+
+
 def pairing_cost(u, v):
     """Dense cost matrix C[i, j] = |u_i - v_j|^2.
 
@@ -49,15 +57,12 @@ def solve_assignment(cost):
     """Permutation sigma minimizing sum_i cost[i, sigma[i]].
 
     Returns (permutation, total_cost).  Raises SizeLimit beyond
-    MAX_ASSIGNMENT_SIZE rows: the dense solver is cubic and anything larger
-    needs a different formulation.
+    MAX_ASSIGNMENT_SIZE rows (``_check_size``).
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got {cost.shape}")
-    n = cost.shape[0]
-    if n > MAX_ASSIGNMENT_SIZE:
-        raise SizeLimit(f"{n} > {MAX_ASSIGNMENT_SIZE} rows")
+    n = _check_size(cost.shape[0])
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix has non-finite entries")
     perm = _engine.assign(cost)

@@ -15,7 +15,8 @@ Each runner writes its CSV files and hands its fields to ``_write_report``,
 which writes report.json as {kind, stream, config, <fields>, violations,
 pass} and returns the exit code: 0 all checks passed, 1 an invariant was
 violated; 2 means the config was rejected (by ``validate_config``, before
-any output).
+any output).  ``validate_config`` asks each rule of the code that enforces
+it in a run, so ``kac validate`` refuses what ``kac run`` would.
 All randomness flows through substreams of the master seed, so identical
 (config, seed) pairs produce bit-identical output files within one RNG
 stream version (``stream`` in report.json, ``system.STREAM_VERSION``).
@@ -26,15 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import _engine, analysis
-from .assignment import MAX_ASSIGNMENT_SIZE
+from . import _engine, analysis, assignment, geometry, kernels, system
 from .geometry import _weighted_dots
-from .kernels import KernelError, make_kernel
 from .system import (
     STREAM_VERSION,
     align_configurations,
@@ -48,7 +48,6 @@ from .system import (
     substream,
     substream_seed,
     two_temperature_initial,
-    two_temperature_m4_range,
     project_to_constraint_sphere,
 )
 
@@ -64,9 +63,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
-
-KERNEL_FAMILIES = ("uniform", "dirac", "power_law")
-INITIAL_LAWS = ("two_temperature", "equilibrium", "identical")
 
 # check tolerances applied by the runners
 MONOTONE_TOL = 1e-9
@@ -112,10 +108,10 @@ class ExperimentConfig:
     n_values: tuple = (64, 256, 1024, 2048)
 
     def __post_init__(self):
-        # the config records the fourth moment the start really has;
-        # validate_config refuses d < 3, where the m4 range is not defined
-        if self.m4_init == 0.0 and self.d >= 3:
-            self.m4_init = default_m4_init(self.d)
+        # the m4 the start really has; below d = 3 it has no range
+        if self.m4_init == 0.0:
+            with suppress(system.DegenerateInput):
+                self.m4_init = default_m4_init(self.d)
 
     def resolved_exponents(self):
         """(delta, p) with p's default filled in; q is p's conjugate."""
@@ -183,54 +179,30 @@ def validate_config(cfg):
             raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    if cfg.n < 2:
-        raise ConfigError(f"need n >= 2, got {cfg.n}")
-    if cfg.d < 3:
-        raise ConfigError(f"need d >= 3, got {cfg.d}")
-    if cfg.kernel not in KERNEL_FAMILIES:
-        raise ConfigError(
-            f"kernel must be one of {KERNEL_FAMILIES}, got {cfg.kernel!r}")
-    try:
-        build_kernel(cfg)
-    except KernelError as exc:
-        raise ConfigError(f"kernel rejected: {exc}") from exc
-    if cfg.horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
-    if cfg.sample_dt <= 0:
-        raise ConfigError(f"sample_dt must be > 0, got {cfg.sample_dt}")
     if cfg.replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {cfg.replicas}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.kind == "inequalities" and (cfg.n_discrete < 0 or cfg.n_config < 0):
+        raise ConfigError("sweep sizes must be >= 0")
     if cfg.initial_law not in INITIAL_LAWS:
-        raise ConfigError(
-            f"initial_law must be one of {INITIAL_LAWS}, got {cfg.initial_law!r}")
-
-    if cfg.kind == "decay":
-        if cfg.constant_samples < 2:
-            raise ConfigError("constant_samples must be at least 2")
-        if cfg.n > MAX_ASSIGNMENT_SIZE:
-            raise ConfigError(f"need n <= {MAX_ASSIGNMENT_SIZE} for the "
-                              f"initial pairing, got {cfg.n}")
-        if cfg.initial_law == "two_temperature":
-            lo, hi = two_temperature_m4_range(cfg.d)
-            if not lo < cfg.m4_init < hi:
-                raise ConfigError(f"need {lo:.6g} < m4_init < {hi:.6g} in "
-                                  f"dimension {cfg.d}, got {cfg.m4_init}")
-    if cfg.kind == "inequalities":
-        if cfg.n_discrete < 0 or cfg.n_config < 0:
-            raise ConfigError("sweep sizes must be >= 0")
-    if cfg.kind in ("counterexample1", "counterexample2", "wishart",
-                    "equilibrium-check"):
-        if cfg.samples < 2:
-            raise ConfigError("samples must be at least 2")
-    # the parameter rules (delta, p and the studies') live with the
-    # estimators, which apply them to every value before their first draw
+        raise ConfigError(f"initial_law must be one of {tuple(INITIAL_LAWS)}, "
+                          f"got {cfg.initial_law!r}")
     try:
+        system._check_particles(cfg.n)
+        geometry._check_dimension(cfg.d)
+        build_kernel(cfg)
+        system._check_sample_grid(cfg.horizon, cfg.sample_dt)
         if cfg.kind == "decay":
+            analysis._check_samples(cfg.constant_samples)
+            assignment._check_size(cfg.n)
+            if cfg.initial_law == "two_temperature":
+                system._check_m4_target(cfg.d, cfg.m4_init)
             analysis.check_delta(cfg.delta, 1.0)
         if cfg.kind in ("decay", "inequalities"):
             analysis.weak_exponents(*cfg.resolved_exponents())
+        else:
+            analysis._check_samples(cfg.samples)
         if cfg.kind == "counterexample1":
             analysis.heavy_tail_radii(cfg.m_values, cfg.q_moment)
         if cfg.kind == "counterexample2":
@@ -238,17 +210,16 @@ def validate_config(cfg):
         if cfg.kind == "wishart":
             for n in cfg.n_values:
                 analysis.check_wishart_order(n, cfg.d, cfg.p_moment)
-    except analysis.AnalysisError as exc:
+    except (geometry.GeometryError, system.DegenerateInput,
+            kernels.KernelError, assignment.SizeLimit,
+            analysis.AnalysisError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
 
 def build_kernel(cfg):
-    if cfg.kernel == "dirac":
-        return make_kernel("dirac", theta0=cfg.theta0)
-    if cfg.kernel == "uniform":
-        return make_kernel("uniform", theta_min=cfg.theta_min)
-    return make_kernel("power_law", nu=cfg.nu, theta_min=cfg.theta_min)
+    return kernels.make_kernel(cfg.kernel, theta0=cfg.theta0,
+                               theta_min=cfg.theta_min, nu=cfg.nu)
 
 
 def _write_csv(path, header, rows):
@@ -365,13 +336,18 @@ def _decay_observables(delta, p, notes):
     return {name: column(name) for name in TRAJECTORY_COLUMNS}
 
 
+# each initial_law's second copy of a decay start from the first, u0
+INITIAL_LAWS = {
+    "two_temperature": lambda cfg, u0, rng: two_temperature_initial(
+        cfg.n, cfg.d, rng, m4_target=cfg.m4_init),
+    "equilibrium": lambda cfg, u0, rng: sample_equilibrium(cfg.n, cfg.d, rng),
+    "identical": lambda cfg, u0, rng: u0.copy(),
+}
+
+
 def _initial_copies(cfg, rng):
     u0 = sample_equilibrium(cfg.n, cfg.d, rng)
-    if cfg.initial_law == "identical":
-        return u0, u0.copy()
-    if cfg.initial_law == "equilibrium":
-        return u0, sample_equilibrium(cfg.n, cfg.d, rng)
-    return u0, two_temperature_initial(cfg.n, cfg.d, rng, m4_target=cfg.m4_init)
+    return u0, INITIAL_LAWS[cfg.initial_law](cfg, u0, rng)
 
 
 def _decay_sample_checks(times, columns):

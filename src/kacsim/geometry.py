@@ -21,7 +21,7 @@ and ``transport_frames`` share the two-pass projection ``_project_off``.
 They round as the C loop does (sums in index order by ``sequential_sum``,
 one reciprocal per normalization, in ``normalized``).  ``_weighted_dots``
 is the one E U.V and E|U - V|^2 of the package.  Vectors have shape
-``(d,)``, d >= 3.
+``(d,)``, d >= 3: ``_check_dimension`` is the package's one dimension rule.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ ANNIHILATION_SQ = 1e-24
 
 class GeometryError(ValueError):
     """Raised when a vector or frame violates its construction contract."""
+
+
+def _check_dimension(d, error=GeometryError):
+    """``d`` once d >= 3, else ``error``, the caller's own class."""
+    if d < 3:
+        raise error(f"need d >= 3, got {d}")
+    return d
 
 
 def sequential_sum(x):
@@ -131,8 +138,7 @@ def sample_azimuth_cos(d, rng, size=None):
 
     Uses the exact map cos(phi) = 1 - 2 B with B ~ Beta((d-2)/2, (d-2)/2).
     """
-    if d < 3:
-        raise GeometryError(f"dimension must be >= 3, got {d}")
+    _check_dimension(d)
     b = rng.beta((d - 2) / 2.0, (d - 2) / 2.0, size=size)
     return 1.0 - 2.0 * b
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _engine, assignment
+from . import _engine, assignment, geometry
 from .geometry import (_weighted_dots, complement_unit, normalized,
                        sample_azimuth_cos, sequential_sum, transport_frames)
 
@@ -93,7 +93,7 @@ SINGLE_CHECKS = ("n_events", "max_conservation_error")
 
 
 class DegenerateInput(ValueError):
-    """Configuration cannot be normalized (zero energy after centering)."""
+    """Input the dynamics cannot start from or run on."""
 
 
 class InvariantViolation(RuntimeError):
@@ -109,11 +109,16 @@ class CoupledState:
     pairing: np.ndarray
 
 
+def _check_particles(n):
+    """``n`` once it is at least 2: a collision takes a pair."""
+    if n < 2:
+        raise DegenerateInput(f"need n >= 2, got {n}")
+    return n
+
+
 def event_rate(kernel, n_particles):
     """System event rate (n - 1) b0 / 2 for n particles under ``kernel``."""
-    if n_particles < 2:
-        raise DegenerateInput("need at least two particles")
-    return (n_particles - 1) * kernel.b0 / 2.0
+    return (_check_particles(n_particles) - 1) * kernel.b0 / 2.0
 
 
 @dataclass
@@ -154,12 +159,13 @@ def energy_moments(x):
 
 
 def _check_shape(v, stacked=False):
-    """``v`` as floats, once it is a configuration (n >= 2, d >= 3) or,
-    with ``stacked``, a stack (..., n, d) of them."""
+    """``v`` as floats, once it is a configuration (n, d) or, with
+    ``stacked``, a stack (..., n, d) of them, with n >= 2 and d >= 3."""
     v = np.asarray(v, dtype=np.float64)
-    if (v.ndim < 2 or v.ndim > 2 and not stacked or v.shape[-2] < 2
-            or v.shape[-1] < 3):
-        raise DegenerateInput(f"need shape (n >= 2, d >= 3), got {v.shape}")
+    if v.ndim < 2 or v.ndim > 2 and not stacked:
+        raise DegenerateInput(f"need shape (n, d), got {v.shape}")
+    _check_particles(v.shape[-2])
+    geometry._check_dimension(v.shape[-1], DegenerateInput)
     return v
 
 
@@ -214,8 +220,18 @@ def equilibrium_blocks(n, d, samples, rng):
 
 def two_temperature_m4_range(d):
     """Open interval of fourth moments a two-point energy mixture reaches
-    in dimension d: the Gaussian value (d + 2)/d up to twice it."""
+    in dimension d >= 3: the Gaussian value (d + 2)/d up to twice it."""
+    geometry._check_dimension(d, DegenerateInput)
     return (d + 2.0) / d, 2.0 * (d + 2.0) / d
+
+
+def _check_m4_target(d, m4):
+    """``m4`` as a float, once it is in ``two_temperature_m4_range(d)``."""
+    lo, hi = two_temperature_m4_range(d)
+    if not lo < m4 < hi:
+        raise DegenerateInput(f"need {lo:.6g} < m4 < {hi:.6g} in dimension "
+                              f"{d}, got {m4}")
+    return float(m4)
 
 
 def default_m4_init(d):
@@ -240,12 +256,8 @@ def two_temperature_initial(n, d, rng, m4_target=None):
     default_m4_init(d).
     """
     a = 3.0
-    m4 = float(default_m4_init(d) if m4_target is None else m4_target)
-    lo, hi = two_temperature_m4_range(d)
-    if not (lo < m4 < hi):
-        raise ValueError(
-            f"m4_target must lie in ({lo:.6g}, {hi:.6g}) for a two-point "
-            f"energy mixture in dimension {d}, got {m4}")
+    m4 = _check_m4_target(d, default_m4_init(d) if m4_target is None
+                         else m4_target)
     big_a = 2.0 * (d + 2.0) - d * m4
     disc = (d * m4) ** 2 - big_a ** 2
     b = a * (d * m4 - np.sqrt(disc)) / big_a
@@ -433,6 +445,16 @@ def _sample_grid(horizon, sample_dt):
     return times
 
 
+def _check_sample_grid(horizon, sample_dt):
+    """Refuse a horizon or sample spacing a run cannot honour, nan too."""
+    if horizon is not None and not 0.0 <= horizon < np.inf:
+        raise DegenerateInput(f"horizon must be finite and nonnegative, got "
+                              f"{horizon}")
+    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
+        raise DegenerateInput(f"sample_dt must be finite and positive, got "
+                              f"{sample_dt}")
+
+
 def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
               reproject_every, chunk_size):
     """The driver of simulate_kac and simulate_coupled: check one copy or
@@ -448,13 +470,7 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
         raise ValueError("need horizon or max_events")
     if horizon is None and sample_dt is not None:
         raise ValueError("sample_dt needs a horizon, which its grid runs to")
-    # written so that nan fails each test
-    if horizon is not None and not 0.0 <= horizon < np.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got "
-                         f"{horizon}")
-    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
-        raise ValueError(f"sample_dt must be finite and positive, got "
-                         f"{sample_dt}")
+    _check_sample_grid(horizon, sample_dt)
     if max_events is not None and not max_events >= 0:
         raise ValueError(f"max_events must be nonnegative, got {max_events}")
     # an empty batch would be drawn again and again, never ending the run

@@ -661,6 +661,9 @@ def test_wishart_kappa_moment():
     rng = np.random.default_rng(93)
     with pytest.raises(analysis.BadParams):
         analysis.wishart_kappa_moment(4, 3, 2.0, 10, rng)
+    # the dimension rule comes first: the order rule divides by d - 1
+    with pytest.raises(analysis.BadParams, match="need d >= 3, got 1"):
+        analysis.wishart_kappa_moment(64, 1, 2.0, 4, rng)
     small = analysis.wishart_kappa_moment(16, 3, 2.0, 400, rng)
     large = analysis.wishart_kappa_moment(256, 3, 2.0, 400, rng)
     bound = 2.0 / 3.0

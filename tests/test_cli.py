@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kacsim import cli, system
+from kacsim import analysis, assignment, cli, geometry, kernels, system
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -58,6 +58,11 @@ def override(text, extra):
 
 def study_config(kind):
     return override(f"kind = {kind}\n" + STUDY_BASE, STUDIES[kind][1])
+
+
+# a valid config of each kind
+KIND_CONFIGS = {"decay": DECAY_CFG, "inequalities": INEQUALITY_CFG,
+                **{kind: study_config(kind) for kind in STUDIES}}
 
 
 def test_load_config_parses_and_overrides(tmp_path):
@@ -194,6 +199,19 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
                   id=f"{kind}_samples_1") for kind in STUDIES] + [
     # a repeated key used to keep its last value silently
     pytest.param(DECAY_CFG + "n = 16\n", id="repeated_key"),
+] + [
+    # the shape rules hold for every kind
+    pytest.param(override(text, extra), id=f"{kind}_{name}")
+    for kind, text in KIND_CONFIGS.items()
+    for name, extra in (("n_1", "n = 1\n"), ("d_2", "d = 2\n"))
+] + [
+    pytest.param(override(DECAY_CFG, extra), id=name) for name, extra in [
+        ("unknown_kernel", "kernel = sideways\n"),
+        ("unknown_initial_law", "initial_law = hot\n"),
+        ("constant_samples_1", "constant_samples = 1\n"),
+        ("horizon_negative", "horizon = -1\n"),
+        ("sample_dt_zero", "sample_dt = 0\n"),
+    ]
 ])
 def test_decay_config_rejected_before_running(tmp_path, capsys, text):
     """Both `kac validate` and `kac run` exit 2 on the config, and the run
@@ -205,6 +223,45 @@ def test_decay_config_rejected_before_running(tmp_path, capsys, text):
                      "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
     assert capsys.readouterr().err.count("config error") == 2
+
+
+@pytest.mark.parametrize("base, extra, owner", [
+    (DECAY_CFG, "d = 2\n", lambda: geometry._check_dimension(2)),
+    (DECAY_CFG, "n = 1\n", lambda: system._check_particles(1)),
+    (DECAY_CFG, "constant_samples = 1\n",
+     lambda: analysis._check_samples(1)),
+    (study_config("wishart"), "samples = 1\n",
+     lambda: analysis._check_samples(1)),
+    (DECAY_CFG, "m4_init = 4.0\n", lambda: system._check_m4_target(3, 4.0)),
+    (DECAY_CFG, "n = 5000\n", lambda: assignment._check_size(5000)),
+    (DECAY_CFG, "horizon = -1\n",
+     lambda: system._check_sample_grid(-1.0, 0.5)),
+    (DECAY_CFG, "sample_dt = 0\n",
+     lambda: system._check_sample_grid(2.0, 0.0)),
+    (DECAY_CFG, "kernel = sideways\n",
+     lambda: kernels.make_kernel("sideways")),
+], ids=["dimension", "particles", "constant_samples", "samples", "m4_range",
+        "pairing_size", "horizon", "sample_dt", "kernel_family"])
+def test_owned_rules_speak_with_their_owners_message(tmp_path, capsys, base,
+                                                     extra, owner):
+    """Each rule validate_config asks of the code that enforces it in a run
+    exits 2 with that code's own message, so `kac validate` and a run
+    refuse a config alike."""
+    with pytest.raises(ValueError) as raised:
+        owner()
+    path = write_config(tmp_path, override(base, extra))
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {raised.value}\n"
+
+
+def test_unvalidated_config_fails_loudly():
+    """A config that skipped validate_config cannot fall through to another
+    kernel or another initial law: an unknown name raises."""
+    with pytest.raises(kernels.KernelError):
+        cli.build_kernel(cli.ExperimentConfig(kernel="sideways"))
+    with pytest.raises(KeyError):
+        cli._initial_copies(cli.ExperimentConfig(initial_law="hot"),
+                            np.random.default_rng(0))
 
 
 def test_decay_config_default_m4_init_fits_the_dimension(tmp_path):

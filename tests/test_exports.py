@@ -138,10 +138,30 @@ def _c_bodies(path):
                       path.read_text(), re.M | re.S)
 
 
-# the message of each parameter rule of the weak family and of the shape
-# rule, by the fragment that names it
+# the message of each parameter rule of the weak family, of the shape rule
+# and of each config rule that validate_config asks of the code enforcing
+# it in a run, by the fragment that names it, and the one function that
+# spells it
 RULE_MESSAGES = {"delta": "need delta > 0", "p": "need p > 1",
-                 "shape": "need shape (n >= 2, d >= 3)"}
+                 "shape": "need shape (n, d)", "dimension": "need d >= 3",
+                 "particles": "need n >= 2",
+                 "samples": "Monte Carlo samples",
+                 "m4_range": "< m4 <",
+                 "pairing_size": "rows for the dense assignment",
+                 "horizon": "horizon must be",
+                 "sample_dt": "sample_dt must be",
+                 "kernel_family": "unknown kernel family"}
+RULE_OWNERS = {"delta": "analysis.check_delta",
+               "p": "analysis.conjugate_exponent",
+               "shape": "system._check_shape",
+               "dimension": "geometry._check_dimension",
+               "particles": "system._check_particles",
+               "samples": "analysis._check_samples",
+               "m4_range": "system._check_m4_target",
+               "pairing_size": "assignment._check_size",
+               "horizon": "system._check_sample_grid",
+               "sample_dt": "system._check_sample_grid",
+               "kernel_family": "kernels.make_kernel"}
 
 
 def _says(node):
@@ -187,9 +207,17 @@ def test_each_rule_has_one_owner():
     engine only pair_sums runs its python reference, and _engine.py
     imports nothing from analysis.  Only _spectrum, which kappa and
     max_eigenvalue call, takes eigenvalues, and in system.py only
-    draw_event_batch draws angles.  One function spells each parameter
-    rule of the weak family (check_delta delta > 0, conjugate_exponent
-    p > 1) and system._check_shape the shape rule (n >= 2, d >= 3).  The
+    draw_event_batch draws angles.  One function spells each rule of
+    RULE_OWNERS: each parameter rule of the weak family (check_delta
+    delta > 0, conjugate_exponent p > 1), system._check_shape the shape
+    (n, d), and each config rule that validate_config asks of the code
+    enforcing it in a run: geometry._check_dimension d >= 3 (for
+    _check_shape too), system._check_particles n >= 2,
+    analysis._check_samples the two Monte Carlo samples,
+    system._check_m4_target the two-temperature m4 range,
+    assignment._check_size the pairing size, system._check_sample_grid
+    the horizon and sample_dt rules and kernels.make_kernel the kernel
+    families.  The
     two-pass projection is spelled once per language (the one reader of
     REORTHO_RATIO), and only transport_frames builds the frame of
     identical directions, also for a single copy.  In cli.py only
@@ -229,9 +257,8 @@ def test_each_rule_has_one_owner():
     assert owners({"eigvalsh"}) == {"analysis._spectrum"}
     assert owners({"_spectrum"}) == {"analysis.kappa",
                                      "analysis.max_eigenvalue"}
-    assert owners({"delta"}, uses=says) == {"analysis.check_delta"}
-    assert owners({"p"}, uses=says) == {"analysis.conjugate_exponent"}
-    assert owners({"shape"}, uses=says) == {"system._check_shape"}
+    for rule, owner in RULE_OWNERS.items():
+        assert owners({rule}, uses=says) == {owner}, rule
     assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
         "system.draw_event_batch"}
     assert owners({"REORTHO_RATIO"}, uses=reads) == {"geometry._project_off"}
