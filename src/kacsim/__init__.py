@@ -10,7 +10,6 @@ from .geometry import GeometryError
 from .kernels import AngularKernel, KernelError, make_kernel
 from .assignment import solve_assignment, sym_distance
 from .system import (
-    CoupledState,
     InvariantViolation,
     TrajectoryRecord,
     align_configurations,

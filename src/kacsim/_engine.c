@@ -30,11 +30,12 @@
  * search scanning its columns in index order, in vector lanes spelled
  * once in _assign_path.h and built at the pair pass's three widths.
  *
- * Arrays are C-contiguous: states (n, d), per-event arrays (nb,) or
- * (nb, d), work (9 d,).  clock = {t, t_next} and ctr = {cursor, proj_ctr}
- * are updated in place.  A pair index outside [0, n) stops the loop with
- * status -1, a projection that annihilates its Gaussian with status -2;
- * either stop leaves the event's pair unchanged.
+ * Arrays are C-contiguous: states (n, d), work (9 d,) and per-event arrays
+ * (nb,) or (nb, d), which kac_advance takes in system.draw_event_batch's
+ * order: exps, ii, jj, thetas, cphis, gl, gs.  clock = {t, t_next} and
+ * ctr = {cursor, proj_ctr} are updated in place.  A pair index outside
+ * [0, n) stops the loop with status -1, a projection that annihilates its
+ * Gaussian with status -2; either stop leaves the event's pair unchanged.
  */
 
 #include <math.h>
@@ -211,8 +212,8 @@ static void reproject(double *v, int64_t n, int64_t d)
 
 int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
                 double t_stop, double rate, double max_events,
-                const double *thetas, const double *cphis, const double *exps,
-                const int64_t *pi, const int64_t *pj, const double *gl,
+                const double *exps, const int64_t *ii, const int64_t *jj,
+                const double *thetas, const double *cphis, const double *gl,
                 const double *gs, int64_t nb, int64_t *ctr, int64_t proj_every,
                 double *acc, double *work)
 {
@@ -236,7 +237,7 @@ int kac_advance(double *u, double *v, int64_t n, int64_t d, double *clock,
             status = 1;
             break;
         }
-        int64_t i = pi[cursor], j = pj[cursor];
+        int64_t i = ii[cursor], j = jj[cursor];
         if (i < 0 || i >= n || j < 0 || j >= n) {
             status = -1;
             break;

@@ -3,14 +3,16 @@ collision dynamics, one pass over the particle pairs, and the assignment
 solver that pairs the slots of two copies.
 
 The drivers in :mod:`kacsim.system` pre-draw batches of randomness with a
-numpy Generator and hand them to the advance functions below, which consume
-one slot per event.  Keeping the random stream outside the compiled code
-makes the python reference stepper and the compiled loop consume draws in
-the same order; as they also round alike, they agree bit for bit.
+numpy Generator and hand each, as ``draw_event_batch`` returns it, to the
+advance functions below, which consume one slot per event.  Drawing outside
+the compiled code makes the python reference stepper and the compiled loop
+consume draws in one order; as they also round alike, they agree bit for bit.
 
 The loop is one C function, ``kac_advance`` in ``_engine.c`` (next to this
-file), for one copy or two: ``advance_kac`` passes NULL for the second copy
-and its Gaussians, ``advance_coupled`` passes both.  It is loaded through
+file), which takes the batch's arrays in draw order (exps, ii, jj, thetas,
+cphis, gl, gs), for one copy or two: ``advance_kac`` passes NULL for the
+second copy and for ``gs``, which one copy never reads; ``advance_coupled``
+passes both.  It is loaded through
 ctypes; the shared library is compiled with ``cc`` on first import and
 cached in this package's ``__pycache__`` under a hash of the sources, so
 later imports only load it; a build deletes the libraries of earlier
@@ -220,14 +222,18 @@ def _state(name, x, ndim):
                         f"array with {ndim} dimension(s)")
 
 
-def _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians):
-    """Contiguous copies (only where needed) of one batch, shape-checked."""
+def _batch(batch, d, cursor, coupled):
+    """The batch as drawn, (exps, ii, jj, thetas, cphis, gl, gs), as
+    contiguous arrays (copied only where needed), shape-checked, in the
+    same order; one copy drops ``gs``, which it never reads."""
     if cursor < 0:
         raise ValueError(f"cursor must be nonnegative, got {cursor}")
-    out = [np.ascontiguousarray(a, dtype=np.float64)
-           for a in (thetas, cphis, exps)]
-    out += [np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj)]
-    out += [np.ascontiguousarray(g, dtype=np.float64) for g in gaussians]
+    exps, ii, jj, thetas, cphis, gl, gs = batch
+    out = [np.ascontiguousarray(exps, dtype=np.float64)]
+    out += [np.ascontiguousarray(a, dtype=np.int64) for a in (ii, jj)]
+    out += [np.ascontiguousarray(a, dtype=np.float64)
+            for a in (thetas, cphis, gl) + ((gs,) if coupled else ())]
+    nb = out[0].shape[0]
     for a in out[:5]:
         if a.shape != (nb,):
             raise ValueError(f"batch arrays must have shape ({nb},), "
@@ -239,49 +245,35 @@ def _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians):
     return out
 
 
-def _finish(clock, ctr, status):
-    if status == -1:
-        raise IndexError(f"pair index out of range at batch slot {ctr[0]}")
-    if status == -2:
-        raise GeometryError("complement projection annihilated the sample "
-                            f"at batch slot {ctr[0]}")
-    return float(clock[0]), float(clock[1]), int(ctr[0]), int(ctr[1]), status
-
-
-def advance_kac(v, t, t_next, t_stop, rate, max_events,
-                thetas, cphis, exps, pi, pj, gl,
+def advance_kac(v, t, t_next, t_stop, rate, max_events, batch,
                 cursor, proj_ctr, proj_every, acc):
     """Process collision events on a single copy until a stop condition.
 
-    ``acc`` has the 8-slot layout; slots 2 and 4 are filled.  Returns
-    (t, t_next, cursor, proj_ctr, status).
+    ``batch`` is a ``system.draw_event_batch`` tuple, whose ``gs`` is not
+    read; ``acc`` has the 8-slot layout, and slots 2 and 4 are filled.
+    Returns (t, t_next, cursor, proj_ctr, status).
     """
-    return _advance((v,), t, t_next, t_stop, rate, max_events,
-                    thetas, cphis, exps, pi, pj, (gl,),
+    return _advance((v,), t, t_next, t_stop, rate, max_events, batch,
                     cursor, proj_ctr, proj_every, acc)
 
 
-def advance_coupled(u, v, t, t_next, t_stop, rate, max_events,
-                    thetas, cphis, exps, pi, pj, gl, gs,
+def advance_coupled(u, v, t, t_next, t_stop, rate, max_events, batch,
                     cursor, proj_ctr, proj_every, acc):
     """Process events on two copies driven by the same randomness.
 
-    The frames follow geometry.transport_frames, with ``gs`` completing the
-    plane of antipodal directions; pair conservation and the coupling
-    identity hold to rounding on every event.
-
-    Returns (t, t_next, cursor, proj_ctr, status).
+    ``batch`` is a ``system.draw_event_batch`` tuple.  The frames follow
+    geometry.transport_frames, with ``gs`` completing the plane of
+    antipodal directions; pair conservation and the coupling identity hold
+    to rounding on every event.  Returns (t, t_next, cursor, proj_ctr,
+    status).
     """
-    return _advance((u, v), t, t_next, t_stop, rate, max_events,
-                    thetas, cphis, exps, pi, pj, (gl, gs),
+    return _advance((u, v), t, t_next, t_stop, rate, max_events, batch,
                     cursor, proj_ctr, proj_every, acc)
 
 
-def _advance(states, t, t_next, t_stop, rate, max_events,
-             thetas, cphis, exps, pi, pj, gaussians,
+def _advance(states, t, t_next, t_stop, rate, max_events, batch,
              cursor, proj_ctr, proj_every, acc):
-    """Check the arrays and run the C loop (or the fallback) for one or two
-    copies; one copy passes NULL for the second copy and for ``gs``."""
+    """Check the arrays and run the C loop, or the fallback, on the copies."""
     coupled = len(states) == 2
     for name, x in zip(("u", "v") if coupled else ("v",), states):
         _state(name, x, 2)
@@ -292,8 +284,7 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
         raise ValueError(f"copies differ in shape: {states[0].shape} vs "
                          f"{states[1].shape}")
     n, d = states[0].shape
-    nb = np.shape(thetas)[0]
-    batch = _batch(nb, d, cursor, thetas, cphis, exps, pi, pj, *gaussians)
+    batch = _batch(batch, d, cursor, coupled)
     if _LIB is None:
         return _python_advance(states, t, t_next, t_stop, rate, max_events,
                                batch, cursor, proj_ctr, proj_every, acc)
@@ -304,9 +295,14 @@ def _advance(states, t, t_next, t_stop, rate, max_events,
     ctr = (ctypes.c_int64 * 2)(cursor, proj_ctr)
     status = _LIB.kac_advance(
         _address(states[0]), v, n, d, clock, t_stop, rate, max_events,
-        *map(_address, batch[:6]), gs, nb, ctr, proj_every, _address(acc),
-        (ctypes.c_double * (9 * d))())
-    return _finish(clock, ctr, status)
+        *map(_address, batch[:6]), gs, len(batch[0]), ctr, proj_every,
+        _address(acc), (ctypes.c_double * (9 * d))())
+    if status == -1:
+        raise IndexError(f"pair index out of range at batch slot {ctr[0]}")
+    if status == -2:
+        raise GeometryError("complement projection annihilated the sample "
+                            f"at batch slot {ctr[0]}")
+    return float(clock[0]), float(clock[1]), int(ctr[0]), int(ctr[1]), status
 
 
 def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
@@ -315,7 +311,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
     same stops, accumulator updates and reprojection."""
     from .system import _collide, project_to_constraint_sphere
 
-    thetas, cphis, exps, pi, pj, *gaussians = batch
+    exps, ii, jj, thetas, cphis, *gaussians = batch
     n = states[0].shape[0]
     while True:
         if t_next > t_stop:
@@ -324,7 +320,7 @@ def _python_advance(states, t, t_next, t_stop, rate, max_events, batch,
             return t, t_next, cursor, proj_ctr, 2
         if cursor >= len(thetas):
             return t, t_next, cursor, proj_ctr, 1
-        i, j = int(pi[cursor]), int(pj[cursor])
+        i, j = int(ii[cursor]), int(jj[cursor])
         # numpy would wrap a negative index to another particle
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair index out of range at batch slot {cursor}")

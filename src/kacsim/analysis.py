@@ -690,13 +690,18 @@ def _mean_stderr(x):
     return (float(mean), float(se)) if x.ndim == 1 else (mean, se)
 
 
+def _kappa_moment_diverges(n, d, order):
+    """Whether E[kappa^order] at equilibrium is infinite at n, d."""
+    return n - 2.0 * order / (d - 1.0) <= d
+
+
 def check_wishart_order(n, d, p):
     """Refuse a moment order p < 1, or one whose inverse moment is not
-    finite at n particles in dimension d (that needs n - 2p/(d-1) > d)."""
+    finite at n particles in dimension d (``_kappa_moment_diverges``)."""
     _check_dimension(d, BadParams)
     if p < 1:
         raise BadParams(f"need p >= 1, got {p}")
-    if n - 2.0 * p / (d - 1.0) <= d:
+    if _kappa_moment_diverges(n, d, p):
         raise BadParams(
             f"n = {n} too small for moment order p = {p} in dimension {d}")
 
@@ -779,7 +784,7 @@ def k_main_estimate(delta, p, n, d, samples, rng):
     delta, p = hc.delta, hc.p
     m_kappa = p * (1.0 + 2.0 * delta)
     m_pair = weak_exponents(delta, p)[0]
-    blowup = n - 2.0 * m_kappa / (d - 1.0) <= d
+    blowup = _kappa_moment_diverges(n, d, m_kappa)
     if blowup:
         warnings.warn(
             f"kappa moment of order {m_kappa:.3g} is outside the integrable "

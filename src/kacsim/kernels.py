@@ -149,10 +149,12 @@ def make_kernel(family, **params):
         return AngularKernel("dirac", {"theta0": theta0}, b0=c, levy_constant=c,
                              table_u=table_u, table_theta=table_theta)
 
-    if family == "uniform":
+    if family in ("uniform", "power_law"):
         theta_min = float(params["theta_min"])
         if not (0.0 <= theta_min < np.pi):
             raise BadAngle(f"theta_min {theta_min} outside [0, pi)")
+
+    if family == "uniform":
         # integral of sin^2 from theta_min to pi in closed form
         levy_mass = (np.pi - theta_min) / 2.0 + np.sin(2.0 * theta_min) / 4.0
         c = 1.0 / levy_mass
@@ -163,9 +165,6 @@ def make_kernel(family, **params):
 
     if family == "power_law":
         nu = float(params["nu"])
-        theta_min = float(params["theta_min"])
-        if not (0.0 <= theta_min < np.pi):
-            raise BadAngle(f"theta_min {theta_min} outside [0, pi)")
         if not np.isfinite(nu):
             raise KernelError(f"nu = {nu} is not finite")
         if nu >= 2.0:

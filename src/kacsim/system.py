@@ -36,7 +36,6 @@ from .geometry import (_weighted_dots, complement_unit, normalized,
 __all__ = [
     "DegenerateInput",
     "InvariantViolation",
-    "CoupledState",
     "TrajectoryRecord",
     "event_rate",
     "energy_moments",
@@ -51,7 +50,6 @@ __all__ = [
     "substream",
     "substream_seed",
     "align_configurations",
-    "make_coupled_state",
     "step_kac",
     "step_coupled",
     "draw_event_batch",
@@ -98,15 +96,6 @@ class DegenerateInput(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A per-event or per-run invariant exceeded its tolerance."""
-
-
-@dataclass
-class CoupledState:
-    """Two slot-aligned copies plus the pairing that aligned them."""
-
-    u: np.ndarray
-    v: np.ndarray
-    pairing: np.ndarray
 
 
 def _check_particles(n):
@@ -306,13 +295,6 @@ def align_configurations(u, v):
     return np.asarray(v, dtype=np.float64)[perm], perm
 
 
-def make_coupled_state(u, v):
-    """Pair ``v`` against ``u`` optimally and wrap both in a CoupledState."""
-    u = np.array(u, dtype=np.float64)
-    v_aligned, perm = align_configurations(u, v)
-    return CoupledState(u=u, v=v_aligned, pairing=perm)
-
-
 def step_kac(v, kernel, rng=None, t=0.0, rate=None, draws=None):
     """Apply one collision event in place; python reference path.
 
@@ -351,15 +333,21 @@ def _step(states, kernel, rng, t, rate, draws):
     if rate is None:
         rate = event_rate(kernel, n)
     if draws is None:
-        batch = draw_event_batch(kernel, n, d, rng, 1, len(states) == 2)
-        w, i, j, theta, cphi = (x[0].item() for x in batch[:5])
-        gaussians = [g[0] for g in batch[5:5 + len(states)]]
+        *events, gl, gs = draw_event_batch(kernel, n, d, rng, 1,
+                                           len(states) == 2)
+        w, i, j, theta, cphi = (x[0].item() for x in events)
+        gaussians = [g[0] for g in (gl, gs)[:len(states)]]
     else:
         w, i, j0, theta, cphi, *gaussians = draws
-        j = j0 + 1 if j0 >= i else j0
+        j = _second_index(i, j0)
     delta, residual, completed, _ = _collide(states, i, j, theta, cphi,
                                              *gaussians)
     return t + w / rate, (i, j), delta, residual, completed
+
+
+def _second_index(i, j0):
+    """The second index of a pair: the offset j0 in [0, n - 1) skips i."""
+    return j0 + (j0 >= i)
 
 
 def _unit_of_diff(a, b):
@@ -423,7 +411,7 @@ def draw_event_batch(kernel, n, d, rng, size, coupled):
     exps = rng.standard_exponential(size)
     ii = rng.integers(0, n, size=size)
     jj0 = rng.integers(0, n - 1, size=size)
-    jj = jj0 + (jj0 >= ii)
+    jj = _second_index(ii, jj0)
     thetas = np.asarray(kernel.sample(rng, size), dtype=np.float64)
     cphis = sample_azimuth_cos(d, rng, size=size)
     gl = rng.standard_normal((size, d))
@@ -494,10 +482,8 @@ def _simulate(states, kernel, rng, horizon, sample_dt, max_events,
             if batch is None:
                 batch = draw_event_batch(kernel, n, d, rng, chunk_size, coupled)
                 cursor = 0
-            exps, ii, jj, thetas, cphis, gl, gs = batch
             t, t_next, cursor, proj_ctr, status = advance(
-                *states, t, t_next, float(target), rate, budget,
-                thetas, cphis, exps, ii, jj, *((gl, gs) if coupled else (gl,)),
+                *states, t, t_next, float(target), rate, budget, batch,
                 cursor, proj_ctr, reproject_every, acc)
             if status != 1:
                 break
@@ -540,8 +526,8 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
                      chunk_size=DEFAULT_CHUNK_SIZE):
     """Run two copies under shared randomness, recording both on a grid.
 
-    ``u`` may also be a CoupledState (then ``v`` must be None).  Otherwise
-    ``u`` and ``v`` must already be slot-aligned (see align_configurations).
+    ``u`` and ``v`` must already be slot-aligned (see align_configurations)
+    and of one shape (the engine refuses copies that differ).
     The record's ``states`` is the pair of (S, N, d) stacks, and its
     ``columns`` (the mean squared pair distance, the velocity correlation
     and the second copy's m2/m4) are computed from them on first read.
@@ -549,16 +535,9 @@ def simulate_coupled(u, v, kernel, rng, horizon=None, sample_dt=None,
     conservation) are accumulated in ``checks``.  ``chunk_size`` is part of
     the RNG stream, as in simulate_kac.
     """
-    if isinstance(u, CoupledState):
-        if v is not None:
-            raise ValueError("pass either a CoupledState or two arrays")
-        u, v = u.u, u.v
-    u = np.array(u, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"copies differ in shape: {u.shape} vs {v.shape}")
-    return _simulate((u, v), kernel, rng, horizon, sample_dt, max_events,
-                     reproject_every, chunk_size)
+    return _simulate((np.array(u, dtype=np.float64),
+                      np.array(v, dtype=np.float64)), kernel, rng, horizon,
+                     sample_dt, max_events, reproject_every, chunk_size)
 
 
 def coupled_run_issues(record):

@@ -230,8 +230,8 @@ def test_10_marginal_fidelity():
         rng = system.substream(1010, r)
         u0 = system.sample_equilibrium(n, d, rng)
         v0 = system.two_temperature_initial(n, d, rng, m4_target=3.0)
-        rec = system.simulate_coupled(system.make_coupled_state(u0, v0), None,
-                                      k, rng, horizon=horizon)
+        v0, _ = system.align_configurations(u0, v0)
+        rec = system.simulate_coupled(u0, v0, k, rng, horizon=horizon)
         coupled_m4.append(rec.column("m4")[-1])
     for r in range(reps):
         rng = system.substream(1010, reps + r)

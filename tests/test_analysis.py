@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -395,15 +396,13 @@ def test_creation_matches_event_decrement():
     v0 = system.two_temperature_initial(n, d, rng)
     v0, _ = system.align_configurations(u0, v0)
     rate = system.event_rate(UNIFORM, n)
-    exps, ii, jj, thetas, cphis, gl, gs = system.draw_event_batch(
-        UNIFORM, n, d, rng, m, coupled=True)
+    batch = system.draw_event_batch(UNIFORM, n, d, rng, m, coupled=True)
     d0 = float(np.sum((u0 - v0) ** 2))
     deltas = np.empty(m)
     for k in range(m):
         u, v = u0.copy(), v0.copy()
-        _engine.advance_coupled(u, v, 0.0, 0.0, np.inf, rate, 1.0, thetas,
-                                cphis, exps, ii, jj, gl, gs, cursor=k,
-                                proj_ctr=0, proj_every=10 ** 9,
+        _engine.advance_coupled(u, v, 0.0, 0.0, np.inf, rate, 1.0, batch,
+                                cursor=k, proj_ctr=0, proj_every=10 ** 9,
                                 acc=np.zeros(8))
         deltas[k] = (float(np.sum((u - v) ** 2)) - d0) / n
     est = -rate * float(np.mean(deltas))
@@ -738,6 +737,30 @@ def test_k_main_estimate_blowup_warning():
         analysis.k_main_estimate(1.0, 4.0, 64, 3, 5, rng)
     with pytest.raises(analysis.BadParams, match="need p > 1"):
         analysis.k_main_estimate(0.5, 1.0, 64, 3, 5, rng)
+
+
+@pytest.mark.parametrize("n, d, diverges", [(5, 3, True), (6, 3, False),
+                                             (7, 3, True), (8, 3, False)])
+def test_kappa_moment_rule_decides_alike(n, d, diverges):
+    """At the boundary n - 2 order/(d-1) = d the kappa moment of order 2
+    (n = 5) or 4 (n = 7) is not integrable: check_wishart_order refuses it
+    and k_main_estimate, whose kappa order is p (1 + 2 delta) = 2 (p = 1.6,
+    delta = 0.125) or 4 (p = 2, delta = 0.5), warns; one particle more
+    passes both."""
+    order = 2 if n < 7 else 4
+    p, delta = (1.6, 0.125) if order == 2 else (2.0, 0.5)
+    assert p * (1.0 + 2.0 * delta) == order
+    rng = np.random.default_rng(n)
+    if diverges:
+        with pytest.raises(analysis.BadParams, match="too small"):
+            analysis.check_wishart_order(n, d, order)
+        with pytest.warns(analysis.MomentBlowup):
+            analysis.k_main_estimate(delta, p, n, d, 5, rng)
+    else:
+        analysis.check_wishart_order(n, d, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", analysis.MomentBlowup)
+            analysis.k_main_estimate(delta, p, n, d, 5, rng)
 
 
 def test_counterexample_heavy_tail_trend():

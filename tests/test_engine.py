@@ -36,11 +36,13 @@ def _unit(x):
 
 
 def _one_event_batch(i, j, theta, cphi, gl, gs=None):
+    """One event as system.draw_event_batch lays it out; without ``gs``
+    the batch carries an empty one, as a single copy's draw does."""
     d = gl.shape[0]
-    return dict(thetas=np.array([theta]), cphis=np.array([cphi]),
-                exps=np.array([0.25]), pi=np.array([i], dtype=np.int64),
-                pj=np.array([j], dtype=np.int64), gl=gl.reshape(1, d),
-                **({} if gs is None else {"gs": gs.reshape(1, d)}))
+    return (np.array([0.25]), np.array([i], dtype=np.int64),
+            np.array([j], dtype=np.int64), np.array([theta]),
+            np.array([cphi]), gl.reshape(1, d),
+            np.empty((0, d)) if gs is None else gs.reshape(1, d))
 
 
 def _engine_coupled_event(u, v, i, j, theta, cphi, gl, gs):
@@ -54,7 +56,7 @@ def _engine_coupled_event(u, v, i, j, theta, cphi, gl, gs):
     out = _engine.advance_coupled(
         u, v, 0.0, 0.5, np.inf, 1.0, 1.0,
         cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc,
-        **_one_event_batch(i, j, theta, cphi, gl, gs))
+        batch=_one_event_batch(i, j, theta, cphi, gl, gs))
     assert out == (0.5, 0.75, 1, 1, 2)
     return u, v, acc
 
@@ -160,7 +162,7 @@ def test_c_matches_reference_on_single_copy(branch, d):
     vc, acc = v.copy(), np.zeros(8)
     out = _engine.advance_kac(vc, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
                               proj_ctr=0, proj_every=10 ** 9, acc=acc,
-                              **_one_event_batch(0, 1, theta, cphi, gl))
+                              batch=_one_event_batch(0, 1, theta, cphi, gl))
     assert out == (0.5, 0.75, 1, 1, 2)
     vr = v.copy()
     t, _ = system.step_kac(vr, None, t=0.5, rate=1.0,
@@ -214,8 +216,8 @@ def test_rejects_out_of_range_pair_index(backend, i, j):
         _engine.advance_coupled(
             u, v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0, proj_ctr=0,
             proj_every=10 ** 9, acc=acc,
-            **_one_event_batch(i, j, 1.0, 0.0, rng.standard_normal(3),
-                               rng.standard_normal(3)))
+            batch=_one_event_batch(i, j, 1.0, 0.0, rng.standard_normal(3),
+                                   rng.standard_normal(3)))
     assert acc[4] == 0.0
     np.testing.assert_array_equal(u, start[0])
     np.testing.assert_array_equal(v, start[1])
@@ -231,7 +233,7 @@ def test_kac_rejects_gaussian_along_the_axis(backend):
     with pytest.raises(geometry.GeometryError, match="batch slot 0"):
         _engine.advance_kac(v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
                             proj_ctr=0, proj_every=10 ** 9, acc=acc,
-                            **_one_event_batch(0, 1, 1.2, 0.1, g))
+                            batch=_one_event_batch(0, 1, 1.2, 0.1, g))
     np.testing.assert_array_equal(v, start)
     assert acc[4] == 0.0
 
@@ -250,7 +252,8 @@ def test_kac_annihilation_threshold(backend, scale, raises):
     start, acc = v.copy(), np.zeros(8)
     batch = _one_event_batch(0, 1, 1.2, 0.1, g)
     args = (v, 0.0, 0.5, np.inf, 1.0, 1.0)
-    kwargs = dict(cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc, **batch)
+    kwargs = dict(cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc,
+                  batch=batch)
     if raises:
         with pytest.raises(geometry.GeometryError, match="batch slot 0"):
             _engine.advance_kac(*args, **kwargs)
@@ -272,10 +275,40 @@ def test_coupled_rejects_antipodal_sigma_along_the_axis(backend, d):
         _engine.advance_coupled(
             u, v, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0, proj_ctr=0,
             proj_every=10 ** 9, acc=acc,
-            **_one_event_batch(0, 1, 1.1, 0.3, rng.standard_normal(d), gs))
+            batch=_one_event_batch(0, 1, 1.1, 0.3, rng.standard_normal(d),
+                                   gs))
     np.testing.assert_array_equal(u, start_u)
     np.testing.assert_array_equal(v, start_v)
     assert acc[4] == 0.0
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+def test_advance_takes_the_batch_as_drawn(backend, coupled):
+    """advance_kac and advance_coupled take draw_event_batch's tuple as it
+    is returned (a single copy's empty gs included) and run its events as
+    the python steppers run the same draws one at a time, bit for bit."""
+    rng = np.random.default_rng([45, coupled])
+    n, d, size = 8, 3, 20
+    start = [system.sample_equilibrium(n, d, rng) for _ in range(1 + coupled)]
+    batch = system.draw_event_batch(UNIFORM, n, d, rng, size, coupled)
+    ran = [x.copy() for x in start]
+    advance = _engine.advance_coupled if coupled else _engine.advance_kac
+    acc = np.zeros(8)
+    out = advance(*ran, 0.0, 0.0, np.inf, 1.0, np.inf, batch, cursor=0,
+                  proj_ctr=0, proj_every=10 ** 9, acc=acc)
+    assert out[2:] == (size, size, 1) and acc[4] == size
+
+    exps, ii, jj, thetas, cphis, gl, gs = batch
+    step = system.step_coupled if coupled else system.step_kac
+    t = 0.0
+    for k in range(size):
+        i, j = int(ii[k]), int(jj[k])
+        draws = (float(exps[k]), i, j - 1 if j > i else j, float(thetas[k]),
+                 float(cphis[k]), gl[k]) + ((gs[k],) if coupled else ())
+        t = step(*start, None, t=t, rate=1.0, draws=draws)[0]
+    assert out[1] == t
+    for x, y in zip(ran, start):
+        np.testing.assert_array_equal(x, y)
 
 
 def _near_span_event(seed, offset):
@@ -313,7 +346,7 @@ def test_kac_conserves_energy_when_gaussian_nearly_in_plane(offset):
         acc = np.zeros(8)
         _engine.advance_kac(eng, 0.0, 0.5, np.inf, 1.0, 1.0, cursor=0,
                             proj_ctr=0, proj_every=10 ** 9, acc=acc,
-                            **_one_event_batch(0, 1, theta, cphi, g))
+                            batch=_one_event_batch(0, 1, theta, cphi, g))
         assert acc[4] == 1.0
         assert acc[2] <= 1e-12
         assert _pair_energy_error(v, eng) <= 1e-12
@@ -1002,6 +1035,49 @@ def test_c_source_is_warning_clean(tmp_path):
                             "-Werror"),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _c_kind(decl):
+    """The ctypes type a C parameter declaration passes as."""
+    if "*" in decl:
+        return ctypes.c_void_p
+    return {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[
+        decl.rsplit(None, 1)[0]]
+
+
+def _c_prototypes():
+    """{name: parameter declarations} of each function the library
+    exports, read from its sources; a header's function, named by a macro,
+    is entered under each name _engine.c defines for it (one per width)."""
+    source = _engine._SOURCE.read_text()
+    found = {}
+    for path in (_engine._SOURCE, *_engine._HEADERS):
+        for name, params in re.findall(r"^int (\w+)\(([^)]*)\)\n\{",
+                                       path.read_text(), re.M):
+            decls = [p.strip() for p in params.split(",") if p != "void"]
+            for export in (re.findall(rf"^#define {name} (\w+)$", source,
+                                      re.M) if name.isupper() else [name]):
+                found[export] = decls
+    return found
+
+
+def test_c_prototypes_match_the_ctypes_signatures():
+    """Each C entry point, every per-width export included, takes as many
+    parameters of the same kinds (pointer, int64, double), in the same
+    order, as the ctypes signature it is called through, which cannot see
+    a reordered C parameter list itself; and kac_advance takes the batch
+    arrays in draw order."""
+    protos = _c_prototypes()
+    widths = {f"{kernel}_{width}": kernel for width in WIDTHS
+              for kernel in ("kac_pair_sums", "kac_assign")}
+    assert set(protos) == set(_engine._SIGNATURES) | set(widths)
+    for name, decls in protos.items():
+        argtypes = _engine._SIGNATURES[widths.get(name, name)]
+        assert tuple(map(_c_kind, decls)) == argtypes, name
+    names = [decl.split()[-1].lstrip("*") for decl in protos["kac_advance"]]
+    drawn = ["exps", "ii", "jj", "thetas", "cphis", "gl", "gs"]
+    first = names.index(drawn[0])
+    assert names[first:first + len(drawn)] == drawn
 
 
 @needs_c

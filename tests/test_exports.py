@@ -53,9 +53,9 @@ k = kernels.make_kernel("uniform", theta_min=0.0)
 rng = np.random.default_rng(0)
 u = system.sample_equilibrium(8, 3, rng)
 v = system.sample_equilibrium(8, 3, rng)
-state = system.make_coupled_state(u, v)
+v, _ = system.align_configurations(u, v)
 assignment.sym_distance(u, v)
-system.simulate_coupled(state, None, k, rng, max_events=64, chunk_size=64)
+system.simulate_coupled(u, v, k, rng, max_events=64, chunk_size=64)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 kernels.make_kernel("power_law", nu=-0.5, theta_min=0.0)
 print("scipy.integrate" in sys.modules)
@@ -150,7 +150,8 @@ RULE_MESSAGES = {"delta": "need delta > 0", "p": "need p > 1",
                  "pairing_size": "rows for the dense assignment",
                  "horizon": "horizon must be",
                  "sample_dt": "sample_dt must be",
-                 "kernel_family": "unknown kernel family"}
+                 "kernel_family": "unknown kernel family",
+                 "theta_min": "outside [0, pi)"}
 RULE_OWNERS = {"delta": "analysis.check_delta",
                "p": "analysis.conjugate_exponent",
                "shape": "system._check_shape",
@@ -161,7 +162,17 @@ RULE_OWNERS = {"delta": "analysis.check_delta",
                "pairing_size": "assignment._check_size",
                "horizon": "system._check_sample_grid",
                "sample_dt": "system._check_sample_grid",
-               "kernel_family": "kernels.make_kernel"}
+               "kernel_family": "kernels.make_kernel",
+               "theta_min": "kernels.make_kernel"}
+# each rule spelled as an expression, by a pattern of its unparsed source,
+# and the one function that spells it: the second index j0 + (j0 >= i) of
+# a drawn pair, and the kappa moments' integrability n - 2 m/(d-1) > d
+EXPRESSIONS = {"j_offset": r"\w \+ \(\w+ >= \w+\)|\w \+ 1 if \w+ >= \w+",
+               "kappa_moment": r"- 2\.0 \* \w+ / \(d - 1\.0\)"}
+EXPRESSION_OWNERS = {"j_offset": "system._second_index",
+                     "kappa_moment": "analysis._kappa_moment_diverges"}
+# the arrays of one drawn batch, in draw order
+BATCH_ARRAYS = ("exps", "ii", "jj", "thetas", "cphis", "gl", "gs")
 
 
 def _says(node):
@@ -172,6 +183,21 @@ def _says(node):
             if fragment in node.value:
                 return rule
     return None
+
+
+def _spells(node):
+    """The rule of EXPRESSIONS that an expression spells."""
+    if isinstance(node, (ast.BinOp, ast.Compare, ast.IfExp)):
+        text = ast.unparse(node)
+        for rule, pattern in EXPRESSIONS.items():
+            if re.search(pattern, text):
+                return rule
+    return None
+
+
+def _named(node):
+    """The identifier of a bare name, read or assigned."""
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _normalizing(node):
@@ -240,6 +266,7 @@ def test_each_rule_has_one_owner():
     reads = [c for path in py for c in _uses(path, _read)]
     norms = [c for path in py for c in _uses(path, _normalizing)]
     says = [c for path in py for c in _uses(path, _says)]
+    spells = [c for path in py for c in _uses(path, _spells)]
     c_bodies = [b for path in sorted(src.glob("*.[ch]"))
                 for b in _c_bodies(path)]
 
@@ -259,6 +286,12 @@ def test_each_rule_has_one_owner():
                                      "analysis.max_eigenvalue"}
     for rule, owner in RULE_OWNERS.items():
         assert owners({rule}, uses=says) == {owner}, rule
+    for rule, owner in EXPRESSION_OWNERS.items():
+        assert owners({rule}, uses=spells) == {owner}, rule
+    assert owners({"_second_index"}) == {"system._step",
+                                         "system.draw_event_batch"}
+    assert owners({"_kappa_moment_diverges"}) == {
+        "analysis.check_wishart_order", "analysis.k_main_estimate"}
     assert owners({"sample_azimuth_cos", "sample"}, "system.") == {
         "system.draw_event_batch"}
     assert owners({"REORTHO_RATIO"}, uses=reads) == {"geometry._project_off"}
@@ -292,3 +325,19 @@ def test_each_rule_has_one_owner():
         "system.TrajectoryRecord.columns", "system.check_configuration"}
     assert owners({"std"}) == {"analysis._mean_stderr",
                                "analysis.counterexample_radial_band"}
+
+
+def test_the_batch_passes_through_as_drawn():
+    """The driver hands each drawn batch to the engine without naming its
+    arrays, so the draw order is written only where the batch is drawn,
+    marshalled and consumed; and the second way into a coupled run, the
+    CoupledState wrapper, stays gone."""
+    src = Path(kacsim.__file__).resolve().parent
+    named = {name for owner, name in _uses(src / "system.py", _named)
+             if owner == "system._simulate"}
+    assert "batch" in named and not named & set(BATCH_ARRAYS)
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for gone in ("CoupledState", "make_coupled_state"):
+            assert not hasattr(module, gone), (name, gone)
+            assert gone not in getattr(module, "__all__", ()), (name, gone)

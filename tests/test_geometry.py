@@ -115,17 +115,19 @@ def _collide_pairs(thetas, rng, *axes):
         x = np.zeros((2 * size, d))
         x[0::2] = a
         states.append(x)
-    batch = dict(thetas=thetas, cphis=geo.sample_azimuth_cos(d, rng, size),
-                 exps=np.ones(size), pi=np.arange(0, 2 * size, 2),
-                 pj=np.arange(1, 2 * size, 2),
-                 gl=rng.standard_normal((size, d)))
+    cphis = geo.sample_azimuth_cos(d, rng, size)
+    gl = rng.standard_normal((size, d))
     if len(axes) == 2:
-        batch["gs"] = rng.standard_normal((size, d))
+        gs = rng.standard_normal((size, d))
         advance = _engine.advance_coupled
     else:
+        gs = np.empty((0, d))
         advance = _engine.advance_kac
+    # in draw order: exps, ii, jj, thetas, cphis, gl, gs
+    batch = (np.ones(size), np.arange(0, 2 * size, 2),
+             np.arange(1, 2 * size, 2), thetas, cphis, gl, gs)
     acc = np.zeros(8)
-    *_, status = advance(*states, 0.0, 0.0, np.inf, 1.0, np.inf, **batch,
+    *_, status = advance(*states, 0.0, 0.0, np.inf, 1.0, np.inf, batch,
                          cursor=0, proj_ctr=0, proj_every=10 ** 9, acc=acc)
     assert status == 1 and acc[4] == size
     return [x[0::2] - x[1::2] for x in states]

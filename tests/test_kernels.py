@@ -138,12 +138,22 @@ def test_bad_angle_rejected():
         kernels.make_kernel("dirac", theta0=0.0)
     with pytest.raises(kernels.BadAngle):
         kernels.make_kernel("dirac", theta0=np.pi)
-    with pytest.raises(kernels.BadAngle):
-        kernels.make_kernel("uniform", theta_min=-0.1)
-    with pytest.raises(kernels.BadAngle):
-        kernels.make_kernel("uniform", theta_min=np.pi)
     with pytest.raises(kernels.KernelError):
         kernels.make_kernel("squared")
+
+
+@pytest.mark.parametrize("theta_min", [-0.1, np.pi, np.nan])
+@pytest.mark.parametrize("family, params", [("uniform", {}),
+                                            ("power_law", {"nu": -0.5})])
+def test_theta_min_outside_range_rejected(family, params, theta_min):
+    """Both families with a cutoff refuse one outside [0, pi) alike, and an
+    unknown family is refused as unknown, whatever its theta_min."""
+    with pytest.raises(kernels.BadAngle, match=r"outside \[0, pi\)"):
+        kernels.make_kernel(family, theta_min=theta_min, **params)
+    with pytest.raises(kernels.KernelError,
+                       match="unknown kernel family") as info:
+        kernels.make_kernel("squared", theta_min=theta_min, **params)
+    assert not isinstance(info.value, kernels.BadAngle)
 
 
 def test_density_vanishes_below_cutoff():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -368,9 +370,9 @@ def _sampled_run(coupled, horizon, sample_dt, **kw):
     v0 = system.two_temperature_initial(256, 3, rng)
     rng = np.random.default_rng(81)
     if coupled:
-        rec = system.simulate_coupled(
-            system.make_coupled_state(u0, v0), None, UNIFORM, rng,
-            horizon=horizon, sample_dt=sample_dt, **kw)
+        v0, _ = system.align_configurations(u0, v0)
+        rec = system.simulate_coupled(u0, v0, UNIFORM, rng, horizon=horizon,
+                                      sample_dt=sample_dt, **kw)
     else:
         rec = system.simulate_kac(v0, UNIFORM, rng, horizon=horizon,
                                   sample_dt=sample_dt, **kw)
@@ -452,14 +454,24 @@ def test_simulate_kac_stationarity():
     assert abs(np.mean(diff)) < 4 * se + 1e-12
 
 
+@pytest.mark.parametrize("shape", [(10, 3), (8, 4)])
+def test_simulate_coupled_refuses_copies_of_two_shapes(shape):
+    """Copies that differ in n or d are refused by the engine's check."""
+    rng = np.random.default_rng(6)
+    u = system.sample_equilibrium(8, 3, rng)
+    v = system.sample_equilibrium(*shape, rng)
+    with pytest.raises(ValueError, match=re.escape(
+            f"copies differ in shape: (8, 3) vs {shape}")):
+        system.simulate_coupled(u, v, UNIFORM, rng, max_events=10)
+
+
 def test_simulate_coupled_checks_and_monotonicity():
     u0, _ = kac_sphere_point(32, 3, 69)
     rng = np.random.default_rng(70)
     v0 = system.two_temperature_initial(32, 3, rng)
-    state = system.make_coupled_state(u0, v0)
-    rec = system.simulate_coupled(state, None, UNIFORM,
-                                  np.random.default_rng(71), horizon=5.0,
-                                  sample_dt=0.25)
+    v0, _ = system.align_configurations(u0, v0)
+    rec = system.simulate_coupled(u0, v0, UNIFORM, np.random.default_rng(71),
+                                  horizon=5.0, sample_dt=0.25)
     msd = rec.columns["mean_sq_distance"]
     assert np.all(np.diff(msd) <= 1e-12)
     assert rec.checks["max_residual"] < 1e-9
