@@ -1,9 +1,7 @@
-/* One shortest augmenting path of kac_assign at one vector width.
- * _engine.c includes this file once per width, with VW (doubles per
- * vector), ASSIGN_PATH (the function's name), ASSIGN_TARGET (its
- * attributes, for the ISA the width needs) and VEC_MIN (the x86 min
- * intrinsic at this width) defined; the names below are suffixed with VW,
- * and the macros are undefined at the end.
+/* kac_assign at one vector width, built by _width.h (see there), whose
+ * VW, VW_TARGET, VW_FN, VEC_MIN, vec and mask it uses; ASSIGN names the
+ * solver and augmenting_path, suffixed with VW, its search.  The solver
+ * is scipy's, under the license in _engine.c.
  *
  * scipy scans the columns left in a list that starts in reverse order and
  * loses the settled column by swap removal.  This search scans all
@@ -22,18 +20,14 @@
  * the first step whose reduced cost equals its settled cost, so the rows
  * of the path's few columns are found again after the search. */
 
-#define vec PASTE(vec, VW)
-#define mask PASTE(mask, VW)
 #define lowest PASTE(lowest, VW)
 #define scan_block PASTE(scan_block, VW)
 #define vec_min PASTE(vec_min, VW)
-#define SCAN_FN static inline __attribute__((always_inline)) ASSIGN_TARGET
-typedef double vec __attribute__((vector_size(VW * sizeof(double))));
-typedef int64_t mask __attribute__((vector_size(VW * sizeof(int64_t))));
+#define augmenting_path PASTE(augmenting_path, VW)
 
 /* min(a, b) lane by lane as a < b ? a : b, which is the x86 min
  * instruction; a blend elsewhere */
-SCAN_FN vec vec_min(vec a, vec b)
+VW_FN vec vec_min(vec a, vec b)
 {
 #if defined(__x86_64__)
     return VEC_MIN(a, b);
@@ -53,10 +47,9 @@ struct lowest {
  * cost min_val + c - u_i - v_j, in that order, replaces a larger key, and
  * the lanes of lo take the column's rank if its key is lower, or as low
  * and its rank higher. */
-SCAN_FN void scan_block(double *restrict key_row,
-                        const double *restrict vscan,
-                        const double *restrict rank_row, const vec *c,
-                        const vec *min_val, const vec *ui, struct lowest *lo)
+VW_FN void scan_block(double *restrict key_row, const double *restrict vscan,
+                      const double *restrict rank_row, const vec *c,
+                      const vec *min_val, const vec *ui, struct lowest *lo)
 {
     vec key, vs, rank;
     memcpy(&key, key_row, sizeof key);
@@ -69,10 +62,14 @@ SCAN_FN void scan_block(double *restrict key_row,
     lo->rank = (vec)(((mask)rank & take) | ((mask)lo->rank & ~take));
 }
 
-/* augmenting_path (see there) at this width. */
-ASSIGN_TARGET
-static int64_t ASSIGN_PATH(const struct assign_work *w, int64_t cur_row,
-                           double *p_min_val)
+/* One shortest augmenting path from row cur_row, a Dijkstra search over
+ * the reduced costs that stops at the first free column it settles.
+ * Returns that column (the sink), with the path's length in *p_min_val
+ * and the path's columns' predecessor rows in path, or -1 when every
+ * reduced cost is infinite. */
+VW_TARGET
+static int64_t augmenting_path(const struct assign_work *w, int64_t cur_row,
+                               double *p_min_val)
 {
     int64_t n = w->n;
     double *restrict key = w->key, *restrict vscan = w->vscan;
@@ -175,13 +172,65 @@ static int64_t ASSIGN_PATH(const struct assign_work *w, int64_t cur_row,
     return sink;
 }
 
-#undef vec
-#undef mask
+/* kac_assign (see there) at this width. */
+VW_TARGET
+int ASSIGN(const double *cost, int64_t n, int64_t *col4row, double *work,
+           int64_t *iwork)
+{
+    int64_t m = ASSIGN_STRIDE(n);
+    struct assign_work w = {
+        n, cost, work, work + m, work + 2 * m, work + 3 * m, work + 4 * m,
+        work + 5 * m, col4row, iwork, iwork + m, iwork + 2 * m, iwork + 3 * m,
+        iwork + 4 * m, iwork + 5 * m};
+    double *u = w.u, *v = w.v, *shortest_path_costs = w.spc;
+    int64_t *path = w.path, *row4col = w.row4col, *sr = w.sr, *sc = w.sc;
+    for (int64_t k = n; k < m; k++) {
+        w.key[k] = INFINITY;
+        w.vscan[k] = -INFINITY;
+        w.rank[k] = -1.0;
+    }
+    for (int64_t k = 0; k < n; k++) {
+        u[k] = 0;
+        v[k] = 0;
+        path[k] = -1;
+        col4row[k] = -1;
+        row4col[k] = -1;
+    }
+
+    /* iteratively build the solution */
+    for (int64_t cur_row = 0; cur_row < n; cur_row++) {
+        double min_val;
+        int64_t sink = augmenting_path(&w, cur_row, &min_val);
+        if (sink < 0)
+            return -1;
+
+        /* update the dual variables */
+        u[cur_row] += min_val;
+        for (int64_t i = 0; i < n; i++) {
+            if (sr[i] && i != cur_row)
+                u[i] += min_val - shortest_path_costs[col4row[i]];
+        }
+        for (int64_t j = 0; j < n; j++) {
+            if (sc[j])
+                v[j] -= min_val - shortest_path_costs[j];
+        }
+
+        /* augment the previous solution */
+        int64_t j = sink;
+        for (;;) {
+            int64_t i = path[j];
+            row4col[j] = i;
+            int64_t swap = col4row[i];
+            col4row[i] = j;
+            j = swap;
+            if (i == cur_row)
+                break;
+        }
+    }
+    return 0;
+}
+
 #undef lowest
 #undef scan_block
 #undef vec_min
-#undef SCAN_FN
-#undef VW
-#undef ASSIGN_PATH
-#undef ASSIGN_TARGET
-#undef VEC_MIN
+#undef augmenting_path

@@ -14,21 +14,24 @@
  * ortho_axis finish with normalize, and transport_frames builds the frame
  * of one copy (nv = nu) or two.
  *
- * kac_pair_sums runs over a stack of configurations, and within one it
- * runs vector lanes that each own a row i.  The lanes are spelled once, in
- * _pair_pass.h, which is included here at three vector widths: 2 doubles
- * per vector on every CPU and, on x86-64, 4 built for AVX2 and 8 for
- * AVX-512F, picked on CPUs that have them (no -march flag, so one library
- * serves every CPU; kac_widths names the widths a CPU runs).  The
- * lane-order rule: each lane adds to its row in j order, exactly +0.0 for
- * the pairs it does not own, and every lane rounds alike, so the sums are
- * the same bit for bit at every width.
+ * The two vector kernels, the pair pass and the assignment solver, are
+ * built at three vector widths by one block per width, which includes
+ * _width.h: 2 doubles per vector on every CPU and, on x86-64, 4 built for
+ * AVX2 and 8 for AVX-512F, picked on CPUs that have them (no -march flag,
+ * so one library serves every CPU; kac_widths names the widths a CPU
+ * runs).
  *
- * kac_assign, at the end of this file, is scipy's shortest augmenting path
- * solver for the square linear sum assignment under scipy's BSD license
- * (reproduced there): the same duals, arithmetic and tie rule, with each
- * search scanning its columns in index order, in vector lanes spelled
- * once in _assign_path.h and built at the pair pass's three widths.
+ * kac_pair_sums runs over a stack of configurations, and within one it
+ * runs vector lanes that each own a row i, spelled once in _pair_pass.h.
+ * The lane-order rule: each lane adds to its row in j order, exactly +0.0
+ * for the pairs it does not own, and every lane rounds alike, so the sums
+ * are the same bit for bit at every width.
+ *
+ * kac_assign is scipy's shortest augmenting path solver for the square
+ * linear sum assignment under scipy's BSD license (reproduced below): the
+ * same duals, arithmetic and tie rule, with each search scanning its
+ * columns in index order in vector lanes.  The solver and its search are
+ * spelled once, in _assign_path.h.
  *
  * Arrays are C-contiguous: states (n, d), work (9 d,) and per-event arrays
  * (nb,) or (nb, d), which kac_advance takes in system.draw_event_batch's
@@ -387,67 +390,6 @@ int kac_widths(void)
     return widths;
 }
 
-/* The pass at three vector widths, each exported as kac_pair_sums_<VW>
- * for the tests: two 2-double vectors (4 rows), the width of SSE2 and
- * NEON, built for every CPU; on x86-64 also two 4-double vectors (8 rows)
- * built for AVX2 and two 8-double vectors (16 rows) built for AVX-512F,
- * which kac_pair_sums runs on CPUs that have them from the row counts
- * below (narrower lanes were slower there, and wider vectors without
- * their ISA are kept in memory). */
-#define VW 2
-#define PAIR_PASS kac_pair_sums_2
-#define PAIR_TARGET
-#include "_pair_pass.h"
-
-#if defined(__x86_64__)
-#define VW 4
-#define PAIR_PASS kac_pair_sums_4
-#define PAIR_TARGET __attribute__((target("avx2")))
-#include "_pair_pass.h"
-
-#define VW 8
-#define PAIR_PASS kac_pair_sums_8
-#define PAIR_TARGET __attribute__((target("avx512f")))
-#include "_pair_pass.h"
-#endif
-
-/* kac_pair_sums runs the 16-row blocks from PAIR_ROWS_8 rows on and the
- * 8-row blocks from PAIR_ROWS_4: below, a block's dead lanes, pow
- * included, cost more than its wider vectors save.  The widths give the
- * same sums, so the choice changes no bit. */
-#define PAIR_ROWS_8 32
-#define PAIR_ROWS_4 8
-
-/* For each of s configurations (u, v) of a stack, sums over all ordered
- * pairs (i, j), weighted by w_i w_j, of
- *   out[0] |du|^(2a)        out[1] |dv|^(2b)
- *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
- * with du = u_i - u_j, dv = v_i - v_j; u, v are (s, n, d), w is (n,) and
- * shared, out is (s, 4) and work (2 LANES d,), at most (32 d,).  Integral
- * exponents are raised by repeated squaring, others by pow.  One loop over
- * i < j per configuration, with no memory beyond work: the terms are
- * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
- * fills out[0] of each configuration only.
- *
- * Vector lanes each own a row i and sum it over j > i in j order; the rows
- * are added to the totals in i order.  Every lane rounds alike at every
- * width (uu, vv and uv summed from 0 over k, the same squaring sequence,
- * sqrt(uu vv) - uv and uu vv - uv^2), so every width gives the same sums
- * bit for bit. */
-int kac_pair_sums(const double *u, const double *v, const double *w,
-                  int64_t s, int64_t n, int64_t d, double a, double b,
-                  double *out, double *work)
-{
-#if defined(__x86_64__)
-    int widths = kac_widths();
-    if (widths & 8 && n >= PAIR_ROWS_8)
-        return kac_pair_sums_8(u, v, w, s, n, d, a, b, out, work);
-    if (widths & 4 && n >= PAIR_ROWS_4)
-        return kac_pair_sums_4(u, v, w, s, n, d, a, b, out, work);
-#endif
-    return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
-}
-
 /* The square linear sum assignment: kac_assign is the shortest augmenting
  * path solver of scipy.optimize.linear_sum_assignment,
  * scipy/optimize/rectangular_lsap/rectangular_lsap.cpp (author PM Larsen),
@@ -498,8 +440,8 @@ int kac_pair_sums(const double *u, const double *v, const double *w,
 /* The solver's arrays: work holds six rows of doubles (u, v, spc, key,
  * vscan, rank) and iwork six rows of int64s (path, row4col, sr, sc,
  * remaining, settled), each ASSIGN_STRIDE(n) long: the 8-wide scan reads
- * its last vector up to 7 past column n - 1, from padding that assign fills
- * once (key +inf, vscan -inf, rank -1).  In one search, spc holds a
+ * its last vector up to 7 past column n - 1, from padding that the solver
+ * fills once (key +inf, vscan -inf, rank -1).  In one search, spc holds a
  * column's shortest path cost once it is settled, key the costs of the
  * columns not yet settled (+inf after) and vscan their duals v (-inf
  * after); rank orders a column for scipy's tie rule by its place in
@@ -514,120 +456,78 @@ struct assign_work {
     int64_t *col4row, *path, *row4col, *sr, *sc, *remaining, *settled;
 };
 
-/* One shortest augmenting path from row i, a Dijkstra search over the
- * reduced costs that stops at the first free column it settles.  Returns
- * that column (the sink), with the path's length in *p_min_val and the
- * path's columns' predecessor rows in path, or -1 when every reduced cost
- * is infinite.  Spelled once, in _assign_path.h, at the pair pass's three
- * widths: augmenting_path_2 on every CPU (with the x86 min instruction
- * there) and, on x86-64, augmenting_path_4 for AVX2 and augmenting_path_8
- * for AVX-512F.  All settle the same columns, so they find the same
- * paths. */
+/* Both kernels at three vector widths, in _width.h: the pair pass and the
+ * assignment solver, each exported per width for the tests, as
+ * kac_pair_sums_<VW> and kac_assign_<VW>.  2 doubles per vector, the width
+ * of SSE2 and NEON, is built for every CPU; on x86-64 also 4 built for
+ * AVX2 and 8 built for AVX-512F, which kac_pair_sums and kac_assign run on
+ * CPUs that have them (wider vectors without their ISA are kept in
+ * memory).  VEC_MIN is the x86 min instruction at the width. */
 #define VW 2
-#define ASSIGN_PATH augmenting_path_2
-#define ASSIGN_TARGET
+#define VW_TARGET
 #define VEC_MIN _mm_min_pd
-#include "_assign_path.h"
+#define PAIR_PASS kac_pair_sums_2
+#define ASSIGN kac_assign_2
+#include "_width.h"
 
 #if defined(__x86_64__)
 #define VW 4
-#define ASSIGN_PATH augmenting_path_4
-#define ASSIGN_TARGET __attribute__((target("avx2")))
+#define VW_TARGET __attribute__((target("avx2")))
 #define VEC_MIN _mm256_min_pd
-#include "_assign_path.h"
+#define PAIR_PASS kac_pair_sums_4
+#define ASSIGN kac_assign_4
+#include "_width.h"
 
 #define VW 8
-#define ASSIGN_PATH augmenting_path_8
-#define ASSIGN_TARGET __attribute__((target("avx512f")))
+#define VW_TARGET __attribute__((target("avx512f")))
 #define VEC_MIN _mm512_min_pd
-#include "_assign_path.h"
+#define PAIR_PASS kac_pair_sums_8
+#define ASSIGN kac_assign_8
+#include "_width.h"
 #endif
 
-typedef int64_t (*augmenting_path)(const struct assign_work *, int64_t,
-                                   double *);
+/* kac_pair_sums runs the 16-row blocks from PAIR_ROWS_8 rows on and the
+ * 8-row blocks from PAIR_ROWS_4: below, a block's dead lanes, pow
+ * included, cost more than its wider vectors save.  The widths give the
+ * same sums, so the choice changes no bit. */
+#define PAIR_ROWS_8 32
+#define PAIR_ROWS_4 8
 
-/* kac_assign (see there) with one width of the search. */
-static int assign(const double *cost, int64_t n, int64_t *col4row,
-                  double *work, int64_t *iwork, augmenting_path search)
+/* For each of s configurations (u, v) of a stack, sums over all ordered
+ * pairs (i, j), weighted by w_i w_j, of
+ *   out[0] |du|^(2a)        out[1] |dv|^(2b)
+ *   out[2] |du||dv| - du.dv  out[3] |du|^2 |dv|^2 - (du.dv)^2
+ * with du = u_i - u_j, dv = v_i - v_j; u, v are (s, n, d), w is (n,) and
+ * shared, out is (s, 4) and work (2 LANES d,), at most (32 d,).  Integral
+ * exponents are raised by repeated squaring, others by pow.  One loop over
+ * i < j per configuration, with no memory beyond work: the terms are
+ * symmetric in (i, j) and vanish on the diagonal for a, b > 0.  A NULL v
+ * fills out[0] of each configuration only.
+ *
+ * Vector lanes each own a row i and sum it over j > i in j order; the rows
+ * are added to the totals in i order.  Every lane rounds alike at every
+ * width (uu, vv and uv summed from 0 over k, the same squaring sequence,
+ * sqrt(uu vv) - uv and uu vv - uv^2), so every width gives the same sums
+ * bit for bit. */
+int kac_pair_sums(const double *u, const double *v, const double *w,
+                  int64_t s, int64_t n, int64_t d, double a, double b,
+                  double *out, double *work)
 {
-    int64_t m = ASSIGN_STRIDE(n);
-    struct assign_work w = {
-        n, cost, work, work + m, work + 2 * m, work + 3 * m, work + 4 * m,
-        work + 5 * m, col4row, iwork, iwork + m, iwork + 2 * m, iwork + 3 * m,
-        iwork + 4 * m, iwork + 5 * m};
-    double *u = w.u, *v = w.v, *shortest_path_costs = w.spc;
-    int64_t *path = w.path, *row4col = w.row4col, *sr = w.sr, *sc = w.sc;
-    for (int64_t k = n; k < m; k++) {
-        w.key[k] = INFINITY;
-        w.vscan[k] = -INFINITY;
-        w.rank[k] = -1.0;
-    }
-    for (int64_t k = 0; k < n; k++) {
-        u[k] = 0;
-        v[k] = 0;
-        path[k] = -1;
-        col4row[k] = -1;
-        row4col[k] = -1;
-    }
-
-    /* iteratively build the solution */
-    for (int64_t cur_row = 0; cur_row < n; cur_row++) {
-        double min_val;
-        int64_t sink = search(&w, cur_row, &min_val);
-        if (sink < 0)
-            return -1;
-
-        /* update the dual variables */
-        u[cur_row] += min_val;
-        for (int64_t i = 0; i < n; i++) {
-            if (sr[i] && i != cur_row)
-                u[i] += min_val - shortest_path_costs[col4row[i]];
-        }
-        for (int64_t j = 0; j < n; j++) {
-            if (sc[j])
-                v[j] -= min_val - shortest_path_costs[j];
-        }
-
-        /* augment the previous solution */
-        int64_t j = sink;
-        for (;;) {
-            int64_t i = path[j];
-            row4col[j] = i;
-            int64_t swap = col4row[i];
-            col4row[i] = j;
-            j = swap;
-            if (i == cur_row)
-                break;
-        }
-    }
-    return 0;
+#if defined(__x86_64__)
+    int widths = kac_widths();
+    if (widths & 8 && n >= PAIR_ROWS_8)
+        return kac_pair_sums_8(u, v, w, s, n, d, a, b, out, work);
+    if (widths & 4 && n >= PAIR_ROWS_4)
+        return kac_pair_sums_4(u, v, w, s, n, d, a, b, out, work);
+#endif
+    return kac_pair_sums_2(u, v, w, s, n, d, a, b, out, work);
 }
 
 /* Permutation col4row minimizing sum_i cost[i, col4row[i]] over the n x n
  * cost matrix (C order).  work holds 6 (n + 8) doubles and iwork 6 (n + 8)
  * int64s.  Returns 0, or -1 when no finite assignment exists.  kac_assign
- * runs the widest search the CPU has (see kac_widths); kac_assign_<VW>
- * runs the VW-wide one and is exported for the tests. */
-int kac_assign_2(const double *cost, int64_t n, int64_t *col4row,
-                 double *work, int64_t *iwork)
-{
-    return assign(cost, n, col4row, work, iwork, augmenting_path_2);
-}
-
-#if defined(__x86_64__)
-int kac_assign_4(const double *cost, int64_t n, int64_t *col4row,
-                 double *work, int64_t *iwork)
-{
-    return assign(cost, n, col4row, work, iwork, augmenting_path_4);
-}
-
-int kac_assign_8(const double *cost, int64_t n, int64_t *col4row,
-                 double *work, int64_t *iwork)
-{
-    return assign(cost, n, col4row, work, iwork, augmenting_path_8);
-}
-#endif
-
+ * runs the widest search the CPU has (see kac_widths); all settle the same
+ * columns, so they find the same paths. */
 int kac_assign(const double *cost, int64_t n, int64_t *col4row, double *work,
                int64_t *iwork)
 {

@@ -33,10 +33,12 @@ one call.  Integral exponents are raised by repeated squaring, others by
 per lane, reading them from a small transposed tile in a work buffer that
 ``pair_sums`` allocates; every lane streams the j's in order and adds
 exactly +0.0 for the pairs its row does not own, so each row is summed in
-j order.  The loop is spelled once, in ``_pair_pass.h``, and ``_engine.c``
-builds it at three widths: two 2-double vectors on every CPU and, on
-x86-64, two 4-double vectors for AVX2 and two 8-double vectors for
-AVX-512F.  ``kac_pair_sums`` runs the widest the CPU has, 16-row blocks
+j order.  The loop is spelled once, in ``_pair_pass.h``, and built at
+three widths: two 2-double vectors on every CPU and, on x86-64, two
+4-double vectors for AVX2 and two 8-double vectors for AVX-512F.
+``_engine.c`` builds both vector kernels, this pass and the slot
+pairing's solver, from one block per width, which includes ``_width.h``.
+``kac_pair_sums`` runs the widest the CPU has, 16-row blocks
 from 32 rows on and 8-row blocks from 8 (below those, a block's dead
 lanes cost more than its wider vectors save).  Every width gives the same
 sums bit for bit; ``kac_widths`` names the widths the CPU runs, and the
@@ -50,8 +52,8 @@ augmenting path solver for the square linear sum assignment
 and tie rule, so it returns scipy's permutation, ties included, without
 loading scipy.optimize.  Each search scans its columns in index order,
 in branch-free vector lanes that carry every column's place in scipy's
-scan order for the tie rule; the lanes are spelled once, in
-``_assign_path.h``, and built at the pair pass's three widths, and
+scan order for the tie rule; the solver and its search are spelled once,
+in ``_assign_path.h``, and built at the pair pass's three widths, and
 ``kac_assign`` runs the widest the CPU has.  On the python
 backend ``assign`` runs scipy's loop in numpy, the same permutation,
 about seventy times slower at N = 256.
@@ -102,10 +104,10 @@ from .geometry import GeometryError, sequential_sum
 HAVE_NUMBA = False
 
 _SOURCE = Path(__file__).with_name("_engine.c")
-# the headers _engine.c includes once per vector width: the pair pass and
-# the assignment solver's search
+# the headers _engine.c includes once per vector width: the width's block,
+# and the pair pass and the assignment solver it builds
 _HEADERS = tuple(_SOURCE.with_name(name)
-                 for name in ("_pair_pass.h", "_assign_path.h"))
+                 for name in ("_width.h", "_pair_pass.h", "_assign_path.h"))
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off keeps the compiler from fusing a*b + c, so the

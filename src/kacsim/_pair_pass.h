@@ -1,25 +1,15 @@
-/* The pair pass at one vector width.  _engine.c includes this file once per
- * width, with VW (doubles per vector), PAIR_PASS (the function's name) and
- * PAIR_TARGET (attributes of every function here, for the ISA the width
- * needs) defined; the names below are suffixed with VW, and the macros are
- * undefined at the end.
- *
- * The pass takes LANES = 2 VW rows i at a time, in two vectors.  The
- * helpers take vectors through pointers: a vector passed by value would
- * change the calling convention with the ISA (gcc's -Wpsabi). */
+/* The pair pass at one vector width, built by _width.h (see there), whose
+ * VW, VW_TARGET, VW_FN, vec and mask it uses; PAIR_PASS names the
+ * function.  The pass takes LANES = 2 VW rows i at a time, in two
+ * vectors. */
 
 #define LANES (2 * VW)
-#define vec PASTE(vec, VW)
-#define mask PASTE(mask, VW)
 #define vec_power PASTE(vec_power, VW)
 #define vec_add PASTE(vec_add, VW)
-#define LANE_FN static inline __attribute__((always_inline)) PAIR_TARGET
-typedef double vec __attribute__((vector_size(VW * sizeof(double))));
-typedef int64_t mask __attribute__((vector_size(VW * sizeof(int64_t))));
 
 /* x^e on every lane of x0 and x1, in place: for k >= 0, e as an integer,
  * the same repeated squaring on each lane; for k < 0, pow lane by lane. */
-LANE_FN void vec_power(vec *x0, vec *x1, double e, int64_t k)
+VW_FN void vec_power(vec *x0, vec *x1, double e, int64_t k)
 {
     if (k < 0) {
         for (int l = 0; l < VW; l++) {
@@ -48,8 +38,8 @@ LANE_FN void vec_power(vec *x0, vec *x1, double e, int64_t k)
 
 /* r += wj x on the lanes live marks, exactly +0.0 on the others: the bits
  * are masked, so an inf or nan in a dead lane adds nothing. */
-LANE_FN void vec_add(vec r[2], double wj, const vec *x0, const vec *x1,
-                     const mask live[2])
+VW_FN void vec_add(vec r[2], double wj, const vec *x0, const vec *x1,
+                   const mask live[2])
 {
     r[0] += (vec)((mask)(wj * *x0) & live[0]);
     r[1] += (vec)((mask)(wj * *x1) & live[1]);
@@ -63,7 +53,7 @@ LANE_FN void vec_add(vec r[2], double wj, const vec *x0, const vec *x1,
  * in work, one cache line per coordinate at 4 doubles per vector and two
  * at 8: transposed (d, n) copies would put the d loads of a power-of-two
  * n, such as 2048, in one cache set. */
-PAIR_TARGET
+VW_TARGET
 int PAIR_PASS(const double *u, const double *v, const double *w, int64_t s,
               int64_t n, int64_t d, double a, double b, double *out,
               double *work)
@@ -148,11 +138,5 @@ int PAIR_PASS(const double *u, const double *v, const double *w, int64_t s,
 }
 
 #undef LANES
-#undef vec
-#undef mask
 #undef vec_power
 #undef vec_add
-#undef LANE_FN
-#undef VW
-#undef PAIR_PASS
-#undef PAIR_TARGET

@@ -49,7 +49,8 @@ import numpy as np
 
 from . import _engine
 from .geometry import _check_dimension, _weighted_dots
-from .system import InvariantViolation, _check_shape, equilibrium_blocks
+from .system import (InvariantViolation, _check_shape, equilibrium_blocks,
+                     gaussian_m4)
 
 __all__ = [
     "AnalysisError",
@@ -153,7 +154,7 @@ class HolderConstants:
     j_factor: float = None
     j_stderr: float = None
     j_limit: float = None
-    blowup: bool = False
+    moment_blowup: bool = False
 
 
 @dataclass
@@ -649,7 +650,7 @@ def order4_bound(m4_0, d, t):
     if m4_0 < 1.0:
         raise BadParams(f"m4_0 below the Cauchy-Schwarz floor: {m4_0}")
     t = np.asarray(t, dtype=np.float64)
-    eq = (d + 2.0) / d
+    eq = gaussian_m4(d)
     bound = np.exp(-t / 2.0) * (m4_0 - eq) + eq
     arg = m4_0 / eq - 1.0
     t_star = 2.0 * np.log(arg) if arg > 1.0 else 0.0
@@ -805,8 +806,9 @@ def k_main_estimate(delta, p, n, d, samples, rng):
     hc.j_limit = j_limit
     hc.k_main = hc.k2 * j
     hc.k_main_stderr = hc.k2 * j_se
-    hc.c_delta_n = hc.k_main * ((2.0 * d + 4.0) / d) ** (-0.5 - 1.0 / (2.0 * delta))
-    hc.blowup = bool(blowup)
+    hc.c_delta_n = hc.k_main * (2.0 * gaussian_m4(d)) ** (
+        -0.5 - 1.0 / (2.0 * delta))
+    hc.moment_blowup = bool(blowup)
     return hc
 
 
@@ -924,6 +926,12 @@ def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
     """
     _check_samples(samples)
     law, bands = radial_band_tails(r_minus_values, band_eps, d)
+
+    def gap(du, dv):
+        """|du||dv| - du.dv of each row pair."""
+        return (np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1)
+                - np.einsum("id,id->i", du, dv))
+
     rows = []
     for r, sf_lo, sf_hi in bands:
         beta = sf_lo - sf_hi
@@ -940,16 +948,12 @@ def counterexample_radial_band(r_minus_values, band_eps, d, samples, rng):
         w2 = _unit_rows(rng, samples, d)
 
         # one endpoint in the band, the other outside (V* = U* there)
-        du = r_in[:, None] * w1 - r_out[:, None] * w2
-        dv = c_band * w1 - r_out[:, None] * w2
-        g_io = (np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1)
-                - np.einsum("id,id->i", du, dv))
+        g_io = gap(r_in[:, None] * w1 - r_out[:, None] * w2,
+                   c_band * w1 - r_out[:, None] * w2)
         # both endpoints in the band
         r_in2 = law.isf(rng.uniform(sf_hi, sf_lo, size=samples))
-        du = r_in[:, None] * w1 - r_in2[:, None] * w2
-        dv = c_band * (w1 - w2)
-        g_ii = (np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1)
-                - np.einsum("id,id->i", du, dv))
+        g_ii = gap(r_in[:, None] * w1 - r_in2[:, None] * w2,
+                   c_band * (w1 - w2))
 
         num = (2.0 * (1.0 - beta) * float(np.mean(g_io))
                + beta * float(np.mean(g_ii)))

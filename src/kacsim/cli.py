@@ -43,6 +43,7 @@ from .system import (
     energy_moments,
     equilibrium_blocks,
     equilibrium_m4,
+    gaussian_m4,
     sample_equilibrium,
     simulate_coupled,
     substream,
@@ -402,7 +403,6 @@ def run_decay_experiment(cfg, out_dir):
     hc = analysis.k_main_estimate(delta, p, cfg.n, cfg.d, cfg.constant_samples,
                                   substream(cfg.seed, CONSTANTS_STREAM))
     constants = asdict(hc)
-    constants["moment_blowup"] = constants.pop("blowup")
 
     done, violations, check_extrema = [], [], {}
     for rep in range(cfg.replicas):
@@ -667,7 +667,7 @@ def _run_equilibrium_check(cfg, out_dir):
         for confs in equilibrium_blocks(cfg.n, cfg.d, cfg.samples, rng)])
     mean, se = analysis._mean_stderr(m4s)
     exact = equilibrium_m4(cfg.n, cfg.d)
-    limit = (cfg.d + 2.0) / cfg.d
+    limit = gaussian_m4(cfg.d)
     violations = []
     if abs(mean - exact) > 4.0 * se + 1e-12:
         violations.append(

@@ -104,9 +104,12 @@ def _uniform_cdf_nodes(theta_min):
 
 
 def _power_mass(theta, theta_min, nu):
-    """integral_{theta_min}^{theta} t^(-nu-1) dt, spelled
+    """integral_{theta_min}^{theta} t^(-nu-1) dt: theta^(-nu) / (-nu) at
+    theta_min = 0 (nu < 0 there), otherwise spelled
     theta_min^(-nu) expm1(-nu log(theta/theta_min)) / (-nu) so that it does
     not cancel near nu = 0, where it tends to log(theta/theta_min)."""
+    if theta_min == 0.0:
+        return np.power(theta, -nu) / (-nu)
     log_ratio = np.log(theta / theta_min)
     if nu == 0.0:
         return log_ratio
@@ -120,11 +123,7 @@ def _power_cdf_nodes(theta_min, nu):
         # prepend the exact origin; the mass below ZERO_CUT is negligible
         # and the inverse CDF is near-linear there (nu < 0 guaranteed here)
         theta = np.concatenate(([0.0], theta))
-        h = np.power(theta, -nu) / (-nu)
-        u = h / (np.power(np.pi, -nu) / (-nu))
-    else:
-        h = _power_mass(theta, theta_min, nu)
-        u = h / _power_mass(np.pi, theta_min, nu)
+    u = _power_mass(theta, theta_min, nu) / _power_mass(np.pi, theta_min, nu)
     u[0] = 0.0
     u[-1] = 1.0
     return u, theta
@@ -178,11 +177,7 @@ def make_kernel(family, **params):
         levy_mass, _ = quad(lambda t: np.sin(t) ** 2 * t ** (-nu - 1.0),
                             theta_min, np.pi, epsabs=0.0, epsrel=LEVY_QUAD_TOL)
         c = 1.0 / levy_mass
-        if theta_min > 0:
-            mass = _power_mass(np.pi, theta_min, nu)
-        else:
-            mass = np.power(np.pi, -nu) / (-nu)
-        b0 = c * mass
+        b0 = c * _power_mass(np.pi, theta_min, nu)
         u, theta = _power_cdf_nodes(theta_min, nu)
         return AngularKernel("power_law", {"nu": nu, "theta_min": theta_min},
                              b0=b0, levy_constant=c, table_u=u, table_theta=theta)

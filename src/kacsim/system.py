@@ -47,6 +47,7 @@ __all__ = [
     "two_temperature_m4_range",
     "default_m4_init",
     "equilibrium_m4",
+    "gaussian_m4",
     "substream",
     "substream_seed",
     "align_configurations",
@@ -209,9 +210,10 @@ def equilibrium_blocks(n, d, samples, rng):
 
 def two_temperature_m4_range(d):
     """Open interval of fourth moments a two-point energy mixture reaches
-    in dimension d >= 3: the Gaussian value (d + 2)/d up to twice it."""
+    in dimension d >= 3: the Gaussian value gaussian_m4(d) up to twice it."""
     geometry._check_dimension(d, DegenerateInput)
-    return (d + 2.0) / d, 2.0 * (d + 2.0) / d
+    m4 = gaussian_m4(d)
+    return m4, 2.0 * m4
 
 
 def _check_m4_target(d, m4):
@@ -266,6 +268,12 @@ def equilibrium_m4(n, d):
         E|v_1|^4 = (n - 1)(d + 2) / ((n - 1) d + 2).
     """
     return (n - 1.0) * (d + 2.0) / ((n - 1.0) * d + 2.0)
+
+
+def gaussian_m4(d):
+    """The Gaussian fourth moment (d + 2)/d, E|g|^4 for g ~ N(0, I_d/d):
+    equilibrium_m4(n, d) as n -> infinity."""
+    return (d + 2.0) / d
 
 
 def substream_seed(master_seed, index):

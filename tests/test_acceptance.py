@@ -163,11 +163,12 @@ def test_07_constant_magnitude():
     res = analysis.k_main_estimate(0.9, 20.0, 2048, 32, 150,
                                    system.substream(0, cli.CONSTANTS_STREAM))
     elapsed = time.time() - t0
-    ok = (1e-4 <= res.c_delta_n <= 1e-2 and not res.blowup
+    ok = (1e-4 <= res.c_delta_n <= 1e-2 and not res.moment_blowup
           and elapsed <= 180.0)
     _report(7, "constant magnitude", ok,
             f"c = {res.c_delta_n:.3e}, k_main = {res.k_main:.3e} "
-            f"+- {res.k_main_stderr:.1e}, blowup {res.blowup}, {elapsed:.1f} s")
+            f"+- {res.k_main_stderr:.1e}, blowup {res.moment_blowup}, "
+            f"{elapsed:.1f} s")
 
 
 def test_08_counterexamples():

@@ -125,6 +125,26 @@ def test_delta4_closed_form_properties():
         analysis.delta4(np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 256])
+def test_delta4_pair_mean_closes_on_the_sphere(n, d):
+    """On the constraint sphere (sum |v_i|^2 = n) the fourth moment's
+    generator closes: (2/n^2) sum_{i<j} delta4(v_i, v_j) equals
+    -m4/2 + (d+1)/(2(d-1)) - tr(S^2)/(d-1), with S = (1/n) sum v v^T.
+    At n = 2 both sides vanish."""
+    rng = np.random.default_rng(1000 * n + d)
+    for _ in range(3):
+        v = system.sample_equilibrium(n, d, rng)
+        i, j = np.triu_indices(n, 1)
+        pair_mean = 2.0 / n ** 2 * float(np.sum(analysis.delta4(v[i], v[j])))
+        m4 = float(np.mean(np.sum(v * v, axis=1) ** 2))
+        s = v.T @ v / n
+        closure = (-m4 / 2.0 + (d + 1.0) / (2.0 * (d - 1.0))
+                   - float(np.sum(s * s)) / (d - 1.0))
+        np.testing.assert_allclose(pair_mean, closure, rtol=1e-12,
+                                   atol=1e-14)
+
+
 def test_delta4_matches_collision_monte_carlo():
     """b0/2 times the mean sampled jump of |v|^4 + |v*|^4 must reproduce
     delta4 under any normalized kernel; check two kernels on one pair."""
@@ -675,7 +695,7 @@ def test_wishart_kappa_moment():
 def test_k_main_estimate_converges_to_limit():
     rng = np.random.default_rng(94)
     hc = analysis.k_main_estimate(0.5, 4.0, 512, 3, 60, rng)
-    assert not hc.blowup
+    assert not hc.moment_blowup
     assert abs(hc.j_factor - hc.j_limit) / hc.j_limit < 0.1
     assert hc.k_main == pytest.approx(hc.k2 * hc.j_factor)
     assert hc.c_delta_n < hc.k_main

@@ -994,9 +994,16 @@ def test_pair_sums_on_the_python_backend(monkeypatch):
 
 
 def _local_includes():
-    """The names of the files _engine.c includes with quotes."""
-    return re.findall(r'^#include "([^"]+)"', _engine._SOURCE.read_text(),
-                      re.M)
+    """The names of the files _engine.c includes with quotes, directly or
+    through a file it includes so."""
+    found, todo = [], [_engine._SOURCE.name]
+    while todo:
+        text = _engine._SOURCE.with_name(todo.pop()).read_text()
+        for name in re.findall(r'^#include "([^"]+)"', text, re.M):
+            if name not in found:
+                found.append(name)
+                todo.append(name)
+    return found
 
 
 def test_library_key_hashes_the_pass(tmp_path, monkeypatch):

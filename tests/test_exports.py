@@ -166,11 +166,15 @@ RULE_OWNERS = {"delta": "analysis.check_delta",
                "theta_min": "kernels.make_kernel"}
 # each rule spelled as an expression, by a pattern of its unparsed source,
 # and the one function that spells it: the second index j0 + (j0 >= i) of
-# a drawn pair, and the kappa moments' integrability n - 2 m/(d-1) > d
+# a drawn pair, the kappa moments' integrability n - 2 m/(d-1) > d, and
+# the Gaussian fourth moment (d + 2)/d, or its double (2d + 4)/d
 EXPRESSIONS = {"j_offset": r"\w \+ \(\w+ >= \w+\)|\w \+ 1 if \w+ >= \w+",
-               "kappa_moment": r"- 2\.0 \* \w+ / \(d - 1\.0\)"}
+               "kappa_moment": r"- 2\.0 \* \w+ / \(d - 1\.0\)",
+               "gaussian_m4": r"\(([\w.]+) \+ 2\.0\) / \1\b"
+                              r"|\(2\.0 \* ([\w.]+) \+ 4\.0\) / \2\b"}
 EXPRESSION_OWNERS = {"j_offset": "system._second_index",
-                     "kappa_moment": "analysis._kappa_moment_diverges"}
+                     "kappa_moment": "analysis._kappa_moment_diverges",
+                     "gaussian_m4": "system.gaussian_m4"}
 # the arrays of one drawn batch, in draw order
 BATCH_ARRAYS = ("exps", "ii", "jj", "thetas", "cphis", "gl", "gs")
 
